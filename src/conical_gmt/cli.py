@@ -20,20 +20,11 @@ import numpy as np
 
 from . import corona as corona_mod
 from . import diagnostics, energy, generators, sio
-from .errors import InputError, InvalidParams, NumericalError, SchemaMismatch
+from .errors import EmptyBall, InputError, InvalidParams, NumericalError, SchemaMismatch
 from .geometry import format_plane, parse_plane
 from .graphs import LipschitzGraph
-from .lattice import build_lattice
+from .lattice import build_lattice, natural_depth
 from .measure import DiscreteMeasure, load_csv, save_csv
-
-
-def _set_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("CONICAL_GMT_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-    return threads
 
 
 def _sha256(path: str) -> str:
@@ -194,8 +185,10 @@ def _cmd_corona(args) -> int:
         eta=float(cfg.get("eta", 0.1)),
         key_const=cfg.get("M"), sep_const=cfg.get("t"),
         prox_const=cfg.get("Lambda"))
-    lat = build_lattice(m, float(cfg.get("C0", 2.0)), float(cfg.get("A0", 8.0)),
-                        int(cfg.get("max_depth", 8)))
+    a0 = float(cfg.get("A0", 8.0))
+    depth = cfg.get("max_depth")
+    lat = build_lattice(m, float(cfg.get("C0", 2.0)), a0,
+                        natural_depth(m, a0) if depth is None else int(depth))
     result = corona_mod.build_top(m, lat, params, c1_seed=int(cfg.get("seed", 0)))
     verification = corona_mod.verify_corona(m, result, params)
     rep = _report_base("corona", args, args.points)
@@ -266,7 +259,7 @@ def _cmd_beta(args) -> int:
         try:
             b = diagnostics.beta2(m, center, r)
             rows.append((r, b.beta, b.degenerate, b.ball_mass))
-        except Exception:
+        except EmptyBall:
             rows.append((r, 0.0, False, 0.0))
     square = diagnostics.beta_square_function(m, center, scales) if len(scales) > 1 else None
     with open(args.out, "w", newline="") as fh:
@@ -363,9 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conical-gmt",
         description="cone-energy and rectifiability diagnostics on point clouds")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (default: machine parallelism "
-                             "or CONICAL_GMT_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic point cloud")
@@ -469,7 +459,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    _set_threads(args.threads)
     try:
         return args.func(args)
     except InputError as exc:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .energy import EnergySpec, total_energy, window_energy_sum
+from .energy import EnergySpec, cube_energy, total_energy
 from .errors import InvalidParams, NotDoublingRoot
-from .geometry import Plane
+from .geometry import Plane, cone_mask
 from .graphs import LipschitzGraph, cone_separation_violations, fit_lipschitz_graph
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import ball_mass, growth_constant
@@ -106,7 +106,6 @@ class _Ctx:
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
         self.lattice = lattice
-        self.params = params
         self.spec = params.energy_spec()
         self._theta: dict[int, float] = {}
         self._energy: dict[int, float] = {}
@@ -122,16 +121,7 @@ class _Ctx:
     def cube_energy(self, q: Cube) -> float:
         v = self._energy.get(q.id)
         if v is None:
-            nm = self.lattice.measure
-            eta = self.params.eta
-            lo, hi = eta * q.radius, q.radius / eta
-            ball2 = 2.0 * q.ball_radius
-            vidx = nm.ball_indices(q.center, ball2)
-            cand = nm.ball_indices(q.center, ball2 + hi)
-            mass_q = float(np.sum(nm.weights[q.members]))
-            e = window_energy_sum(nm, nm.points[vidx], nm.weights[vidx],
-                                  self.spec, lo, hi, candidate_idx=cand)
-            v = e / mass_q if mass_q > 0 else 0.0
+            v = cube_energy(self.lattice.measure, self.lattice, q, self.spec)
             self._energy[q.id] = v
         return v
 
@@ -229,16 +219,8 @@ def key_cone_exclusion(m, lattice: Lattice, q, p, params: CoronaParams) -> bool:
     if not np.any(far):
         return False
     target = pp[far]
-    basis = params.plane.basis
     half = params.aperture / 2.0
-    for x in qp:
-        diff = target - x[None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        par = (diff @ basis.T) @ basis
-        perp = np.linalg.norm(diff - par, axis=1)
-        if np.any((dist > 0) & (perp < half * dist)):
-            return True
-    return False
+    return any(np.any(cone_mask(target, x, params.plane, half)) for x in qp)
 
 
 def _set_distance(a: np.ndarray, b: np.ndarray) -> float:

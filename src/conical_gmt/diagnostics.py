@@ -17,9 +17,9 @@ from scipy.spatial import cKDTree
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
-from .geometry import Plane
+from .geometry import Plane, cone_mask
 from .graphs import LipschitzGraph
-from .measure import DiscreteMeasure, ball_mass
+from .measure import DiscreteMeasure, ball_mass, sorted_mass
 
 DEGENERATE_GAP = 1e-12
 _CIRCLE_SAMPLES = 2048
@@ -273,16 +273,12 @@ def theta_m_property(points, direction: Plane, theta: float,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != direction.ambient_dim:
         raise DimensionMismatch("points and plane dimensions differ")
-    basis = direction.basis
     counts = np.zeros(len(pts), dtype=int)
     for i, x in enumerate(pts):
-        diff = np.delete(pts, i, axis=0) - x[None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        par = (diff @ basis.T) @ basis
-        perp = np.linalg.norm(diff - par, axis=1)
-        in_cone = (dist > 0) & (perp < theta * dist)
-        shells = {_shell_index(t) for t in dist[in_cone]}
-        counts[i] = len(shells)
+        # the vertex itself has distance 0 and is never in the cone
+        in_cone = pts[cone_mask(pts, x, direction, theta)]
+        dist = np.linalg.norm(in_cone - x[None, :], axis=1)
+        counts[i] = len({_shell_index(t) for t in dist})
     if per_point:
         return int(counts.max(initial=0)), counts
     return int(counts.max(initial=0))
@@ -309,9 +305,8 @@ def f_epsilon_set(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
             radii = np.unique(np.concatenate((d[(d > 0) & (d <= 1.0)], [1.0])))
         else:
             radii = explicit
-        ds = np.sort(d)
+        ds, cum = sorted_mass(d, m.weights)
         pos = np.searchsorted(ds, radii, side="left")  # strict: atoms with dist < r
-        cum = np.cumsum(m.weights[np.argsort(d, kind="stable")])
         mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
         if np.any(mass <= eps * radii ** n):
             out.append(i)
@@ -367,17 +362,11 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
                 disjoint = False
 
     cone_violations = []
-    basis = graph.normal.basis
     for j, (c, rc) in enumerate(zip(centers, ch_radii)):
         near = np.nonzero(np.linalg.norm(m.points - c[None, :], axis=1) < 5 * rc)[0]
         for y_idx in near:
-            y = m.points[y_idx]
-            diff = samples - y[None, :]
-            dist = np.linalg.norm(diff, axis=1)
-            par = (diff @ basis.T) @ basis
-            perp = np.linalg.norm(diff - par, axis=1)
-            hit = (dist > 0) & (dist < rc) & (perp < aperture * dist)
-            if np.any(hit):
+            if np.any(cone_mask(samples, m.points[y_idx], graph.normal, aperture,
+                                outer_radius=rc)):
                 cone_violations.append((j, int(y_idx)))
 
     n = m.dim_param

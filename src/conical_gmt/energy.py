@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyCube, InvalidParams, MissingDirection
 from .geometry import Plane, cone_mask, plane_metric, sample_grassmannian
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, sorted_mass
 
 
 @dataclass(frozen=True)
@@ -54,24 +54,21 @@ class EnergyBreakdown:
     in_cone_count: int
 
 
-def _in_cone_jumps(m: DiscreteMeasure, x, direction: Plane, aperture: float):
-    """Sorted distinct in-cone distances and cumulative masses."""
+def _in_cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
+                   aperture: float, hi: float = np.inf):
+    """Sorted distinct distances of the in-cone atoms closer than ``hi``, the
+    cumulative mass through each, and the number of such atoms."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (m.ambient_dim,):
-        raise DimensionMismatch(f"vertex must live in R^{m.ambient_dim}")
-    mask = cone_mask(m.points, x, direction, aperture)
-    count = int(np.count_nonzero(mask))
-    if count == 0:
+    if x.shape != points.shape[1:]:
+        raise DimensionMismatch(f"vertex must live in R^{points.shape[1]}")
+    mask = cone_mask(points, x, direction, aperture, outer_radius=hi)
+    if not mask.any():
         return np.empty(0), np.empty(0), 0
-    d = np.linalg.norm(m.points[mask] - x[None, :], axis=1)
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    w = m.weights[mask][order]
-    radii, start = np.unique(d, return_index=True)
-    cum = np.cumsum(w)
-    # cumulative mass *through* each distinct radius
-    ends = np.append(start[1:], len(d)) - 1
-    return radii, cum[ends], count
+    d = np.linalg.norm(points[mask] - x[None, :], axis=1)
+    d, cum = sorted_mass(d, weights[mask])
+    # last position of each run of equal distances
+    ends = np.append(d[1:] > d[:-1], True)
+    return d[ends], cum[ends], len(d)
 
 
 def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
@@ -91,9 +88,20 @@ def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
     return contrib, float(np.sum(contrib))
 
 
+def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
+                 aperture: float, n: int, p: float, lo: float, hi: float) -> float:
+    """int_lo^hi (mass(K(x, r)) / r^n)^p dr/r over the atoms given, exact."""
+    radii, cum, _ = _in_cone_jumps(points, weights, x, direction, aperture, hi)
+    return _step_energy(radii, cum, n, p, lo, hi)[1]
+
+
 def pointwise_energy(m: DiscreteMeasure, x, spec: EnergySpec) -> EnergyBreakdown:
-    """Exact E_p(x, V, alpha, R) with its interval breakdown."""
-    radii, cum, count = _in_cone_jumps(m, x, spec.direction, spec.aperture)
+    """Exact E_p(x, V, alpha, R) with its interval breakdown.
+
+    ``in_cone_count`` counts every in-cone atom, also those beyond R.
+    """
+    radii, cum, count = _in_cone_jumps(m.points, m.weights, x, spec.direction,
+                                       spec.aperture)
     contrib, total = _step_energy(radii, cum, m.dim_param, spec.exponent,
                                   0.0, spec.outer_scale)
     return EnergyBreakdown(radii, cum, contrib, total, count)
@@ -124,23 +132,12 @@ def ball_energy(m: DiscreteMeasure, center, radius: float, spec: EnergySpec) -> 
     if not radius > 0:
         raise InvalidParams("ball radius must be positive")
     idx = m.ball_indices(center, radius)
-    total = 0.0
-    for i in idx:
-        radii, cum, _ = _in_cone_jumps(m, m.points[i], spec.direction, spec.aperture)
-        _, e = _step_energy(radii, cum, m.dim_param, spec.exponent, 0.0, radius)
-        total += m.weights[i] * e
-    return total
+    return window_energy_sum(m, m.points[idx], m.weights[idx], spec, 0.0, radius)
 
 
 def total_energy(m: DiscreteMeasure, spec: EnergySpec) -> float:
     """Whole-space energy: sum over all atoms of w(x) E_p(x, V, alpha, R)."""
-    total = 0.0
-    for i in range(m.size):
-        radii, cum, _ = _in_cone_jumps(m, m.points[i], spec.direction, spec.aperture)
-        _, e = _step_energy(radii, cum, m.dim_param, spec.exponent,
-                            0.0, spec.outer_scale)
-        total += m.weights[i] * e
-    return total
+    return window_energy_sum(m, m.points, m.weights, spec, 0.0, spec.outer_scale)
 
 
 def window_energy_sum(m: DiscreteMeasure, vertices: np.ndarray,
@@ -154,39 +151,11 @@ def window_energy_sum(m: DiscreteMeasure, vertices: np.ndarray,
     """
     pts = m.points if candidate_idx is None else m.points[candidate_idx]
     wts = m.weights if candidate_idx is None else m.weights[candidate_idx]
-    sub = _SubCloud(pts, wts)
     total = 0.0
     for x, wx in zip(vertices, vertex_weights):
-        radii, cum = sub.in_cone_jumps(x, spec.direction, spec.aperture, hi)
-        _, e = _step_energy(radii, cum, m.dim_param, spec.exponent, lo, hi)
-        total += wx * e
+        total += wx * _cone_energy(pts, wts, x, spec.direction, spec.aperture,
+                                   m.dim_param, spec.exponent, lo, hi)
     return float(total)
-
-
-class _SubCloud:
-    """Minimal vectorized helper over a fixed candidate subset."""
-
-    def __init__(self, points: np.ndarray, weights: np.ndarray):
-        self.points = points
-        self.weights = weights
-
-    def in_cone_jumps(self, x, direction: Plane, aperture: float, hi: float):
-        diff = self.points - np.asarray(x, dtype=float)[None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        par = (diff @ direction.basis.T) @ direction.basis
-        perp = np.linalg.norm(diff - par, axis=1)
-        mask = (dist > 0) & (perp < aperture * dist)
-        if np.isfinite(hi):
-            mask &= dist < hi
-        if not np.any(mask):
-            return np.empty(0), np.empty(0)
-        d = dist[mask]
-        order = np.argsort(d, kind="stable")
-        d = d[order]
-        w = self.weights[mask][order]
-        radii, start = np.unique(d, return_index=True)
-        ends = np.append(start[1:], len(d)) - 1
-        return radii, np.cumsum(w)[ends]
 
 
 def cube_energy(m: DiscreteMeasure, lattice, cube, spec: EnergySpec) -> float:
@@ -203,7 +172,7 @@ def cube_energy(m: DiscreteMeasure, lattice, cube, spec: EnergySpec) -> float:
         raise EmptyCube(f"cube {cube.id} carries no mass")
     eta = spec.inner_eta
     lo, hi = eta * cube.radius, cube.radius / eta
-    ball2 = 2 * 28 * cube.radius
+    ball2 = 2.0 * cube.ball_radius
     vertex_idx = nm.ball_indices(cube.center, ball2)
     cand = nm.ball_indices(cube.center, ball2 + hi)
     e = window_energy_sum(nm, nm.points[vertex_idx], nm.weights[vertex_idx],
@@ -241,10 +210,9 @@ def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,
             if ball_mass_val == 0:
                 frac, mean_e = 1.0, 0.0
             else:
-                energies = np.empty(len(idx))
-                for t, i in enumerate(idx):
-                    radii, cum, _ = _in_cone_jumps(m, m.points[i], v, aperture)
-                    _, energies[t] = _step_energy(radii, cum, n, exponent, 0.0, radius)
+                energies = np.array([
+                    _cone_energy(m.points, m.weights, m.points[i], v, aperture,
+                                 n, exponent, 0.0, radius) for i in idx])
                 ok = energies <= energy_bound
                 frac = float(np.sum(m.weights[idx][ok]) / ball_mass_val)
                 mean_e = float(np.average(energies, weights=m.weights[idx]))
@@ -296,9 +264,8 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
             v = assignment.get(int(i))
             if v is None:
                 raise MissingDirection(f"atom {i} has no assigned direction")
-            radii, cum, _ = _in_cone_jumps(m, m.points[i], v, aperture)
-            _, e = _step_energy(radii, cum, n, exponent, 0.0, radius)
-            lhs += m.weights[i] * e
+            lhs += m.weights[i] * _cone_energy(m.points, m.weights, m.points[i], v,
+                                               aperture, n, exponent, 0.0, radius)
         bmass = float(np.sum(m.weights[idx]))
         ratio = lhs / bmass if bmass > 0 else 0.0
         results.append({
@@ -349,7 +316,7 @@ def projection_energy_check(m: DiscreteMeasure, base_plane: Plane, aperture: flo
             cand_basis = base_plane.basis + noise
             q, r = np.linalg.qr(cand_basis.T)
             cand = Plane((q * np.sign(np.diag(r))[None, :]).T)
-        except Exception:
+        except (np.linalg.LinAlgError, InvalidParams):
             continue
         if plane_metric(cand, base_plane) <= radius:
             planes.append(cand)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolation, DimensionMismatch, InvalidParams
-from .geometry import Plane
+from .geometry import Plane, cone_mask
 
 
 def cone_separation_violations(points: np.ndarray, direction: Plane,
@@ -36,13 +36,8 @@ def cone_separation_violations(points: np.ndarray, direction: Plane,
         raise DimensionMismatch("anchor points and plane dimensions differ")
     half = aperture / 2.0
     out = []
-    basis = direction.basis
     for i in range(len(pts) - 1):
-        diff = pts[i + 1:] - pts[i][None, :]
-        dist = np.linalg.norm(diff, axis=1)
-        par = (diff @ basis.T) @ basis
-        perp = np.linalg.norm(diff - par, axis=1)
-        bad = np.nonzero(perp < half * dist)[0]
+        bad = np.nonzero(cone_mask(pts[i + 1:], pts[i], direction, half))[0]
         out.extend((i, i + 1 + int(b)) for b in bad)
     return out
 

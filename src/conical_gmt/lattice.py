@@ -48,9 +48,6 @@ class Cube:
         """Radius of B_Q = 28 B(Q)."""
         return 28.0 * self.radius
 
-    def sidelength(self, c0: float) -> float:
-        return 56.0 * c0 * self.radius
-
     def is_singleton(self) -> bool:
         return len(self.members) == 1
 
@@ -83,15 +80,6 @@ class Lattice:
             return self.cubes[int(cube)]
         except (IndexError, ValueError, TypeError) as exc:
             raise CubeNotFound(f"no cube {cube!r}") from exc
-
-    def ancestors(self, cube) -> list[Cube]:
-        """Chain from the cube's parent up to the root."""
-        q = self.resolve(cube)
-        out = []
-        while q.parent is not None:
-            q = self.cubes[q.parent]
-            out.append(q)
-        return out
 
     def is_descendant(self, q, s) -> bool:
         """True when q is contained in s (q == s counts)."""

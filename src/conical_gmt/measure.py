@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
 from .geometry import Cone, cone_mask
@@ -59,18 +60,17 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
     def diameter(self) -> float:
-        """Exact max pairwise distance, computed in memory-bounded blocks."""
+        """Exact max pairwise distance, computed in memory-bounded blocks.
+
+        Distances come from coordinate differences, not the Gram identity
+        |a|^2 + |b|^2 - 2 a.b, which cancels for clouds far from the origin.
+        """
         pts = self.points
-        if len(pts) == 1:
-            return 0.0
-        sq = np.einsum("ij,ij->i", pts, pts)
         best = 0.0
-        block = max(1, int(2 ** 22 // max(len(pts), 1)))
+        block = max(1, 2 ** 22 // len(pts))
         for lo in range(0, len(pts), block):
-            hi = min(lo + block, len(pts))
-            d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (pts[lo:hi] @ pts.T)
-            best = max(best, float(d2.max()))
-        return float(np.sqrt(max(best, 0.0)))
+            best = max(best, float(cdist(pts[lo:lo + block], pts).max()))
+        return best
 
     def min_interpoint_distance(self) -> float:
         if self.size < 2:
@@ -108,14 +108,6 @@ class DiscreteMeasure:
         return DiscreteMeasure((self.points - off[None, :]) * scale, self.weights, self.dim_param)
 
 
-def _pairwise_sq(pts: np.ndarray) -> np.ndarray:
-    g = pts @ pts.T
-    sq = np.diag(g)
-    d2 = sq[:, None] + sq[None, :] - 2 * g
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def ball_mass(m: DiscreteMeasure, x, r: float) -> float:
     """Mass of the open ball B(x, r)."""
     idx = m.ball_indices(x, r)
@@ -136,6 +128,13 @@ def cone_mass(m: DiscreteMeasure, cone: Cone) -> float:
     return float(np.sum(m.weights[mask]))
 
 
+def sorted_mass(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances in ascending (stable) order with the cumulative weight
+    through each position."""
+    order = np.argsort(d, kind="stable")
+    return d[order], np.cumsum(w[order])
+
+
 def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:
     """sup over r in [r_min, r_max] of mu(B(x, r)) / r^n.
 
@@ -150,9 +149,7 @@ def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float
     n = m.dim_param
     cands = np.concatenate(([r_min], d[(d > r_min) & (d < r_max)]))
     cands = np.unique(cands)
-    order = np.argsort(d, kind="stable")
-    ds = d[order]
-    cum = np.cumsum(m.weights[order])
+    ds, cum = sorted_mass(d, m.weights)
     # closed-ball mass at c: atoms with distance <= c
     pos = np.searchsorted(ds, cands, side="right")
     mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)

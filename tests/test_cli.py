@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conical_gmt import diagnostics
 from conical_gmt.cli import run
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.measure import load_csv, save_csv
@@ -90,6 +91,22 @@ def test_corona_subcommand(tmp_path):
     assert dump["cubes"] and dump["trees"]
 
 
+def test_corona_default_depth_follows_the_input(tmp_path):
+    # At a fixed depth 8 this segment is cut into 1,000 single-atom top
+    # cubes and the packing ratio is about 12; the depth derived from the
+    # cloud's spacing keeps one top tree.
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "1000", "--jitter", "0.05",
+         "--seed", "1", "--out", str(pts)])
+    cfg = tmp_path / "corona.json"
+    cfg.write_text(json.dumps({"alpha": 0.8, "p": 1, "plane": "0,1", "n": 1}))
+    rep = tmp_path / "rep.json"
+    code = run(["corona", "--points", str(pts), "--config", str(cfg),
+                "--out", str(rep)])
+    assert code == 0
+    assert json.loads(rep.read_text())["ledger"]["ratio"] < 10
+
+
 def test_sio_norm_subcommand(tmp_path):
     pts = tmp_path / "c3.csv"
     run(["gen", "--type", "four_corner_cantor", "--generation", "3",
@@ -130,6 +147,29 @@ def test_beta_subcommand(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
+
+
+def test_beta_zero_row_only_for_empty_balls(tmp_path, monkeypatch):
+    pts = tmp_path / "c3.csv"
+    run(["gen", "--type", "four_corner_cantor", "--generation", "3",
+         "--out", str(pts)])
+    out = tmp_path / "beta.csv"
+    code = run(["beta", "--points", str(pts), "--n", "1", "--center", "5,5",
+                "--scales", "1,0.5", "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["beta"]) for r in rows] == [0.0, 0.0]
+    assert [float(r["ball_mass"]) for r in rows] == [0.0, 0.0]
+
+    def broken(*args, **kwargs):
+        raise ValueError("not an empty ball")
+
+    # one scale, so no square function is computed around the handler
+    monkeypatch.setattr(diagnostics, "beta2", broken)
+    with pytest.raises(ValueError):
+        run(["beta", "--points", str(pts), "--n", "1", "--center", "idx:0",
+             "--scales", "0.5", "--out", str(out)])
 
 
 def test_bplg_subcommands(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conical_gmt.errors import DimensionMismatch, InvalidParams, RankDeficient
+from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import (Cone, Plane, cone_contains, cone_mask,
                                   dist_to_affine_plane, format_plane,
                                   make_plane, parse_plane, plane_metric,
@@ -201,6 +203,26 @@ def test_cone_mask_matches_scalar(rng):
     cone = Cone(x, v, 0.6, 0.1, 2.0)
     for p, flag in zip(pts, mask):
         assert flag == cone_contains(cone, p)
+
+
+def test_cone_mask_tie_rule_matches_exact_rationals():
+    # Fraction(float) is exact, so the oracle decides the real inequality on
+    # the stored coordinates.  With V = e2 and alpha = p/q = 4/5, y is in the
+    # cone at x iff q^2 dx^2 < p^2 (dx^2 + dy^2); equality means
+    # 3|dx| = 4|dy|, the 3-4-5 pairs on the boundary, which must stay outside.
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    exact = [(Fraction(a), Fraction(b)) for a, b in m.points]
+    v = make_plane([[0.0, 1.0]])
+    p, q = 4, 5
+    boundary = 0
+    for i, (x0, x1) in enumerate(exact):
+        got = cone_mask(m.points, m.points[i], v, 0.8)
+        for j, (y0, y1) in enumerate(exact):
+            dx2, dy2 = (y0 - x0) ** 2, (y1 - x1) ** 2
+            lhs, rhs = q * q * dx2, p * p * (dx2 + dy2)
+            assert got[j] == (lhs < rhs), (i, j)
+            boundary += lhs == rhs and dx2 > 0
+    assert boundary > 0
 
 
 def test_plane_serialization_roundtrip():

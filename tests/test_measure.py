@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from conftest import brute_ball_mass, brute_cone_mass, random_cloud
 
@@ -13,6 +14,14 @@ from conical_gmt.measure import (DiscreteMeasure, ball_mass, cone_mass,
 
 def single_atom(where=(0.0, 0.0), w=1.0) -> DiscreteMeasure:
     return DiscreteMeasure(np.array([where], float), np.array([w]), 1)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
+def test_diameter_exact_far_from_origin(offset):
+    rng = np.random.default_rng(11)
+    pts = offset + 1e-3 * rng.random((500, 2))
+    m = DiscreteMeasure(pts, np.ones(500), 1)
+    assert m.diameter() == pytest.approx(pdist(pts).max(), rel=1e-12)
 
 
 def test_ball_mass_single_atom():
