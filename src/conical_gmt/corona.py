@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .energy import EnergySpec, cube_energy, total_energy
+from .energy import EnergySpec, cube_ball, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
 from .geometry import Plane, cone_mask
 from .graphs import LipschitzGraph, cone_separation_violations, fit_lipschitz_graph
@@ -102,13 +102,22 @@ class TreeResult:
 
 
 class _Ctx:
-    """Shared per-lattice caches for cube densities and window energies."""
+    """Shared per-lattice caches for cube densities and window energies.
+
+    ``_table[x, k]`` is atom x's energy over level k's window
+    (eta r_k, r_k / eta); the last column is the whole-space window.
+    """
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
         self.lattice = lattice
         self.spec = params.energy_spec()
         self._theta: dict[int, float] = {}
         self._energy: dict[int, float] = {}
+        nm, eta = lattice.measure, self.spec.inner_eta
+        radii = [lattice.cubes[ids[0]].radius for ids in lattice.levels]
+        windows = [(eta * r, r / eta) for r in radii]
+        windows.append((0.0, self.spec.outer_scale))
+        self._table = window_energies(nm, np.arange(nm.size), self.spec, windows)
 
     def theta2b(self, q: Cube) -> float:
         v = self._theta.get(q.id)
@@ -121,7 +130,9 @@ class _Ctx:
     def cube_energy(self, q: Cube) -> float:
         v = self._energy.get(q.id)
         if v is None:
-            v = cube_energy(self.lattice.measure, self.lattice, q, self.spec)
+            idx, mass_q = cube_ball(self.lattice, q)
+            v = weighted_sum(self.lattice.measure.weights[idx],
+                             self._table[idx, q.level]) / mass_q
             self._energy[q.id] = v
         return v
 
@@ -322,7 +333,7 @@ def build_top(m, lattice: Lattice, params: CoronaParams,
     packing = sum(t.root_theta ** p * float(np.sum(w[lattice.cubes[t.root_id].members]))
                   for t in trees)
     c1 = growth_constant(nm, r0=1.0, sample_count=min(nm.size, 256), seed=c1_seed)
-    e_total = total_energy(nm, params.energy_spec())
+    e_total = weighted_sum(w, ctx._table[:, -1])
     rhs = c1.value ** p * nm.total_mass + e_total
     ledger = {
         "packing_sum": packing,

@@ -9,6 +9,11 @@ integral
 reduces to an exact sum of power integrals over constancy intervals.  All
 energies here use that closed form; numeric quadrature appears only as a
 test oracle.
+
+A window energy int_lo^hi only reads the profile below hi, so
+``window_energies`` builds each vertex's profile once and reads every window
+off it.  A corona run does this once per atom for all lattice levels, whose
+windows (eta r(Q), r(Q)/eta) depend only on the level.
 """
 
 from __future__ import annotations
@@ -132,30 +137,54 @@ def ball_energy(m: DiscreteMeasure, center, radius: float, spec: EnergySpec) -> 
     if not radius > 0:
         raise InvalidParams("ball radius must be positive")
     idx = m.ball_indices(center, radius)
-    return window_energy_sum(m, m.points[idx], m.weights[idx], spec, 0.0, radius)
+    return weighted_sum(m.weights[idx], window_energies(m, idx, spec, [(0.0, radius)])[:, 0])
 
 
 def total_energy(m: DiscreteMeasure, spec: EnergySpec) -> float:
     """Whole-space energy: sum over all atoms of w(x) E_p(x, V, alpha, R)."""
-    return window_energy_sum(m, m.points, m.weights, spec, 0.0, spec.outer_scale)
+    idx = np.arange(m.size)
+    return weighted_sum(m.weights, window_energies(m, idx, spec, [(0.0, spec.outer_scale)])[:, 0])
 
 
-def window_energy_sum(m: DiscreteMeasure, vertices: np.ndarray,
-                      vertex_weights: np.ndarray, spec: EnergySpec,
-                      lo: float, hi: float,
-                      candidate_idx: np.ndarray | None = None) -> float:
-    """sum_j w_j int_lo^hi (mass(K(x_j, r)) / r^n)^p dr/r, exact.
+def window_energies(m: DiscreteMeasure, vertex_idx, spec: EnergySpec,
+                    windows) -> np.ndarray:
+    """int_lo^hi (mass(K(x, r)) / r^n)^p dr/r, exact, with one row per vertex
+    x = m.points[i], i in ``vertex_idx``, and one column per (lo, hi).
 
-    ``candidate_idx`` optionally restricts the atoms that can contribute
-    (they must include every atom within distance ``hi`` of each vertex).
+    Each vertex's in-cone profile is built once, out to the largest hi; its
+    strict ``< hi`` prefix is exactly the profile that hi alone would give,
+    so every entry equals its single-window value bit for bit.
     """
-    pts = m.points if candidate_idx is None else m.points[candidate_idx]
-    wts = m.weights if candidate_idx is None else m.weights[candidate_idx]
+    out = np.zeros((len(vertex_idx), len(windows)))
+    top = max(hi for _, hi in windows)
+    n, p = m.dim_param, spec.exponent
+    for row, i in enumerate(vertex_idx):
+        radii, cum, _ = _in_cone_jumps(m.points, m.weights, m.points[i],
+                                       spec.direction, spec.aperture, top)
+        if len(radii) == 0:
+            continue
+        for col, (lo, hi) in enumerate(windows):
+            c = np.searchsorted(radii, hi, side="left")
+            out[row, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
+    return out
+
+
+def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
+    """sum_j w_j e_j, accumulated left to right so that the value does not
+    depend on how the energies were batched."""
     total = 0.0
-    for x, wx in zip(vertices, vertex_weights):
-        total += wx * _cone_energy(pts, wts, x, spec.direction, spec.aperture,
-                                   m.dim_param, spec.exponent, lo, hi)
-    return float(total)
+    for w, e in zip(weights.tolist(), energies.tolist()):
+        total += w * e
+    return total
+
+
+def cube_ball(lattice, cube) -> tuple[np.ndarray, float]:
+    """Indices of the normalized cloud's atoms in 2B_Q, and mu(Q) > 0."""
+    nm = lattice.measure
+    mass_q = float(np.sum(nm.weights[cube.members]))
+    if mass_q <= 0:
+        raise EmptyCube(f"cube {cube.id} carries no mass")
+    return nm.ball_indices(cube.center, 2.0 * cube.ball_radius), mass_q
 
 
 def cube_energy(m: DiscreteMeasure, lattice, cube, spec: EnergySpec) -> float:
@@ -163,21 +192,16 @@ def cube_energy(m: DiscreteMeasure, lattice, cube, spec: EnergySpec) -> float:
 
         (1 / mu(Q)) sum_{x in 2B_Q} w(x) int_{eta r(Q)}^{r(Q)/eta} (...)
 
-    Evaluated on the lattice's normalized cloud.
+    Evaluated on the lattice's normalized cloud; ``m`` must be the lattice's
+    source cloud or one of the same size and dimension.
     """
+    lattice.check_measure(m)
     cube = lattice.resolve(cube)
-    nm = lattice.measure
-    mass_q = float(np.sum(nm.weights[cube.members]))
-    if mass_q <= 0:
-        raise EmptyCube(f"cube {cube.id} carries no mass")
+    idx, mass_q = cube_ball(lattice, cube)
     eta = spec.inner_eta
-    lo, hi = eta * cube.radius, cube.radius / eta
-    ball2 = 2.0 * cube.ball_radius
-    vertex_idx = nm.ball_indices(cube.center, ball2)
-    cand = nm.ball_indices(cube.center, ball2 + hi)
-    e = window_energy_sum(nm, nm.points[vertex_idx], nm.weights[vertex_idx],
-                          spec, lo, hi, candidate_idx=cand)
-    return e / mass_q
+    e = window_energies(lattice.measure, idx, spec,
+                        [(eta * cube.radius, cube.radius / eta)])
+    return weighted_sum(lattice.measure.weights[idx], e[:, 0]) / mass_q
 
 
 def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,

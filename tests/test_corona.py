@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conical_gmt.corona import (CoronaParams, build_top, key_cone_exclusion,
-                                separated_families, stopping_decomposition,
-                                verify_corona)
+from conical_gmt.corona import (CoronaParams, _Ctx, build_top,
+                                key_cone_exclusion, separated_families,
+                                stopping_decomposition, verify_corona)
+from conical_gmt.energy import _cone_energy, total_energy
 from conical_gmt.errors import ConeViolation, InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
@@ -353,6 +354,35 @@ def test_energy_control_recheck():
                 cur = lat.cubes[cur.parent]
             assert total <= bound + 1e-12
             assert total == pytest.approx(tree.chain_energy[cid], rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("gen, plane", [
+    (GeneratorSpec("four_corner_cantor", {"generation": 4}), [[0.0, 1.0]]),
+    (GeneratorSpec("segment", {"count": 300, "jitter": 0.05}, 3), [[1.0, 0.0]]),
+], ids=["cantor", "segment"])
+def test_cube_energy_table_is_bit_identical(gen, plane):
+    # the Cantor grid has cone-boundary ties at alpha = 0.8, V = e2; the
+    # jittered segment has nonzero energies around V = e1
+    m, _ = generate(gen)
+    lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
+    params = CoronaParams(plane=make_plane(plane), aperture=0.8)
+    spec = params.energy_spec()
+    nm, eta = lat.measure, params.eta
+    ctx = _Ctx(lat, params)
+    nonzero = 0
+    for q in lat.cubes:
+        lo, hi = eta * q.radius, q.radius / eta
+        want = 0.0
+        for i in nm.ball_indices(q.center, 2.0 * q.ball_radius):
+            want += nm.weights[i] * _cone_energy(
+                nm.points, nm.weights, nm.points[i], spec.direction,
+                spec.aperture, nm.dim_param, spec.exponent, lo, hi)
+        want /= float(np.sum(nm.weights[q.members]))
+        assert ctx.cube_energy(q) == want
+        nonzero += want > 0
+    assert nonzero > 0
+    res = build_top(m, lat, params)
+    assert res.ledger["total_energy"] == total_energy(nm, spec)
 
 
 def test_verify_corona_line_passes():

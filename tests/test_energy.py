@@ -6,11 +6,11 @@ from scipy.integrate import IntegrationWarning, quad
 
 from conftest import random_cloud
 
-from conical_gmt.energy import (EnergySpec, ball_energy, bme_check, bpbe_scan,
-                                cube_energy, pointwise_energy,
-                                projection_energy_check, riesz_cone_sum,
-                                total_energy)
-from conical_gmt.errors import MissingDirection
+from conical_gmt.energy import (EnergySpec, _in_cone_jumps, ball_energy,
+                                bme_check, bpbe_scan, cube_energy,
+                                pointwise_energy, projection_energy_check,
+                                riesz_cone_sum, total_energy, window_energies)
+from conical_gmt.errors import InvalidParams, MissingDirection
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import cone_mask, make_plane, sample_grassmannian
 from conical_gmt.lattice import build_lattice
@@ -202,6 +202,43 @@ def test_cube_energy_zero_for_flat_cloud():
     lat = build_lattice(m, 2.0, 8.0, 3)
     spec = EnergySpec(V_AXIS, 0.9, 1.0, np.inf, 0.1)
     assert cube_energy(m, lat, lat.root, spec) == 0.0
+
+
+def test_cube_energy_rejects_foreign_measure():
+    m, _ = generate(GeneratorSpec("segment", {"count": 64}))
+    lat = build_lattice(m, 2.0, 8.0, 3)
+    spec = EnergySpec(V_AXIS, 0.9, 1.0, np.inf, 0.1)
+    other, _ = generate(GeneratorSpec("segment", {"count": 65}))
+    with pytest.raises(InvalidParams):
+        cube_energy(other, lat, lat.root, spec)
+
+
+def test_window_energies_prefix_windows_match_single_windows():
+    # dyadic Cantor grid: vertically aligned atoms sit at exactly dyadic
+    # distances inside the cone around V = e2, so windows can end exactly on
+    # in-cone distances
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    spec = EnergySpec(V_AXIS, 0.8, 1.5, np.inf)
+    x = m.points[5]
+    radii, _, _ = _in_cone_jumps(m.points, m.weights, x, V_AXIS, 0.8)
+    same_column = (m.points[:, 0] == x[0]) & (m.points[:, 1] != x[1])
+    ties = np.unique(np.abs(m.points[same_column, 1] - x[1]))
+    assert len(ties) > 4 and np.all(np.isin(ties, radii))
+    # the profile capped at a tie is the strict prefix of the full one: the
+    # atom at distance exactly hi is outside, as in cone_mask
+    for tie in ties:
+        capped, _, _ = _in_cone_jumps(m.points, m.weights, x, V_AXIS, 0.8, tie)
+        assert np.array_equal(capped, radii[radii < tie])
+
+    windows = [(0.0, float(t)) for t in ties]
+    windows += [(0.01, 0.05), (ties[0] / 2, 2 * ties[0]), (0.0, np.inf)]
+    idx = np.arange(m.size)
+    got = window_energies(m, idx, spec, windows)
+    assert got.shape == (m.size, len(windows))
+    assert np.any(got[:, len(ties) - 1] > 0)
+    for col, window in enumerate(windows):
+        single = window_energies(m, idx, spec, [window])[:, 0]
+        assert np.array_equal(got[:, col], single)
 
 
 def test_bpbe_line_normal_direction_passes():
