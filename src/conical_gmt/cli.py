@@ -120,21 +120,17 @@ def _cmd_energy(args) -> int:
     plane = parse_plane(args.plane)
     outer = float("inf") if args.R in ("inf", "Inf") else float(args.R)
     spec = energy.EnergySpec(plane, args.alpha, args.p, outer, args.eta)
-    rows = []
-    total = 0.0
-    for i in range(m.size):
-        bd = energy.pointwise_energy(m, m.points[i], spec)
-        rows.append((i, bd.total, bd.in_cone_count))
-        total += m.weights[i] * bd.total
+    energies, counts = energy.pointwise_energies(m, spec)
+    total = energy.weighted_sum(m.weights, energies)
     if args.per_point:
         with open(args.per_point, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["index", "energy", "in_cone_count"])
-            w.writerows(rows)
+            w.writerows(zip(range(m.size), energies.tolist(), counts.tolist()))
     rep = _report_base("energy", args, args.points)
     rep.update(total_energy=total,
-               mean_energy=float(np.mean([r[1] for r in rows])),
-               max_energy=float(np.max([r[1] for r in rows])),
+               mean_energy=float(np.mean(energies)),
+               max_energy=float(np.max(energies)),
                plane=format_plane(plane))
     _write_json(rep, args.out)
     print(f"total energy {total:.9g} over {m.size} atoms")

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from .energy import EnergySpec, cube_ball, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
 from .geometry import Plane, cone_mask
-from .graphs import LipschitzGraph, cone_separation_violations, fit_lipschitz_graph
+from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import ball_mass, growth_constant
 
@@ -194,7 +194,10 @@ def stopping_decomposition(m, lattice: Lattice, root, params: CoronaParams,
         anchors = lattice.measure.points[anchor_idx]
         violations = cone_separation_violations(anchors, params.plane, params.aperture)
         if not violations:
-            graph = fit_lipschitz_graph(anchors, params.plane, params.aperture)
+            # a duplicate anchor is at distance 0, never in the open cone, so
+            # the check above also covers the distinct anchors
+            graph = _graph_through(np.unique(anchors, axis=0), params.plane,
+                                   params.aperture)
 
     w = lattice.measure.weights
     root_mass = float(np.sum(w[root.members]))

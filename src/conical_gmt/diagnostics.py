@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
-from .geometry import Plane, cone_mask
+from .geometry import Plane, cone_dist, cone_mask
 from .graphs import LipschitzGraph
 from .measure import DiscreteMeasure, ball_mass, sorted_mass
 
@@ -276,9 +276,8 @@ def theta_m_property(points, direction: Plane, theta: float,
     counts = np.zeros(len(pts), dtype=int)
     for i, x in enumerate(pts):
         # the vertex itself has distance 0 and is never in the cone
-        in_cone = pts[cone_mask(pts, x, direction, theta)]
-        dist = np.linalg.norm(in_cone - x[None, :], axis=1)
-        counts[i] = len({_shell_index(t) for t in dist})
+        mask, dist = cone_dist(pts, x, direction, theta)
+        counts[i] = len({_shell_index(t) for t in dist[mask]})
     if per_point:
         return int(counts.max(initial=0)), counts
     return int(counts.max(initial=0))

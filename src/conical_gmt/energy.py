@@ -10,6 +10,11 @@ reduces to an exact sum of power integrals over constancy intervals.  All
 energies here use that closed form; numeric quadrature appears only as a
 test oracle.
 
+For p = 1 the layer-cake identity turns the integral into a sum over the
+in-cone atoms, n^{-1} sum_{|y-x| < R} w_y (|y-x|^{-n} - R^{-n}), so the
+whole-cloud sweep ``pointwise_energies`` is one masked sum per atom with no
+sort.
+
 A window energy int_lo^hi only reads the profile below hi, so
 ``window_energies`` builds each vertex's profile once and reads every window
 off it.  A corona run does this once per atom for all lattice levels, whose
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCube, InvalidParams, MissingDirection
-from .geometry import Plane, cone_mask, plane_metric, sample_grassmannian
+from .geometry import Plane, cone_dist, cone_mask, plane_metric, sample_grassmannian
 from .measure import DiscreteMeasure, sorted_mass
 
 
@@ -66,11 +71,10 @@ def _in_cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
     x = np.asarray(x, dtype=float)
     if x.shape != points.shape[1:]:
         raise DimensionMismatch(f"vertex must live in R^{points.shape[1]}")
-    mask = cone_mask(points, x, direction, aperture, outer_radius=hi)
+    mask, dist = cone_dist(points, x, direction, aperture, outer_radius=hi)
     if not mask.any():
         return np.empty(0), np.empty(0), 0
-    d = np.linalg.norm(points[mask] - x[None, :], axis=1)
-    d, cum = sorted_mass(d, weights[mask])
+    d, cum = sorted_mass(dist[mask], weights[mask])
     # last position of each run of equal distances
     ends = np.append(d[1:] > d[:-1], True)
     return d[ends], cum[ends], len(d)
@@ -110,6 +114,31 @@ def pointwise_energy(m: DiscreteMeasure, x, spec: EnergySpec) -> EnergyBreakdown
     contrib, total = _step_energy(radii, cum, m.dim_param, spec.exponent,
                                   0.0, spec.outer_scale)
     return EnergyBreakdown(radii, cum, contrib, total, count)
+
+
+def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray, np.ndarray]:
+    """E_p(x, V, alpha, R) and the in-cone atom count at every atom x.
+
+    For p = 1 each value is the layer-cake sum
+    n^{-1} sum_{y in K, |y-x| < R} w_y (|y-x|^{-n} - R^{-n}), with no sort;
+    other exponents take ``pointwise_energy``'s step integral.  Counts include
+    in-cone atoms beyond R, as in ``pointwise_energy``.
+    """
+    energies = np.zeros(m.size)
+    counts = np.zeros(m.size, dtype=int)
+    if spec.exponent != 1:
+        for i in range(m.size):
+            bd = pointwise_energy(m, m.points[i], spec)
+            energies[i], counts[i] = bd.total, bd.in_cone_count
+        return energies, counts
+    n, R = m.dim_param, spec.outer_scale
+    tail = 0.0 if np.isinf(R) else R ** -n
+    for i in range(m.size):
+        mask, dist = cone_dist(m.points, m.points[i], spec.direction, spec.aperture)
+        counts[i] = np.count_nonzero(mask)
+        near = mask & (dist < R)
+        energies[i] = float(np.sum(m.weights[near] * (dist[near] ** -n - tail))) / n
+    return energies, counts
 
 
 def riesz_cone_sum(m: DiscreteMeasure, x, direction: Plane, aperture: float) -> float:
@@ -324,9 +353,7 @@ def projection_energy_check(m: DiscreteMeasure, base_plane: Plane, aperture: flo
     if base_plane.dim != m.dim_param:
         raise InvalidParams("base plane must have dimension n")
     v_perp = base_plane.complement()
-    left = 0.0
-    for i in range(m.size):
-        left += m.weights[i] * riesz_cone_sum(m, m.points[i], v_perp, aperture)
+    left = weighted_sum(m.weights, pointwise_energies(m, EnergySpec(v_perp, aperture))[0])
 
     radius = metric_radius_factor * aperture
     rng = np.random.default_rng(seed)

@@ -5,10 +5,15 @@ a ``Cone`` is the open set K(x, V, alpha) = {y : dist(y, V+x) < alpha |x-y|},
 optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
-Tie rule: ``cone_mask`` is the package's one vectorized cone test.  It
-compares |P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact
-boundary points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are
-not in the cone.  ``cone_contains`` is the scalar test oracle.
+Tie rule: ``cone_dist`` is the package's one vectorized cone test
+(``cone_mask`` returns its mask).  It compares |P_{V^perp}(y-x)| < alpha |y-x|
+in floating point, which keeps exact boundary points outside: on a dyadic grid
+at alpha = 0.8 the 3-4-5 pairs are not in the cone.  Both lengths are square
+roots of sums of squares taken in coordinate order, c0*c0 + c1*c1 + ...;
+for d <= 7 this equals ``np.linalg.norm(..., axis=1)`` bit for bit, while for
+d >= 8 numpy's pairwise summation groups the terms differently, so a distance
+can differ from it in the last place.  ``cone_contains`` is the scalar test
+oracle.
 """
 
 from __future__ import annotations
@@ -178,20 +183,37 @@ def cone_contains(cone: Cone, y) -> bool:
     return float(np.linalg.norm(perp)) < cone.aperture * dist
 
 
-def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, squares summed in coordinate order."""
+    s = a[:, 0] * a[:, 0]
+    for k in range(1, a.shape[1]):
+        s += a[:, k] * a[:, k]
+    return np.sqrt(s)
+
+
+def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
               aperture: float, inner_radius: float = 0.0,
-              outer_radius: float = np.inf) -> np.ndarray:
-    """Vectorized strict cone membership for an (N, d) array of points;
-    boundary ties stay outside (see the module docstring)."""
+              outer_radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized strict cone membership for an (N, d) array of points, with
+    the distance |y - x| of every point; boundary ties stay outside (see the
+    module docstring)."""
     pts = np.asarray(points, dtype=float)
     x = np.asarray(vertex, dtype=float)
     if pts.shape[1] != x.shape[0] or x.shape[0] != direction.ambient_dim:
         raise DimensionMismatch("points/vertex/plane dimensions differ")
     diff = pts - x[None, :]
-    dist = np.linalg.norm(diff, axis=1)
+    dist = _row_norms(diff)
     par = (diff @ direction.basis.T) @ direction.basis
-    perp = np.linalg.norm(diff - par, axis=1)
-    return (dist > inner_radius) & (dist < outer_radius) & (perp < aperture * dist)
+    perp = _row_norms(diff - par)
+    mask = (dist > inner_radius) & (dist < outer_radius) & (perp < aperture * dist)
+    return mask, dist
+
+
+def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,
+              aperture: float, inner_radius: float = 0.0,
+              outer_radius: float = np.inf) -> np.ndarray:
+    """The membership mask of ``cone_dist``."""
+    return cone_dist(points, vertex, direction, aperture, inner_radius, outer_radius)[0]
 
 
 def parse_plane(text: str) -> Plane:

@@ -131,6 +131,12 @@ def fit_lipschitz_graph(anchor_points, direction: Plane, aperture: float) -> Lip
     if violations:
         raise ConeViolation(violations[0],
                             f"{len(violations)} anchor pair(s) violate cone separation")
+    return _graph_through(pts, direction, aperture)
+
+
+def _graph_through(pts: np.ndarray, direction: Plane, aperture: float) -> LipschitzGraph:
+    """The graph through distinct anchors ``pts``, which the caller has
+    checked for half-aperture separation."""
     base = direction.complement()
     z = base.coords(pts)
     vals = direction.coords(pts)

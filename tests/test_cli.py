@@ -56,6 +56,28 @@ def test_energy_subcommand_wiring(tmp_path):
     assert data["total_energy"] > 0
 
 
+def test_energy_per_point_csv_matches_pointwise_energy(tmp_path):
+    from conical_gmt.energy import EnergySpec, pointwise_energy
+    from conical_gmt.geometry import make_plane
+
+    pts = tmp_path / "c4.csv"
+    run(["gen", "--type", "four_corner_cantor", "--generation", "4",
+         "--out", str(pts)])
+    per = tmp_path / "pp.csv"
+    assert run(["energy", "--points", str(pts), "--n", "1", "--p", "1",
+                "--alpha", "0.8", "--plane", "0,1", "--R", "inf",
+                "--per-point", str(per), "--out", str(tmp_path / "e.json")]) == 0
+    with open(per) as fh:
+        rows = list(csv.DictReader(fh))
+    m = load_csv(pts, dim_param=1)
+    spec = EnergySpec(make_plane([[0.0, 1.0]]), 0.8)
+    assert [int(r["index"]) for r in rows] == list(range(m.size))
+    for i, row in enumerate(rows):
+        bd = pointwise_energy(m, m.points[i], spec)
+        assert int(row["in_cone_count"]) == bd.in_cone_count
+        assert float(row["energy"]) == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+
+
 def test_missing_points_file_exit_2(tmp_path, capsys):
     code = run(["energy", "--points", str(tmp_path / "nope.csv"), "--n", "1",
                 "--p", "1", "--alpha", "0.5", "--plane", "0,1", "--R", "1"])

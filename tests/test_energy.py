@@ -8,7 +8,8 @@ from conftest import random_cloud
 
 from conical_gmt.energy import (EnergySpec, _in_cone_jumps, ball_energy,
                                 bme_check, bpbe_scan, cube_energy,
-                                pointwise_energy, projection_energy_check,
+                                pointwise_energies, pointwise_energy,
+                                projection_energy_check,
                                 riesz_cone_sum, total_energy, window_energies)
 from conical_gmt.errors import InvalidParams, MissingDirection
 from conical_gmt.generators import GeneratorSpec, generate
@@ -363,3 +364,41 @@ def test_total_energy_weighted_sum():
     want = sum(m.weights[i] * pointwise_energy(m, m.points[i], spec).total
                for i in range(m.size))
     assert total_energy(m, spec) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("R", [1.0, np.inf])
+def test_pointwise_energies_match_pointwise_energy(p, R):
+    base = random_cloud(83, 300)
+    pts = base.points.copy()
+    pts[:40] = pts[40:80]  # duplicate atoms sit at distance 0
+    m = DiscreteMeasure(pts, base.weights, 1)
+    spec = EnergySpec(V_AXIS, 0.7, p, R)
+    energies, counts = pointwise_energies(m, spec)
+    assert energies.shape == counts.shape == (m.size,)
+    for i in range(m.size):
+        bd = pointwise_energy(m, m.points[i], spec)
+        assert counts[i] == bd.in_cone_count
+        if p == 1:
+            assert energies[i] == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+        else:
+            assert energies[i] == bd.total
+
+
+def test_pointwise_energies_cantor_ties_match_pointwise_energy():
+    # exact 3-4-5 boundary pairs at alpha = 0.8 stay outside on both paths
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    for R in (1.0, np.inf):
+        spec = EnergySpec(V_AXIS, 0.8, 1.0, R)
+        energies, counts = pointwise_energies(m, spec)
+        for i in range(m.size):
+            bd = pointwise_energy(m, m.points[i], spec)
+            assert counts[i] == bd.in_cone_count
+            assert energies[i] == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+
+
+def test_pointwise_energies_equal_riesz_cone_sum():
+    m = random_cloud(84, 250)
+    energies, _ = pointwise_energies(m, EnergySpec(V_AXIS, 0.6))
+    for i in range(m.size):
+        assert energies[i] == riesz_cone_sum(m, m.points[i], V_AXIS, 0.6)

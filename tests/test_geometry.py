@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conical_gmt.errors import DimensionMismatch, InvalidParams, RankDeficient
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (Cone, Plane, cone_contains, cone_mask,
+from conical_gmt.geometry import (Cone, Plane, cone_contains, cone_dist, cone_mask,
                                   dist_to_affine_plane, format_plane,
                                   make_plane, parse_plane, plane_metric,
                                   project, sample_grassmannian)
@@ -223,6 +223,28 @@ def test_cone_mask_tie_rule_matches_exact_rationals():
             assert got[j] == (lhs < rhs), (i, j)
             boundary += lhs == rhs and dx2 > 0
     assert boundary > 0
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_cone_dist_matches_norm_expression(d):
+    # the mask and distances equal, bit for bit, the linalg.norm expression
+    # the cone test used before, for every plane dimension and far offsets
+    rng = np.random.default_rng(100 + d)
+    for m in range(1, d):
+        v = sample_grassmannian(d, m, 1, seed=d * 10 + m)[0]
+        for offset in (0.0, 1.0, 1e3, 1e6):
+            pts = offset + rng.standard_normal((300, d))
+            x = offset + rng.standard_normal(d)
+            for alpha, r, big in ((0.6, 0.0, np.inf), (0.3, 0.5, 2.0)):
+                diff = pts - x[None, :]
+                dist = np.linalg.norm(diff, axis=1)
+                par = (diff @ v.basis.T) @ v.basis
+                perp = np.linalg.norm(diff - par, axis=1)
+                want = (dist > r) & (dist < big) & (perp < alpha * dist)
+                mask, got = cone_dist(pts, x, v, alpha, r, big)
+                assert np.array_equal(got, dist), (d, m, offset)
+                assert np.array_equal(mask, want), (d, m, offset)
+                assert np.array_equal(cone_mask(pts, x, v, alpha, r, big), want)
 
 
 def test_plane_serialization_roundtrip():
