@@ -225,15 +225,17 @@ def _cmd_sio_norm(args) -> int:
     profile = sio.operator_norm_profile(m, kernel, grid, args.tol, args.max_iter)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["eps", "norm", "iterations", "flag"])
+        w.writerow(["eps", "norm", "iterations", "flag", "residual"])
         for r in profile:
             w.writerow([format(r.eps, ".17g"), format(r.norm, ".17g"),
-                        r.iterations, "stalled" if r.stalled else "ok"])
+                        r.iterations, "stalled" if r.stalled else "ok",
+                        format(r.residual, ".3e")])
     stalls = sum(1 for r in profile if r.stalled)
     sup = max(r.norm for r in profile)
     rep = _report_base("sio-norm", args, args.points)
     rep.update(kernel=args.kernel, sup_norm=sup, grid_size=len(grid.eps),
-               stalled=stalls)
+               stalled=stalls, max_residual=max(r.residual for r in profile),
+               matvecs=sum(r.iterations for r in profile))
     _write_json(rep, args.json_out)
     print(f"sup norm {sup:.9g} over {len(grid.eps)} truncations"
           + (f" ({stalls} stalled)" if stalls else ""))
@@ -413,8 +415,10 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--eps-grid", default="auto")
     o.add_argument("--grid-size", type=int, default=64)
-    o.add_argument("--tol", type=float, default=1e-6)
-    o.add_argument("--max-iter", type=int, default=500)
+    o.add_argument("--tol", type=float, default=1e-6,
+                   help="relative Ritz residual that certifies a norm")
+    o.add_argument("--max-iter", type=int, default=500,
+                   help="cap on applications of B^T B per truncation")
     o.add_argument("--out", required=True)
     o.add_argument("--json-out")
     o.set_defaults(func=_cmd_sio_norm)

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ConeViolation, DimensionMismatch, InvalidParams
 from .geometry import Plane, cone_mask
 
+# Queries per block in LipschitzGraph.evaluate.
+_EVAL_ROWS = 256
+
 
 def cone_separation_violations(points: np.ndarray, direction: Plane,
                                aperture: float) -> list[tuple[int, int]]:
@@ -62,13 +65,20 @@ class LipschitzGraph:
         return len(self.anchors_base)
 
     def evaluate(self, zcoords: np.ndarray) -> np.ndarray:
-        """Graph values at base-plane coordinates, anchors reproduced exactly."""
+        """Graph values at base-plane coordinates, anchors reproduced exactly.
+
+        Queries are taken in blocks of ``_EVAL_ROWS``, so the scratch is
+        (block x anchors x c) whatever the number of queries.
+        """
         z = np.atleast_2d(np.asarray(zcoords, dtype=float))
-        d = self.extension_constant * np.linalg.norm(
-            z[:, None, :] - self.anchors_base[None, :, :], axis=2)[:, :, None]
-        upper = np.min(self.anchors_value[None, :, :] + d, axis=1)
-        lower = np.max(self.anchors_value[None, :, :] - d, axis=1)
-        vals = 0.5 * (upper + lower)
+        vals = np.empty((len(z), self.anchors_value.shape[1]))
+        for lo in range(0, len(z), _EVAL_ROWS):
+            zb = z[lo:lo + _EVAL_ROWS]
+            d = self.extension_constant * np.linalg.norm(
+                zb[:, None, :] - self.anchors_base[None, :, :], axis=2)[:, :, None]
+            upper = np.min(self.anchors_value[None, :, :] + d, axis=1)
+            lower = np.max(self.anchors_value[None, :, :] - d, axis=1)
+            vals[lo:lo + _EVAL_ROWS] = 0.5 * (upper + lower)
         return vals if np.asarray(zcoords).ndim > 1 else vals[0]
 
     def ambient_anchors(self) -> np.ndarray:

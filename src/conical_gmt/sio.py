@@ -3,10 +3,13 @@
 The transform T_eps nu(x) = sum_{|y - x| > eps} w(y) k(y - x) is an exact
 finite sum; as a function of eps it is piecewise constant with breakpoints
 at the atom distances, so suprema over truncations are exact maxima over
-breakpoint grids.  Operator norms live on the weighted finite-dimensional
-L^2(mu) space: with D = diag(w), the stacked matrix
-B = vstack_c(D^1/2 K_c D^1/2 mask) has the truncated operator's norm as its
-top singular value, estimated by power iteration on the normal operator.
+breakpoint grids, read off one distance sort and a suffix sum.  Operator
+norms live on the weighted finite-dimensional L^2(mu) space: with
+D = diag(w), the stacked matrix B = vstack_c(D^1/2 K_c D^1/2 mask) has the
+truncated operator's norm as its top singular value, computed by Lanczos on
+B^T B.  Every norm carries its Ritz residual, which bounds its error, and a
+cap on the applications of B^T B; a norm whose residual misses the
+tolerance within the cap is flagged as stalled.
 """
 
 from __future__ import annotations
@@ -15,11 +18,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
 
-OPERATOR_SIZE_GUARD = 20_000
+# Largest operator-norm profile allowed, in bytes: about N = 9,000 atoms for
+# a two-component kernel.
+OPERATOR_BYTE_BUDGET = 2 * 2 ** 30
+# Atom pairs per block of query rows while the interaction stack is built.
+_BLOCK_PAIRS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -158,21 +166,17 @@ class TruncationGrid:
         object.__setattr__(self, "eps", e)
 
     @staticmethod
-    def breakpoints(m: DiscreteMeasure, x, cap: int = 10_000) -> "TruncationGrid":
+    def breakpoints(m: DiscreteMeasure, x) -> "TruncationGrid":
         """All truncation values the transform at x can distinguish.
 
-        Half the smallest positive distance plus every distinct distance;
-        exact for the supremum when the atom count is within the cap.
+        Half the smallest positive distance plus every distinct distance, so
+        the maximum over this grid is the exact supremum.
         """
         d = np.unique(m.distances_from(x))
         d = d[d > 0]
         if len(d) == 0:
             return TruncationGrid(np.array([1.0]))
-        grid = np.unique(np.concatenate(([d[0] / 2], d)))
-        if len(grid) > cap:
-            keep = np.unique(np.linspace(0, len(grid) - 1, cap).astype(int))
-            grid = grid[keep]
-        return TruncationGrid(grid)
+        return TruncationGrid(np.concatenate(([d[0] / 2], d)))
 
     @staticmethod
     def log_spaced(m: DiscreteMeasure, count: int = 64) -> "TruncationGrid":
@@ -184,89 +188,153 @@ class TruncationGrid:
 
 
 def maximal_transform(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid, x) -> float:
-    """Max over the grid of |T_eps(x)|; exact sup for breakpoint grids."""
-    best = 0.0
-    for eps in grid.eps:
-        best = max(best, float(np.linalg.norm(truncated_transform(m, kernel, eps, x))))
-    return best
+    """Max over the grid of |T_eps(x)|; exact sup for breakpoint grids.
+
+    One stable sort of the distances and a reverse cumulative sum of the
+    weighted kernel vectors give T_eps(x) for every eps at once: the atoms
+    with distance > eps are a suffix of the sorted order, so tied atoms drop
+    together.  O(N log N) plus a binary search per grid value.
+    """
+    d = m.distances_from(x)
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(d, kind="stable")
+    order = order[d[order] > 0]
+    if len(order) == 0:
+        return 0.0
+    vals = m.weights[order][:, None] * kernel(m.points[order] - x[None, :])
+    suffix = np.zeros((len(order) + 1, vals.shape[1]))
+    suffix[:-1] = np.cumsum(vals[::-1], axis=0)[::-1]
+    first = np.searchsorted(d[order], grid.eps, side="right")
+    return float(np.max(np.linalg.norm(suffix[first], axis=1)))
+
+
+def _components(kernel: Kernel) -> int:
+    return kernel(np.ones((1, kernel.ambient_dim))).shape[1]
 
 
 def _interaction_stack(m: DiscreteMeasure, kernel: Kernel):
-    """Weighted kernel blocks D^1/2 K_c D^1/2 and the distance matrix."""
-    if m.size > OPERATOR_SIZE_GUARD:
-        raise TooLarge(f"refusing to materialize an N={m.size} interaction matrix")
+    """Weighted kernel blocks D^1/2 K_c D^1/2 as one C-contiguous (c, N, N)
+    array, so that ``stack.reshape(c * N, N)`` is B, and the distance matrix.
+
+    Built in blocks of query rows; each entry is sw[i] * k * sw[j] with the
+    kernel evaluated at y_j - x_i, and zero on coincident atoms.
+    """
     pts = m.points
     n = m.size
-    diffs = pts[None, :, :] - pts[:, None, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    flat = diffs.reshape(-1, m.ambient_dim)
-    nz = dist.reshape(-1) > 0
-    probe = kernel(np.ones((1, m.ambient_dim)))
-    c = probe.shape[1]
-    vals = np.zeros((n * n, c))
-    vals[nz] = kernel(flat[nz])
+    stack = np.empty((_components(kernel), n, n))
+    dist = np.empty((n, n))
     sw = np.sqrt(m.weights)
-    blocks = []
-    for comp in range(c):
-        k = vals[:, comp].reshape(n, n)
-        blocks.append(sw[:, None] * k * sw[None, :])
-    return blocks, dist
+    rows = max(1, _BLOCK_PAIRS // n)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        diffs = pts[None, :, :] - pts[lo:hi, None, :]
+        dist[lo:hi] = np.linalg.norm(diffs, axis=2)
+        nz = dist[lo:hi].reshape(-1) > 0
+        vals = np.zeros((nz.size, len(stack)))
+        vals[nz] = kernel(diffs.reshape(-1, m.ambient_dim)[nz])
+        for comp, blk in enumerate(stack):
+            blk[lo:hi] = sw[lo:hi, None] * vals[:, comp].reshape(hi - lo, n) * sw[None, :]
+    return stack, dist
 
 
-def _power_iteration(blocks, dist, eps, tol, max_iter):
-    n = dist.shape[0]
-    mask = dist > eps
-    mats = [b * mask for b in blocks]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    prev = 0.0
-    sigma = 0.0
-    for it in range(1, max_iter + 1):
-        us = [mm @ v for mm in mats]
-        sigma = float(np.sqrt(sum(float(u @ u) for u in us)))
-        w = np.zeros(n)
-        for mm, u in zip(mats, us):
-            w += mm.T @ u
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0, it, False
-        v = w / nw
-        if abs(sigma - prev) <= tol * max(sigma, 1e-300):
-            return sigma, it, False
-        prev = sigma
-    return sigma, max_iter, True
+def _top_singular(B: np.ndarray, tol: float, max_iter: int, start: np.ndarray):
+    """Top singular value of B by Lanczos on B^T B, fully reorthogonalised.
+
+    Each step applies v -> B^T (B v) once and orthogonalises against the
+    basis twice; the top Ritz pair (theta, y) of the tridiagonal has residual
+    |B^T B y - theta y| = beta_j |s_j|.  The run stops once that is at most
+    tol * theta: some eigenvalue of B^T B then lies within tol * theta of
+    theta (Parlett), so sigma = sqrt(theta) is within about tol / 2.  After
+    ``max_iter`` applications without that, the Ritz value, a lower bound on
+    sigma^2, is returned as stalled.  Returns (sigma, Ritz vector, steps,
+    residual / theta, stalled).
+    """
+    basis = np.empty((min(max_iter, B.shape[1]), B.shape[1]))
+    alpha, beta = [], []
+    q = start / np.linalg.norm(start)
+    for j in range(len(basis)):
+        basis[j] = q
+        w = (B @ q) @ B
+        Q = basis[:j + 1]
+        h = Q @ w
+        w -= h @ Q
+        w -= (Q @ w) @ Q
+        alpha.append(h[j])
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta),
+                                    select="i", select_range=(j, j))
+        theta, s = float(theta[0]), s[:, 0]
+        resid = b * abs(s[-1])
+        if resid <= tol * theta:
+            break
+        beta.append(b)
+        q = w / b
+    rel = float(resid / theta) if theta > 0 else 0.0
+    return (float(np.sqrt(max(theta, 0.0))), s @ Q, j + 1, rel,
+            not resid <= tol * theta)
 
 
 @dataclass(frozen=True)
 class OperatorNormResult:
+    """``iterations`` counts applications of B^T B; ``residual`` is the
+    Ritz residual relative to sigma^2, and ``stalled`` marks a norm whose
+    residual missed ``tol`` within ``max_iter`` applications."""
+
     norm: float
     eps: float
     iterations: int
     stalled: bool
+    residual: float
 
 
 def operator_norm(m: DiscreteMeasure, kernel: Kernel, eps: float,
                   tol: float = 1e-6, max_iter: int = 500) -> OperatorNormResult:
-    """Top singular value of the truncated interaction on L^2(mu).
-
-    Power iteration on the normal operator from the all-ones start vector;
-    if the successive-estimate tolerance is not reached the best estimate is
-    returned with the stalled flag set.
-    """
+    """Top singular value of the truncated interaction on L^2(mu)."""
     if not eps > 0:
         raise InvalidParams("truncation eps must be positive")
-    blocks, dist = _interaction_stack(m, kernel)
-    sigma, iters, stalled = _power_iteration(blocks, dist, eps, tol, max_iter)
-    return OperatorNormResult(sigma, eps, iters, stalled)
+    return operator_norm_profile(m, kernel, TruncationGrid(np.array([eps])),
+                                 tol, max_iter)[0]
 
 
 def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid,
                           tol: float = 1e-6, max_iter: int = 500) -> list[OperatorNormResult]:
-    """Operator norms along a truncation grid, reusing the interaction stack."""
-    blocks, dist = _interaction_stack(m, kernel)
+    """Operator norms along a truncation grid on one interaction stack.
+
+    The grid increases, so each truncation zeroes in place the pairs within
+    eps, a superset of the previous truncation's.  Each Lanczos run starts from the previous Ritz
+    vector plus a fixed-seed random unit vector: the residual certifies an
+    eigenvalue, and the random part makes it the top one with high
+    probability.  Once every pair is dropped the norm is 0 without a solve.
+    Raises ``TooLarge`` before allocating when the operator would exceed
+    ``OPERATOR_BYTE_BUDGET``.
+    """
+    if max_iter < 1:
+        raise InvalidParams("max_iter must be at least 1")
+    n = m.size
+    # Peak beyond a fixed block scratch: the (c, N, N) stack and the
+    # distances at 8 B per pair each, the truncation mask at 1 B per pair,
+    # and the Lanczos basis.
+    need = (8 * (_components(kernel) + 1) + 1) * n * n + 8 * min(max_iter, n) * n
+    if need > OPERATOR_BYTE_BUDGET:
+        raise TooLarge(f"an N={n} operator needs {need / 2 ** 30:.1f} GiB, over the "
+                       f"{OPERATOR_BYTE_BUDGET / 2 ** 30:.0f} GiB budget")
+    stack, dist = _interaction_stack(m, kernel)
+    B = stack.reshape(-1, n)
+    reach = float(dist.max())
+    rng = np.random.default_rng(0)
+    ritz = np.zeros(n)
     out = []
     for eps in grid.eps:
-        sigma, iters, stalled = _power_iteration(blocks, dist, eps, tol, max_iter)
-        out.append(OperatorNormResult(sigma, float(eps), iters, stalled))
+        if eps >= reach:
+            out.append(OperatorNormResult(0.0, float(eps), 0, False, 0.0))
+            continue
+        dropped = dist <= eps
+        for blk in stack:
+            blk[dropped] = 0.0
+        g = rng.standard_normal(n)
+        sigma, ritz, iters, resid, stalled = _top_singular(
+            B, tol, max_iter, ritz + g / np.linalg.norm(g))
+        out.append(OperatorNormResult(sigma, float(eps), iters, stalled, resid))
     return out
 
 

@@ -249,6 +249,18 @@ def test_fit_graph_from_lipschitz_samples():
     assert float(np.max(dev)) <= 1e-12
 
 
+def test_graph_evaluate_blocks_match_unblocked():
+    alpha = 0.5
+    m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 1.0}))
+    g = fit_lipschitz_graph(m.points, V_AXIS, alpha)
+    z = np.random.default_rng(3).uniform(-0.2, 1.2, (1000, 1))
+    d = g.extension_constant * np.linalg.norm(
+        z[:, None, :] - g.anchors_base[None, :, :], axis=2)[:, :, None]
+    want = 0.5 * (np.min(g.anchors_value[None, :, :] + d, axis=1)
+                  + np.max(g.anchors_value[None, :, :] - d, axis=1))
+    assert np.array_equal(g.evaluate(z), want)
+
+
 def test_build_top_single_atom():
     m = DiscreteMeasure(np.array([[0.2, 0.7]]), np.array([1.0]), 1)
     lat = build_lattice(m, 2.0, 8.0, 3)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from conftest import random_cloud
 from conical_gmt.errors import InvalidParams, TooLarge
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.measure import DiscreteMeasure
-from conical_gmt.sio import (TruncationGrid, builtin_kernels,
+from conical_gmt.sio import (OPERATOR_BYTE_BUDGET, TruncationGrid, builtin_kernels,
                              maximal_transform, norm_vs_generation,
                              operator_norm, operator_norm_profile,
                              truncated_transform, validate_kernel)
@@ -97,6 +99,23 @@ def test_maximal_transform_single_far_atom():
     assert maximal_transform(m, CAUCHY, grid, x) == pytest.approx(want)
 
 
+def test_maximal_transform_exact_beyond_ten_thousand_atoms():
+    m = random_cloud(11, 10_050)
+    x = np.array([0.37, 0.52])
+    grid = TruncationGrid.breakpoints(m, x)
+    assert len(grid.eps) == 10_051
+    # every breakpoint's transform as a direct masked sum, 1,000 at a time
+    d = m.distances_from(x)
+    vals = m.weights[:, None] * CAUCHY(m.points - x[None, :])
+    norms = np.concatenate([
+        np.linalg.norm((d[None, :] > e[:, None]).astype(float) @ vals, axis=1)
+        for e in np.array_split(grid.eps, 11)])
+    best = int(np.argmax(norms))
+    want = float(np.linalg.norm(truncated_transform(m, CAUCHY, grid.eps[best], x)))
+    assert want == pytest.approx(norms[best], rel=1e-12)
+    assert maximal_transform(m, CAUCHY, grid, x) == pytest.approx(want, rel=1e-12)
+
+
 def test_truncation_grid_validation():
     with pytest.raises(InvalidParams):
         TruncationGrid(np.array([0.5, 0.5]))
@@ -174,6 +193,70 @@ def test_operator_guard():
     m = DiscreteMeasure(pts, np.ones(25000), 1)
     with pytest.raises(TooLarge):
         operator_norm(m, CAUCHY, 0.5)
+
+
+def test_operator_byte_guard_fires_before_allocating():
+    n = 12_000
+    pts = np.zeros((n, 2))
+    pts[:, 0] = np.arange(n)
+    m = DiscreteMeasure(pts, np.ones(n), 1)
+    assert 25 * n * n > OPERATOR_BYTE_BUDGET
+    t0 = time.perf_counter()
+    with pytest.raises(TooLarge):
+        operator_norm(m, CAUCHY, 0.5)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.fixture(scope="module")
+def graph_sio_dense():
+    """The 1,024-atom graph of the CLI benchmark, its 16 auto truncations
+    and the top eigenvalue of the dense B^T B of each, built here."""
+    m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 1024, "lipschitz": 0.5}))
+    grid = TruncationGrid.log_spaced(m, 16)
+    dx = m.points[None, :, 0] - m.points[:, None, 0]
+    dy = m.points[None, :, 1] - m.points[:, None, 1]
+    r2 = dx * dx + dy * dy
+    dist = np.sqrt(r2)
+    sw = np.sqrt(m.weights)
+    with np.errstate(divide="ignore"):
+        scale = sw[:, None] * sw[None, :] * np.where(r2 > 0, 1.0 / r2, 0.0)
+    sigma = []
+    for eps in grid.eps:
+        keep = dist > eps
+        b = [dx * scale * keep, -dy * scale * keep]
+        normal = b[0].T @ b[0] + b[1].T @ b[1]
+        sigma.append(float(np.sqrt(max(np.linalg.eigvalsh(normal)[-1], 0.0))))
+    return m, grid, np.array(sigma)
+
+
+def test_operator_norm_profile_matches_dense_on_graph(graph_sio_dense):
+    m, grid, sigma = graph_sio_dense
+    profile = operator_norm_profile(m, CAUCHY, grid, 1e-6, 500)
+    for r, s in zip(profile, sigma):
+        assert not r.stalled
+        assert r.residual <= 1e-6
+        assert r.norm == pytest.approx(s, rel=1e-6, abs=0.0)
+
+
+def test_operator_norm_profile_cap_flags_every_uncertified_row(graph_sio_dense):
+    m, grid, sigma = graph_sio_dense
+    profile = operator_norm_profile(m, CAUCHY, grid, 1e-6, 5)
+    assert sum(r.stalled for r in profile) >= 12
+    for r, s in zip(profile, sigma):
+        assert r.iterations <= 5
+        assert r.norm <= s * (1 + 1e-12)
+        assert r.stalled == (r.residual > 1e-6)
+        if not r.stalled:
+            assert r.norm == pytest.approx(s, rel=1e-6, abs=0.0)
+
+
+def test_operator_norm_matches_profile_row():
+    m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 256, "lipschitz": 0.5}))
+    grid = TruncationGrid.log_spaced(m, 8)
+    profile = operator_norm_profile(m, CAUCHY, grid, 1e-8, 500)
+    for r in profile[::3]:
+        single = operator_norm(m, CAUCHY, r.eps, 1e-8, 500)
+        assert single.norm == pytest.approx(r.norm, rel=1e-8)
 
 
 def measure_for_generation_cantor(g):
