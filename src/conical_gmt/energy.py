@@ -19,6 +19,15 @@ A window energy int_lo^hi only reads the profile below hi, so
 ``window_energies`` builds each vertex's profile once and reads every window
 off it.  A corona run does this once per atom for all lattice levels, whose
 windows (eta r(Q), r(Q)/eta) depend only on the level.
+
+Scans over many directions (``bpbe_scan``, ``bme_check``) go through
+``_direction_energies``: each vertex sorts the atoms within the radius once,
+and each direction only masks that sorted list with ``cone_dist``'s
+arithmetic.  The directions' cumulative masses are cumsums of the weights
+with out-of-cone atoms set to 0.0, which is exact, so every in-cone position
+holds the single-direction value.  Each entry is then the sum of that
+direction's compressed run-end terms alone: numpy sums pairwise, grouping
+terms by position, so summing the zero-padded row would change the last bits.
 """
 
 from __future__ import annotations
@@ -28,8 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCube, InvalidParams, MissingDirection
-from .geometry import Plane, cone_dist, cone_mask, plane_metric, sample_grassmannian
+from .geometry import (Plane, _row_norms, cone_dist, cone_mask, plane_metric,
+                       sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
+
+# (direction, atom) pairs per chunk of ``_direction_energies``' mask tables.
+_DIRECTION_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -95,13 +108,6 @@ def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
         upper = np.where(np.isinf(b), 0.0, b ** -np_exp)
     contrib = np.where(b > a, cum ** p * (lower - upper) / np_exp, 0.0)
     return contrib, float(np.sum(contrib))
-
-
-def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
-                 aperture: float, n: int, p: float, lo: float, hi: float) -> float:
-    """int_lo^hi (mass(K(x, r)) / r^n)^p dr/r over the atoms given, exact."""
-    radii, cum, _ = _in_cone_jumps(points, weights, x, direction, aperture, hi)
-    return _step_energy(radii, cum, n, p, lo, hi)[1]
 
 
 def pointwise_energy(m: DiscreteMeasure, x, spec: EnergySpec) -> EnergyBreakdown:
@@ -198,6 +204,56 @@ def window_energies(m: DiscreteMeasure, vertex_idx, spec: EnergySpec,
     return out
 
 
+def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
+                        aperture: float, exponent: float, radius: float) -> np.ndarray:
+    """int_0^radius (mass(K(x, V, r)) / r^n)^p dr/r, exact, with one row per
+    vertex x = m.points[i], i in ``vertex_idx``, and one column per V.
+
+    Each vertex sorts its atoms in 0 < |y - x| < radius once; every direction
+    then only masks that sorted list, with ``cone_dist``'s arithmetic, and the
+    directions' step integrals are evaluated together, ``_DIRECTION_BLOCK``
+    (direction, atom) pairs at a time.  Every entry equals the single-direction
+    ``_step_energy`` value bit for bit (see the module docstring).
+    """
+    out = np.zeros((len(vertex_idx), len(directions)))
+    n, p = m.dim_param, exponent
+    np_exp = n * p
+    for row, i in enumerate(vertex_idx):
+        diff = m.points - m.points[i]
+        dist = _row_norms(diff)
+        near = np.flatnonzero((dist > 0) & (dist < radius))
+        k = len(near)
+        if k == 0:
+            continue
+        near = near[np.argsort(dist[near], kind="stable")]
+        diff, d, w = diff[near], dist[near], m.weights[near]
+        # a one-row product would take another BLAS path than cone_dist's
+        operand = diff if k > 1 else np.vstack((diff, diff))
+        ext = np.append(d, radius)
+        power = ext ** -np_exp
+        step = max(1, _DIRECTION_BLOCK // k)
+        for lo in range(0, len(directions), step):
+            chunk = directions[lo:lo + step]
+            par = np.empty((len(chunk), k, m.ambient_dim))
+            for j, v in enumerate(chunk):
+                par[j] = ((operand @ v.basis.T) @ v.basis)[:k]
+            perp = _row_norms((diff - par).reshape(-1, m.ambient_dim))
+            mask = perp.reshape(len(chunk), k) < aperture * d
+            # cumulative in-cone mass; adding the 0.0 of an out-of-cone atom
+            # is exact, so in-cone positions match the compressed cumsum
+            cum = np.cumsum(np.where(mask, w, 0.0), axis=1)
+            # next in-cone position after each one, k (the radius) if none
+            pos = np.where(mask, np.arange(k), k)
+            nxt = np.full_like(pos, k)
+            nxt[:, :-1] = np.minimum.accumulate(pos[:, :0:-1], axis=1)[:, ::-1]
+            end = mask & (ext[nxt] > d)
+            contrib = cum ** p * (power[:k] - power[nxt]) / np_exp
+            for j in range(len(chunk)):
+                # numpy's pairwise sum of the compressed row, as _step_energy
+                out[row, lo + j] = float(contrib[j][end[j]].sum())
+    return out
+
+
 def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
     """sum_j w_j e_j, accumulated left to right so that the value does not
     depend on how the energies were batched."""
@@ -258,14 +314,13 @@ def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,
     for center, radius in balls:
         idx = m.ball_indices(center, radius)
         ball_mass_val = float(np.sum(m.weights[idx]))
+        table = _direction_energies(m, idx, directions, aperture, exponent, radius)
         best = None
-        for j, v in enumerate(directions):
+        for j in range(len(directions)):
             if ball_mass_val == 0:
                 frac, mean_e = 1.0, 0.0
             else:
-                energies = np.array([
-                    _cone_energy(m.points, m.weights, m.points[i], v, aperture,
-                                 n, exponent, 0.0, radius) for i in idx])
+                energies = table[:, j]
                 ok = energies <= energy_bound
                 frac = float(np.sum(m.weights[idx][ok]) / ball_mass_val)
                 mean_e = float(np.average(energies, weights=m.weights[idx]))
@@ -309,7 +364,6 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
     else:
         assignment = dict(direction_assignment)
     results = []
-    n = m.dim_param
     for center, radius in balls:
         idx = m.ball_indices(center, radius)
         lhs = 0.0
@@ -317,8 +371,8 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
             v = assignment.get(int(i))
             if v is None:
                 raise MissingDirection(f"atom {i} has no assigned direction")
-            lhs += m.weights[i] * _cone_energy(m.points, m.weights, m.points[i], v,
-                                               aperture, n, exponent, 0.0, radius)
+            lhs += m.weights[i] * _direction_energies(m, [i], [v], aperture, exponent,
+                                                      radius)[0, 0]
         bmass = float(np.sum(m.weights[idx]))
         ratio = lhs / bmass if bmass > 0 else 0.0
         results.append({

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
@@ -180,9 +181,16 @@ class TruncationGrid:
 
     @staticmethod
     def log_spaced(m: DiscreteMeasure, count: int = 64) -> "TruncationGrid":
-        lo = m.min_interpoint_distance()
+        """``count`` geometric radii from the smallest distance between
+        distinct atom locations to the diameter; ``[1.]`` when every atom
+        sits at one point."""
+        locations = np.unique(m.points, axis=0)
+        if len(locations) < 2:
+            return TruncationGrid(np.array([1.0]))
+        d, _ = cKDTree(locations).query(locations, k=2)
+        lo = float(d[:, 1].min())
         hi = m.diameter()
-        if lo <= 0 or hi <= lo:
+        if hi <= lo:
             return TruncationGrid(np.array([1.0]))
         return TruncationGrid(np.geomspace(lo, hi, count))
 
@@ -341,7 +349,12 @@ def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGr
 def norm_vs_generation(measure_factory: Callable[[int], DiscreteMeasure],
                        kernel: Kernel, generations, grid_cap: int = 64,
                        tol: float = 1e-6, max_iter: int = 500) -> dict:
-    """Sup-over-grid operator norms per generation with a trend statistic."""
+    """Sup-over-grid operator norms per generation with a trend statistic.
+
+    A row is ``certified`` when no truncation of its profile stalled, so its
+    ``sup_norm`` is a maximum of certified norms; ``all_certified`` says so
+    of every row.
+    """
     rows = []
     for g in generations:
         m = measure_factory(g)
@@ -355,6 +368,7 @@ def norm_vs_generation(measure_factory: Callable[[int], DiscreteMeasure],
             "argmax_eps": best.eps,
             "grid_size": len(grid.eps),
             "stalled": sum(1 for r in profile if r.stalled),
+            "certified": not any(r.stalled for r in profile),
         })
     sups = [r["sup_norm"] for r in rows]
     fit_slope = 0.0
@@ -367,4 +381,5 @@ def norm_vs_generation(measure_factory: Callable[[int], DiscreteMeasure],
         "strictly_increasing": all(b > a for a, b in zip(sups, sups[1:])),
         "max_over_min": max(sups) / min(sups) if min(sups) > 0 else np.inf,
         "trend_slope": fit_slope,
+        "all_certified": all(r["certified"] for r in rows),
     }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conical_gmt.energy import _in_cone_jumps, _step_energy
 from conical_gmt.measure import DiscreteMeasure
 
 
@@ -32,6 +33,14 @@ def brute_cone_mass(m: DiscreteMeasure, x, basis: np.ndarray, alpha: float,
         perp = np.linalg.norm(diff - par)
         mask[i] = inner < dist < outer and perp < alpha * dist
     return float(np.sum(m.weights[mask]))
+
+
+def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction,
+                 aperture: float, n: int, p: float, lo: float, hi: float) -> float:
+    """Oracle: int_lo^hi (mass(K(x, r)) / r^n)^p dr/r for one vertex and one
+    direction, from a full-cloud cone test, a sort and the step integral."""
+    radii, cum, _ = _in_cone_jumps(points, weights, x, direction, aperture, hi)
+    return _step_energy(radii, cum, n, p, lo, hi)[1]
 
 
 @pytest.fixture

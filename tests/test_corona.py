@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import _cone_energy
+
 from conical_gmt.corona import (CoronaParams, _Ctx, build_top,
                                 key_cone_exclusion, separated_families,
                                 stopping_decomposition, verify_corona)
-from conical_gmt.energy import _cone_energy, total_energy
+from conical_gmt.energy import total_energy
 from conical_gmt.errors import ConeViolation, InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane

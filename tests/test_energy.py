@@ -1,12 +1,15 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import random_cloud
+from conftest import _cone_energy, random_cloud
 
-from conical_gmt.energy import (EnergySpec, _in_cone_jumps, ball_energy,
+from conical_gmt import energy
+from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
+                                ball_energy,
                                 bme_check, bpbe_scan, cube_energy,
                                 pointwise_energies, pointwise_energy,
                                 projection_energy_check,
@@ -271,6 +274,107 @@ def test_bpbe_outlier_with_kappa_one():
     rep = bpbe_scan(m, balls, 0.95, 1.0, energy_bound=0.05, mass_fraction=1.0,
                     direction_samples=8, seed=5)
     assert not rep["all_pass"]
+
+
+def oracle_table(m, vertex_idx, directions, aperture, exponent, radius):
+    """One full-cloud cone test, sort and step integral per (atom, direction)."""
+    return np.array([[_cone_energy(m.points, m.weights, m.points[i], v, aperture,
+                                   m.dim_param, exponent, 0.0, radius)
+                      for v in directions] for i in vertex_idx]).reshape(
+        len(vertex_idx), len(directions))
+
+
+def assert_scan_matches_oracle(monkeypatch, m, balls, aperture, exponent,
+                               samples, seed, pinned=None):
+    """bpbe_scan's table and JSON report equal those of the oracle table."""
+    d, n = m.ambient_dim, m.dim_param
+    directions = list(pinned or []) + sample_grassmannian(d, d - n, samples, seed)
+    for center, radius in balls:
+        idx = m.ball_indices(center, radius)
+        got = _direction_energies(m, idx, directions, aperture, exponent, radius)
+        want = oracle_table(m, idx, directions, aperture, exponent, radius)
+        assert np.array_equal(got, want)
+    args = (m, balls, aperture, exponent, 0.5, 0.9, samples, seed, pinned)
+    rep = json.dumps(bpbe_scan(*args))
+    with monkeypatch.context() as mp:
+        mp.setattr(energy, "_direction_energies", oracle_table)
+        assert rep == json.dumps(bpbe_scan(*args))
+    return json.loads(rep)
+
+
+def mixture_cloud():
+    comps = [{"spec": {"kind": "lipschitz_graph", "seed": 4,
+                       "params": {"count": 744, "lipschitz": 0.5, "jitter": 0.5}}},
+             {"spec": {"kind": "four_corner_cantor", "params": {"generation": 4}},
+              "offset": [1.25, -0.5]}]
+    m, _ = generate(GeneratorSpec("mixture", {"components": comps}, 4))
+    return m
+
+
+def test_direction_table_matches_oracle_on_mixture_p2(monkeypatch):
+    m = mixture_cloud()
+    assert m.size == 1000
+    balls = [(m.points[372], 0.35), (np.array([1.75, 0.0]), 0.5)]
+    rep = assert_scan_matches_oracle(monkeypatch, m, balls, 0.8, 2.0, 4, 6)
+    assert any(b["mean_energy"] > 0 for b in rep["balls"])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_direction_table_matches_oracle_on_cantor_ties(monkeypatch, p):
+    # both axis planes pinned: dyadic cone-boundary ties at alpha = 0.8
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 5}))
+    pinned = [make_plane([[1.0, 0.0]]), V_AXIS]
+    balls = [(m.points[0], 0.7), (np.array([0.5, 0.5]), 2.0)]
+    assert_scan_matches_oracle(monkeypatch, m, balls, 0.8, p, 2, 9, pinned)
+
+
+def test_direction_table_matches_oracle_with_duplicate_atoms(monkeypatch, rng):
+    pts = rng.random((150, 2))
+    pts[50:80] = pts[:30]
+    pts[80:90] = pts[0]
+    m = DiscreteMeasure(pts, rng.random(150) + 0.1, 1)
+    balls = [(pts[0], 0.4), (np.array([0.5, 0.5]), 1.0)]
+    assert_scan_matches_oracle(monkeypatch, m, balls, 0.8, 2.0, 3, 2, [V_AXIS])
+
+
+def test_direction_table_degenerate_balls(monkeypatch):
+    # a ball whose atoms see no in-cone neighbour, a one-atom ball and an
+    # empty ball
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 5.0]])
+    m = DiscreteMeasure(pts, np.full(4, 0.25), 1)
+    balls = [(np.array([1.0, 0.0]), 1.5), (pts[3], 0.5), (np.array([9.0, 9.0]), 1.0)]
+    rep = assert_scan_matches_oracle(monkeypatch, m, balls, 0.5, 2.0, 2, 1, [V_AXIS])
+    assert [b["ball_mass"] for b in rep["balls"]] == [0.75, 0.25, 0.0]
+    assert _direction_energies(m, [0, 1, 2], [V_AXIS], 0.5, 2.0, 1.5).sum() == 0.0
+
+
+def test_direction_table_is_chunk_independent(monkeypatch):
+    m = mixture_cloud()
+    idx = m.ball_indices(m.points[372], 0.35)
+    directions = [V_AXIS] + sample_grassmannian(2, 1, 12, 7)
+    whole = _direction_energies(m, idx, directions, 0.8, 2.0, 0.35)
+    monkeypatch.setattr(energy, "_DIRECTION_BLOCK", 3 * len(idx))
+    chunked = _direction_energies(m, idx, directions, 0.8, 2.0, 0.35)
+    assert np.count_nonzero(whole) > 0
+    assert np.array_equal(chunked, whole)
+
+
+def test_bme_ratios_equal_left_to_right_oracle_sum():
+    m = mixture_cloud()
+    planes = [V_AXIS] + sample_grassmannian(2, 1, 3, 5)
+    assignment = {i: planes[i % len(planes)] for i in range(m.size)}
+    balls = [(m.points[372], 0.35), (np.array([1.75, 0.0]), 0.5),
+             (np.array([9.0, 9.0]), 1.0)]
+    rep = bme_check(m, balls, 0.8, 2.0, 1.0, assignment)
+    for (center, radius), got in zip(balls, rep["balls"]):
+        lhs = 0.0
+        idx = m.ball_indices(center, radius)
+        for i in idx:
+            lhs += m.weights[i] * _cone_energy(m.points, m.weights, m.points[i],
+                                               assignment[i], 0.8, 1, 2.0, 0.0, radius)
+        bmass = float(np.sum(m.weights[idx]))
+        assert got["mean_energy_ratio"] == (lhs / bmass if bmass > 0 else 0.0)
+    assert rep["balls"][0]["mean_energy_ratio"] > 0
 
 
 def test_bme_line_constant_normal():

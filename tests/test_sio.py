@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from conftest import random_cloud
 
@@ -291,3 +292,32 @@ def test_norm_vs_generation_segment_stabilizes():
         return m
     table = norm_vs_generation(seg, CAUCHY, [3, 4, 5], grid_cap=24)
     assert table["max_over_min"] <= 1.5
+
+
+def test_norm_vs_generation_flags_uncertified_rows():
+    capped = norm_vs_generation(measure_for_refinement_graph, CAUCHY, [3],
+                                grid_cap=8, max_iter=2)
+    assert capped["rows"][0]["stalled"] > 0
+    assert not capped["rows"][0]["certified"]
+    assert not capped["all_certified"]
+    full = norm_vs_generation(measure_for_refinement_graph, CAUCHY, [3], grid_cap=8)
+    assert full["rows"][0]["stalled"] == 0
+    assert full["rows"][0]["certified"]
+    assert full["all_certified"]
+
+
+def test_log_spaced_skips_coincident_atoms():
+    rng = np.random.default_rng(7)
+    pts = rng.random((200, 2))
+    pts[1] = pts[0]
+    m = DiscreteMeasure(pts, np.full(200, 1 / 200), 1)
+    assert m.min_interpoint_distance() == 0.0
+    d = pdist(pts)
+    grid = TruncationGrid.log_spaced(m, 12).eps
+    assert len(grid) == 12
+    assert grid[0] == d[d > 0].min()
+    assert grid[-1] == m.diameter()
+    ratios = grid[1:] / grid[:-1]
+    assert np.allclose(ratios, ratios[0], rtol=1e-12)
+    one_point = DiscreteMeasure(np.zeros((5, 2)), np.full(5, 0.2), 1)
+    assert np.array_equal(TruncationGrid.log_spaced(one_point, 12).eps, [1.0])
