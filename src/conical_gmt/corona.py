@@ -450,18 +450,21 @@ def verify_corona(m, result: CoronaResult, params: CoronaParams,
                                         if tree.tree_ids else 1.0)
 
         if tree.graph is not None:
-            dev = tree.graph.vertical_distance(tree.graph.ambient_anchors())
+            # the good atoms are mostly the anchors themselves; evaluation is
+            # row-independent, so each distinct point is evaluated once
+            distinct, inverse = np.unique(np.concatenate((anchors, pts[tree.good_indices])),
+                                          axis=0, return_inverse=True)
+            dev_all = tree.graph.vertical_distance(distinct)[inverse.reshape(-1)]
+            dev, gdev = dev_all[:len(anchors)], dev_all[len(anchors):]
             if np.any(dev > 1e-12):
                 failures.append(f"tree {tree.root_id}: anchors deviate from the graph")
             if len(tree.good_indices):
-                gdev = tree.graph.vertical_distance(pts[tree.good_indices])
                 report["good_max_deviation"] = float(np.max(gdev))
                 if np.any(gdev > tol_graph):
                     failures.append(f"tree {tree.root_id}: good atoms off the graph")
             else:
                 report["good_max_deviation"] = 0.0
-            aviol = cone_separation_violations(tree.graph.ambient_anchors(),
-                                               params.plane, params.aperture)
+            aviol = cone_separation_violations(anchors, params.plane, params.aperture)
             if aviol:
                 failures.append(f"tree {tree.root_id}: anchors violate cone separation")
         elif len(tree.good_indices):

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
-from .geometry import Plane, cone_dist, cone_mask
+from .geometry import Plane, _row_norms, cone_mask, cone_pairs
 from .graphs import LipschitzGraph
 from .measure import DiscreteMeasure, ball_mass, sorted_mass
 
@@ -253,31 +253,44 @@ def cone_outside_tube_check(x, r: float, tangent: Plane, tube_base, tube_plane: 
     }
 
 
-def _shell_index(t: float) -> int:
-    """The unique j with 2^-j <= t < 2^-(j-1)."""
-    j = math.ceil(-math.log2(t))
-    while t < 2.0 ** (-j):
-        j += 1
-    while t >= 2.0 ** (-j + 1):
-        j -= 1
-    return j
+def _shell_indices(t: np.ndarray) -> np.ndarray:
+    """The unique j with 2^-j <= t < 2^-(j-1), for each t > 0.
+
+    ``frexp`` writes t = f 2^e with 1/2 <= f < 1 exactly, so j = 1 - e."""
+    return 1 - np.frexp(t)[1]
 
 
 def theta_m_property(points, direction: Plane, theta: float,
                      per_point: bool = False):
     """Exact dyadic-shell counts: for each x, the number of integers j such
     that the theta-cone at x restricted to the shell [2^-j, 2^-j+1) meets the
-    other points."""
+    other points.
+
+    One ``cone_pairs`` sweep marks each in-cone pair's shell for both ends in
+    an (atoms x shells) table; the vertex itself has distance 0 and is never
+    in the cone."""
     if not 0 < theta < 1:
         raise InvalidParams("theta must lie in (0, 1)")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != direction.ambient_dim:
         raise DimensionMismatch("points and plane dimensions differ")
-    counts = np.zeros(len(pts), dtype=int)
-    for i, x in enumerate(pts):
-        # the vertex itself has distance 0 and is never in the cone
-        mask, dist = cone_dist(pts, x, direction, theta)
-        counts[i] = len({_shell_index(t) for t in dist[mask]})
+    hit = np.zeros((len(pts), 0), dtype=bool)   # column c is shell j = lo + c
+    lo = 0
+    for i, mask, dist in cone_pairs(pts, direction, theta):
+        partners = np.flatnonzero(mask)
+        if len(partners) == 0:
+            continue
+        j = _shell_indices(dist[partners])
+        if hit.shape[1] == 0:
+            lo = int(j.min())
+        # widen the table to shells lo_new <= j < hi
+        lo_new, hi = min(lo, int(j.min())), max(lo + hit.shape[1], int(j.max()) + 1)
+        if lo_new < lo or hi > lo + hit.shape[1]:
+            hit = np.pad(hit, ((0, 0), (lo - lo_new, hi - lo - hit.shape[1])))
+            lo = lo_new
+        hit[i, j - lo] = True
+        hit[partners + i + 1, j - lo] = True
+    counts = np.count_nonzero(hit, axis=1)
     if per_point:
         return int(counts.max(initial=0)), counts
     return int(counts.max(initial=0))
@@ -338,14 +351,15 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
     radii = 0.01 * gdist[off]
 
     order = sorted(range(len(off)), key=lambda t: (-radii[t], off[t]))
-    chosen: list[int] = []
+    centers = np.empty((len(off), m.ambient_dim))
+    ch_radii = np.empty(len(off))
+    k = 0
     for t in order:
         c, rc = m.points[off[t]], radii[t]
-        if all(np.linalg.norm(c - m.points[off[u]]) >= rc + radii[u] for u in chosen):
-            chosen.append(t)
-
-    centers = m.points[off[[t for t in chosen]]] if chosen else np.empty((0, m.ambient_dim))
-    ch_radii = radii[[t for t in chosen]] if chosen else np.empty(0)
+        if np.all(_row_norms(c - centers[:k]) >= rc + ch_radii[:k]):
+            centers[k], ch_radii[k] = c, rc
+            k += 1
+    centers, ch_radii = centers[:k], ch_radii[:k]
 
     covered = np.ones(len(off), dtype=bool)
     if len(off):
@@ -353,12 +367,9 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         for c, rc in zip(centers, ch_radii):
             covered |= np.linalg.norm(m.points[off] - c[None, :], axis=1) < 5 * rc
 
-    disjoint = True
-    for a in range(len(chosen)):
-        for b in range(a + 1, len(chosen)):
-            if (np.linalg.norm(centers[a] - centers[b])
-                    < ch_radii[a] + ch_radii[b]):
-                disjoint = False
+    disjoint = not any(
+        np.any(_row_norms(centers[a] - centers[a + 1:]) < ch_radii[a] + ch_radii[a + 1:])
+        for a in range(k - 1))
 
     cone_violations = []
     for j, (c, rc) in enumerate(zip(centers, ch_radii)):
@@ -376,7 +387,7 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         "theta": theta,
         "lip": lip,
         "off_graph_atoms": int(len(off)),
-        "chosen_balls": int(len(chosen)),
+        "chosen_balls": k,
         "disjoint": disjoint,
         "all_covered": bool(np.all(covered)),
         "sum_radii_n": sum_rn,

@@ -14,10 +14,16 @@ for d <= 7 this equals ``np.linalg.norm(..., axis=1)`` bit for bit, while for
 d >= 8 numpy's pairwise summation groups the terms differently, so a distance
 can differ from it in the last place.  ``cone_contains`` is the scalar test
 oracle.
+
+The relation is symmetric bit for bit: both lengths are even in y - x, and
+negating a difference is exact, so seen from y the pair gets the same mask bit
+and the same distance as seen from x.  ``cone_pairs`` therefore tests each
+unordered pair once, from its lower-indexed end.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +213,22 @@ def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
     perp = _row_norms(diff - par)
     mask = (dist > inner_radius) & (dist < outer_radius) & (perp < aperture * dist)
     return mask, dist
+
+
+def cone_pairs(points: np.ndarray, direction: Plane,
+               aperture: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The upper triangle of the strict cone relation on ``points``: for each
+    i < N - 1, ``(i, mask, dist)`` is ``cone_dist`` of ``points[i+1:]`` seen
+    from ``points[i]``, so entry k belongs to the pair (i, i + 1 + k).  By the
+    tie rule's symmetry this is also the pair seen from its other end."""
+    pts = np.asarray(points, dtype=float)
+    for i in range(len(pts) - 1):
+        rest = pts[i + 1:]
+        k = len(rest)
+        # a one-row product would take another BLAS path than cone_dist's
+        mask, dist = cone_dist(rest if k > 1 else np.vstack((rest, rest)), pts[i],
+                               direction, aperture)
+        yield i, mask[:k], dist[:k]
 
 
 def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,

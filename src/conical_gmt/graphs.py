@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolation, DimensionMismatch, InvalidParams
-from .geometry import Plane, cone_mask
+from .geometry import Plane, cone_pairs
 
 # Queries per block in LipschitzGraph.evaluate.
 _EVAL_ROWS = 256
@@ -32,16 +32,15 @@ def cone_separation_violations(points: np.ndarray, direction: Plane,
                                aperture: float) -> list[tuple[int, int]]:
     """All pairs (i, j) with x_j inside the half-aperture cone at x_i.
 
-    The membership test is symmetric, so each violating pair appears once.
+    The membership test is symmetric, so one ``cone_pairs`` sweep lists each
+    violating pair once, as (i, j) with i < j.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != direction.ambient_dim:
         raise DimensionMismatch("anchor points and plane dimensions differ")
-    half = aperture / 2.0
     out = []
-    for i in range(len(pts) - 1):
-        bad = np.nonzero(cone_mask(pts[i + 1:], pts[i], direction, half))[0]
-        out.extend((i, i + 1 + int(b)) for b in bad)
+    for i, mask, _ in cone_pairs(pts, direction, aperture / 2.0):
+        out.extend((i, i + 1 + int(b)) for b in np.flatnonzero(mask))
     return out
 
 

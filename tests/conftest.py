@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from conical_gmt.energy import _in_cone_jumps, _step_energy
+from conical_gmt.generators import GeneratorSpec, generate
+from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
 from conical_gmt.measure import DiscreteMeasure
 
 
@@ -41,6 +45,67 @@ def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction,
     direction, from a full-cloud cone test, a sort and the step integral."""
     radii, cum, _ = _in_cone_jumps(points, weights, x, direction, aperture, hi)
     return _step_energy(radii, cum, n, p, lo, hi)[1]
+
+
+def _shell_index(t: float) -> int:
+    """Oracle: the unique j with 2^-j <= t < 2^-(j-1), by scalar search."""
+    j = math.ceil(-math.log2(t))
+    while t < 2.0 ** (-j):
+        j += 1
+    while t >= 2.0 ** (-j + 1):
+        j -= 1
+    return j
+
+
+def theta_m_oracle(points: np.ndarray, direction, theta: float) -> np.ndarray:
+    """Oracle: per-atom dyadic-shell counts from a full-cloud cone test at
+    every atom and a set of scalar shell indices."""
+    counts = np.zeros(len(points), dtype=int)
+    for i, x in enumerate(points):
+        mask, dist = cone_dist(points, x, direction, theta)
+        counts[i] = len({_shell_index(t) for t in dist[mask]})
+    return counts
+
+
+def separation_oracle(points: np.ndarray, direction, aperture: float) -> list:
+    """Oracle: half-aperture cone violations by a cone test per row of the
+    upper triangle, without padding the last one-partner row."""
+    out = []
+    for i in range(len(points) - 1):
+        bad = np.nonzero(cone_mask(points[i + 1:], points[i], direction, aperture / 2))[0]
+        out.extend((i, i + 1 + int(b)) for b in bad)
+    return out
+
+
+def _sweep_cases():
+    """(measure, direction, aperture) cases for the upper-triangle pair sweep:
+    exact 3-4-5 boundary ties, duplicate atoms, a far offset, random planes of
+    every dimension in R^2..R^5, and tiny clouds."""
+    v_axis = make_plane([[0.0, 1.0]])
+    cases = []
+    cantor, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 5}))
+    cases.append(pytest.param(cantor, v_axis, 0.8, id="cantor5-ties"))
+    base = random_cloud(83, 120)
+    pts = base.points.copy()
+    pts[:30] = pts[30:60]
+    cases.append(pytest.param(DiscreteMeasure(pts, base.weights, 1), v_axis, 0.7,
+                              id="duplicates"))
+    far = random_cloud(85, 150)
+    cases.append(pytest.param(DiscreteMeasure(far.points + 1e6, far.weights, 1),
+                              make_plane([[0.3, 1.0]]), 0.6, id="offset-1e6"))
+    for d in range(2, 6):
+        for k in range(1, d):
+            cloud = random_cloud(100 * d + k, 60, d)
+            plane = sample_grassmannian(d, k, 1, seed=d + 10 * k)[0]
+            cases.append(pytest.param(DiscreteMeasure(cloud.points, cloud.weights, d - k),
+                                      plane, 0.6, id=f"d{d}-plane{k}"))
+    for count in (1, 2, 3, 17):
+        cloud = random_cloud(count, count)
+        cases.append(pytest.param(cloud, make_plane([[0.2, 1.0]]), 0.9, id=f"N{count}"))
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
 
 
 @pytest.fixture

@@ -73,6 +73,7 @@ def _mean_energy(m: DiscreteMeasure, spec: EnergySpec) -> float:
                           for i in range(m.size)]))
 
 
+@pytest.mark.slow
 def test_criterion_3_energy_dichotomy():
     t0 = time.perf_counter()
     spec = EnergySpec(V_AXIS, 0.8, 1.0, 1.0)
@@ -154,6 +155,7 @@ def _lattice_invariants_exact(lat) -> bool:
     return True
 
 
+@pytest.mark.slow
 def test_criterion_5_corona_structural_suite():
     t0 = time.perf_counter()
     params = CoronaParams(plane=V_AXIS, aperture=0.8)
@@ -190,6 +192,7 @@ def test_criterion_5_corona_structural_suite():
     report(5, ok, "; ".join(details), elapsed, 120.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_sio_suite():
     t0 = time.perf_counter()
     cauchy = builtin_kernels(1, 2)["cauchy"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import _cone_energy
+from conftest import SWEEP_CASES, _cone_energy, separation_oracle
 
 from conical_gmt.corona import (CoronaParams, _Ctx, build_top,
                                 key_cone_exclusion, separated_families,
@@ -10,7 +10,7 @@ from conical_gmt.energy import total_energy
 from conical_gmt.errors import ConeViolation, InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
-from conical_gmt.graphs import fit_lipschitz_graph
+from conical_gmt.graphs import cone_separation_violations, fit_lipschitz_graph
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure, ball_mass
 
@@ -249,6 +249,12 @@ def test_fit_graph_from_lipschitz_samples():
     # anchors reproduced exactly through the extension
     dev = g.vertical_distance(m.points)
     assert float(np.max(dev)) <= 1e-12
+
+
+@pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
+def test_cone_separation_violations_equal_row_loop(m, direction, aperture):
+    got = cone_separation_violations(m.points, direction, aperture)
+    assert got == separation_oracle(m.points, direction, aperture)
 
 
 def test_graph_evaluate_blocks_match_unblocked():

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from conftest import random_cloud
+from conftest import SWEEP_CASES, _shell_index, random_cloud, theta_m_oracle
 
-from conical_gmt.diagnostics import (beta2, beta_square_function,
+from conical_gmt.diagnostics import (_shell_indices, beta2, beta_square_function,
                                      cone_outside_tube_check,
                                      conical_density_profile, f_epsilon_set,
                                      hausdorff_plane_sections,
@@ -277,6 +278,23 @@ def test_theta_m_matches_brute_force():
     assert maxc == counts.max()
 
 
+def test_shell_indices_equal_scalar_search():
+    rng = np.random.default_rng(7)
+    powers = np.ldexp(1.0, np.arange(-1074, 1000, 7))
+    t = np.concatenate((powers, np.nextafter(powers, np.inf),
+                        np.nextafter(powers[1:], 0.0), rng.random(500),
+                        rng.random(200) * 1e-300, [5e-324, 1.5, 0.75, 3.0]))
+    assert _shell_indices(t).tolist() == [_shell_index(float(x)) for x in t]
+
+
+@pytest.mark.parametrize("m, direction, theta", SWEEP_CASES)
+def test_theta_m_equals_per_atom_shell_sets(m, direction, theta):
+    maxc, counts = theta_m_property(m.points, direction, theta, per_point=True)
+    want = theta_m_oracle(m.points, direction, theta)
+    assert counts.tolist() == want.tolist()
+    assert maxc == int(want.max(initial=0))
+
+
 def test_theta_m_per_shell_monotone_in_theta():
     for seed in range(8):
         m = random_cloud(seed, 40)
@@ -354,6 +372,32 @@ def test_cover_mixture_exhaustive():
     assert rep["cone_violations"] == []
     assert rep["sum_radii_n"] > 0
     assert rep["ratio"] > 0
+
+
+def graph_cantor_mixture():
+    """The cloud and graph of ``test_cover_mixture_exhaustive``."""
+    mg, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 400, "lipschitz": 0.4}))
+    mc, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    pts = np.vstack([mg.points, mc.points * 0.5 + np.array([0.25, 0.35])])
+    w = np.concatenate([mg.weights * 0.5, mc.weights * 0.5])
+    return DiscreteMeasure(pts, w, 1), fit_lipschitz_graph(mg.points, V_AXIS, 0.8)
+
+
+def test_cover_greedy_equals_pairwise_loop():
+    # oracle: the greedy thinning with one scalar distance per chosen ball
+    m, graph = graph_cantor_mixture()
+    gdist, _ = cKDTree(graph.ambient_anchors()).query(m.points, k=1)
+    off = np.nonzero(gdist > 0)[0]
+    radii = 0.01 * gdist[off]
+    chosen = []
+    for t in sorted(range(len(off)), key=lambda t: (-radii[t], off[t])):
+        if all(np.linalg.norm(m.points[off[t]] - m.points[off[u]]) >= radii[t] + radii[u]
+               for u in chosen):
+            chosen.append(t)
+    rep = necessary_bplg_cover(m, graph)
+    assert rep["chosen_balls"] == len(chosen) > 1
+    assert rep["sum_radii_n"] == float(np.sum(radii[chosen]))
+    assert rep["disjoint"]
 
 
 def test_cover_ambient_mismatch():

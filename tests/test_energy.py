@@ -1,11 +1,12 @@
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import _cone_energy, random_cloud
+from conftest import SWEEP_CASES, _cone_energy, random_cloud
 
 from conical_gmt import energy
 from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
@@ -16,7 +17,7 @@ from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
                                 riesz_cone_sum, total_energy, window_energies)
 from conical_gmt.errors import InvalidParams, MissingDirection
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import cone_mask, make_plane, sample_grassmannian
+from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
 from conical_gmt.lattice import build_lattice
 from conical_gmt.measure import DiscreteMeasure
 
@@ -255,6 +256,7 @@ def test_bpbe_line_normal_direction_passes():
     assert ball["passing_fraction"] == 1.0
 
 
+@pytest.mark.slow
 def test_bpbe_cantor_gen6_fails_every_direction():
     # oracle: exhaustive pointwise-energy computation at generation 6; the
     # smallest per-direction failing fraction stays far below kappa = 0.9
@@ -505,4 +507,24 @@ def test_pointwise_energies_equal_riesz_cone_sum():
     m = random_cloud(84, 250)
     energies, _ = pointwise_energies(m, EnergySpec(V_AXIS, 0.6))
     for i in range(m.size):
-        assert energies[i] == riesz_cone_sum(m, m.points[i], V_AXIS, 0.6)
+        assert energies[i] == pytest.approx(riesz_cone_sum(m, m.points[i], V_AXIS, 0.6),
+                                            rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("R", [0.5, np.inf])
+@pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
+def test_pair_sweep_matches_per_vertex_cone_tests(m, direction, aperture, R):
+    # oracle: a full-cloud cone_dist at every atom, its in-cone count, and an
+    # exactly rounded sum of that atom's layer-cake terms
+    energies, counts = pointwise_energies(m, EnergySpec(direction, aperture, 1.0, R))
+    n = m.dim_param
+    tail = 0.0 if np.isinf(R) else R ** -n
+    for i in range(m.size):
+        mask, dist = cone_dist(m.points, m.points[i], direction, aperture)
+        assert counts[i] == np.count_nonzero(mask)
+        near = mask & (dist < R)
+        want = math.fsum((m.weights[near] * (dist[near] ** -n - tail)).tolist()) / n
+        if want == 0.0:
+            assert energies[i] == 0.0
+        else:
+            assert energies[i] == pytest.approx(want, rel=1e-13, abs=0.0)

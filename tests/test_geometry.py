@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SWEEP_CASES
+
 from conical_gmt.errors import DimensionMismatch, InvalidParams, RankDeficient
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import (Cone, Plane, cone_contains, cone_dist, cone_mask,
-                                  dist_to_affine_plane, format_plane,
+                                  cone_pairs, dist_to_affine_plane, format_plane,
                                   make_plane, parse_plane, plane_metric,
                                   project, sample_grassmannian)
 
@@ -245,6 +247,44 @@ def test_cone_dist_matches_norm_expression(d):
                 assert np.array_equal(got, dist), (d, m, offset)
                 assert np.array_equal(mask, want), (d, m, offset)
                 assert np.array_equal(cone_mask(pts, x, v, alpha, r, big), want)
+
+
+@pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
+def test_cone_pairs_rows_are_cone_dist_from_either_end(m, direction, aperture):
+    # row i holds the pairs (i, j > i); each must carry the mask bit and the
+    # distance of a full-cloud cone test at x_i and, by symmetry, at x_j
+    pts = m.points
+    seen = 0
+    rows = [cone_dist(pts, x, direction, aperture) for x in pts]
+    for i, mask, dist in cone_pairs(pts, direction, aperture):
+        assert np.array_equal(mask, rows[i][0][i + 1:])
+        assert np.array_equal(dist, rows[i][1][i + 1:])
+        back = np.arange(i + 1, len(pts))
+        assert np.array_equal(mask, [rows[j][0][i] for j in back])
+        assert np.array_equal(dist, [rows[j][1][i] for j in back])
+        seen += 1
+    assert seen == max(len(pts) - 1, 0)
+
+
+def test_cone_pairs_one_partner_row_at_boundary_apertures():
+    # the last row has one partner; a one-row product takes another BLAS path
+    # whose |P_{V^perp}| can differ in the last bit, and that bit decides an
+    # aperture on the pair's cone boundary
+    rng = np.random.default_rng(5)
+    for d in range(2, 6):
+        for k in range(1, d):
+            for seed in range(30):
+                v = sample_grassmannian(d, k, 1, seed=seed)[0]
+                pts = rng.standard_normal((2, d))
+                diff = pts - pts[0]
+                perp = np.linalg.norm(diff - (diff @ v.basis.T) @ v.basis, axis=1)[1]
+                edge = perp / np.linalg.norm(diff[1])
+                for aperture in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    if not 0 < aperture < 1:
+                        continue
+                    want = cone_dist(pts, pts[0], v, aperture)[0][1]
+                    (_, mask, _), = cone_pairs(pts, v, aperture)
+                    assert mask.tolist() == [want]
 
 
 def test_plane_serialization_roundtrip():
