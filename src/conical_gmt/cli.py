@@ -81,21 +81,10 @@ def _parse_scales(text: str, diameter: float) -> list[float]:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_gen(args) -> int:
-    params = {}
-    if args.count is not None:
-        params["count"] = args.count
-    if args.generation is not None:
-        params["generation"] = args.generation
-    if args.lipschitz is not None:
-        params["lipschitz"] = args.lipschitz
-    if args.profile is not None:
-        params["profile"] = args.profile
-    if args.frequency is not None:
-        params["frequency"] = args.frequency
-    if args.jitter:
-        params["jitter"] = args.jitter
-    if args.radius is not None:
-        params["radius"] = args.radius
+    params = {name: getattr(args, name)
+              for name in ("count", "generation", "lipschitz", "profile",
+                           "frequency", "jitter", "radius")
+              if getattr(args, name) is not None}
     if args.ratios:
         params["ratios"] = [float(r) for r in args.ratios.split(",")]
     if args.mixture_config:

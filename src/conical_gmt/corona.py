@@ -24,7 +24,7 @@ from .errors import InvalidParams, NotDoublingRoot
 from .geometry import Plane, cone_mask
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
-from .measure import ball_mass, growth_constant
+from .measure import growth_constant
 
 
 @dataclass(frozen=True)
@@ -105,36 +105,36 @@ class _Ctx:
     """Shared per-lattice caches for cube densities and window energies.
 
     ``_table[x, k]`` is atom x's energy over level k's window
-    (eta r_k, r_k / eta); the last column is the whole-space window.
+    (eta r_k, r_k / eta); the last column is the whole-space window.  Each
+    cube's 2B_Q is queried once, for its density and its energy together.
     """
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
         self.lattice = lattice
         self.spec = params.energy_spec()
-        self._theta: dict[int, float] = {}
-        self._energy: dict[int, float] = {}
+        self._cube: dict[int, tuple[float, float]] = {}
         nm, eta = lattice.measure, self.spec.inner_eta
         radii = [lattice.cubes[ids[0]].radius for ids in lattice.levels]
         windows = [(eta * r, r / eta) for r in radii]
         windows.append((0.0, self.spec.outer_scale))
         self._table = window_energies(nm, np.arange(nm.size), self.spec, windows)
 
-    def theta2b(self, q: Cube) -> float:
-        v = self._theta.get(q.id)
+    def _theta_energy(self, q: Cube) -> tuple[float, float]:
+        v = self._cube.get(q.id)
         if v is None:
-            rad = 2.0 * q.ball_radius
-            v = ball_mass(self.lattice.measure, q.center, rad) / rad ** self.lattice.measure.dim_param
-            self._theta[q.id] = v
+            nm = self.lattice.measure
+            idx, mass_q = cube_ball(self.lattice, q)
+            w = nm.weights[idx]
+            v = (float(np.sum(w)) / (2.0 * q.ball_radius) ** nm.dim_param,
+                 weighted_sum(w, self._table[idx, q.level]) / mass_q)
+            self._cube[q.id] = v
         return v
 
+    def theta2b(self, q: Cube) -> float:
+        return self._theta_energy(q)[0]
+
     def cube_energy(self, q: Cube) -> float:
-        v = self._energy.get(q.id)
-        if v is None:
-            idx, mass_q = cube_ball(self.lattice, q)
-            v = weighted_sum(self.lattice.measure.weights[idx],
-                             self._table[idx, q.level]) / mass_q
-            self._energy[q.id] = v
-        return v
+        return self._theta_energy(q)[1]
 
 
 def stopping_decomposition(m, lattice: Lattice, root, params: CoronaParams,
@@ -267,14 +267,11 @@ def separated_families(stop_cubes: list[Cube], t: float, m_const: float,
             sep.append(q)
     sep_ids = [q.id for q in sep]
 
-    good_tree = cKDTree(good_points) if len(good_points) else None
     star_ids = []
     for q in sep:
         rad_q = 2.0 * m_const * q.ball_radius
-        if good_tree is not None:
-            near = good_tree.query_ball_point(q.center, rad_q)
-            if any(np.linalg.norm(good_points[j] - q.center) < rad_q for j in near):
-                continue
+        if np.any(np.linalg.norm(good_points - q.center[None, :], axis=1) < rad_q):
+            continue
         swallowed_other = False
         for p in sep:
             if p.id == q.id:

@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
 from .geometry import Plane, _row_norms, cone_mask, cone_pairs
 from .graphs import LipschitzGraph
-from .measure import DiscreteMeasure, ball_mass, sorted_mass
+from .measure import _QUERY_SLACK, DiscreteMeasure, ball_mass, sorted_mass
 
 DEGENERATE_GAP = 1e-12
 _CIRCLE_SAMPLES = 2048
@@ -361,22 +361,23 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
             k += 1
     centers, ch_radii = centers[:k], ch_radii[:k]
 
-    covered = np.ones(len(off), dtype=bool)
-    if len(off):
-        covered[:] = False
-        for c, rc in zip(centers, ch_radii):
-            covered |= np.linalg.norm(m.points[off] - c[None, :], axis=1) < 5 * rc
-
     disjoint = not any(
         np.any(_row_norms(centers[a] - centers[a + 1:]) < ch_radii[a] + ch_radii[a + 1:])
         for a in range(k - 1))
 
+    # each 5-dilate is asked once: it flags the atoms it covers and lists the
+    # atoms whose cone below rc must miss the samples; only samples the KD
+    # prefilter puts within rc can be in that cone
+    covered = np.zeros(m.size, dtype=bool)
     cone_violations = []
     for j, (c, rc) in enumerate(zip(centers, ch_radii)):
-        near = np.nonzero(np.linalg.norm(m.points - c[None, :], axis=1) < 5 * rc)[0]
+        near = m.ball_indices(c, 5 * rc)
+        covered[near] = True
         for y_idx in near:
-            if np.any(cone_mask(samples, m.points[y_idx], graph.normal, aperture,
-                                outer_radius=rc)):
+            y = m.points[y_idx]
+            cand = sample_tree.query_ball_point(y, rc * (1.0 + _QUERY_SLACK))
+            if cand and np.any(cone_mask(samples[cand], y, graph.normal, aperture,
+                                         outer_radius=rc)):
                 cone_violations.append((j, int(y_idx)))
 
     n = m.dim_param
@@ -389,7 +390,7 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         "off_graph_atoms": int(len(off)),
         "chosen_balls": k,
         "disjoint": disjoint,
-        "all_covered": bool(np.all(covered)),
+        "all_covered": bool(np.all(covered[off])),
         "sum_radii_n": sum_rn,
         "sum_ball_mass": sum_mass,
         "ratio": sum_rn / sum_mass if sum_mass > 0 else 0.0,

@@ -12,8 +12,9 @@ at alpha = 0.8 the 3-4-5 pairs are not in the cone.  Both lengths are square
 roots of sums of squares taken in coordinate order, c0*c0 + c1*c1 + ...;
 for d <= 7 this equals ``np.linalg.norm(..., axis=1)`` bit for bit, while for
 d >= 8 numpy's pairwise summation groups the terms differently, so a distance
-can differ from it in the last place.  ``cone_contains`` is the scalar test
-oracle.
+can differ from it in the last place.  A one-row input is padded to two rows,
+since a one-row product takes another BLAS path: a row's bit does not depend
+on the batch it came in.  ``cone_contains`` is the scalar test oracle.
 
 The relation is symmetric bit for bit: both lengths are even in y - x, and
 negating a difference is exact, so seen from y the pair gets the same mask bit
@@ -209,7 +210,9 @@ def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
         raise DimensionMismatch("points/vertex/plane dimensions differ")
     diff = pts - x[None, :]
     dist = _row_norms(diff)
-    par = (diff @ direction.basis.T) @ direction.basis
+    # one row is padded to two (see the module docstring)
+    operand = diff if len(diff) != 1 else np.vstack((diff, diff))
+    par = ((operand @ direction.basis.T) @ direction.basis)[:len(diff)]
     perp = _row_norms(diff - par)
     mask = (dist > inner_radius) & (dist < outer_radius) & (perp < aperture * dist)
     return mask, dist
@@ -223,12 +226,7 @@ def cone_pairs(points: np.ndarray, direction: Plane,
     tie rule's symmetry this is also the pair seen from its other end."""
     pts = np.asarray(points, dtype=float)
     for i in range(len(pts) - 1):
-        rest = pts[i + 1:]
-        k = len(rest)
-        # a one-row product would take another BLAS path than cone_dist's
-        mask, dist = cone_dist(rest if k > 1 else np.vstack((rest, rest)), pts[i],
-                               direction, aperture)
-        yield i, mask[:k], dist[:k]
+        yield i, *cone_dist(pts[i + 1:], pts[i], direction, aperture)
 
 
 def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,

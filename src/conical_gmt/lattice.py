@@ -19,9 +19,9 @@ and 5B-disjointness properties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (CubeNotFound, IntermediateDoubling, InvalidParams,
                      NotNested)
@@ -102,14 +102,13 @@ class Lattice:
         containments and the designated-ball nesting B_Q within B_parent are
         only reported, since the greedy assignment does not enforce them.
         """
-        pts = self.measure.points
+        nm = self.measure
         inner_ok = outer_ok = nest_ok = nest_total = 0
         for q in self.cubes:
-            d = np.linalg.norm(pts[q.members] - q.center[None, :], axis=1)
+            d = np.linalg.norm(nm.points[q.members] - q.center[None, :], axis=1)
             if d.max() <= 28.0 * q.radius:
                 outer_ok += 1
-            inside = np.linalg.norm(pts - q.center[None, :], axis=1) < q.radius
-            if np.all(np.isin(np.nonzero(inside)[0], q.members)):
+            if np.all(np.isin(nm.ball_indices(q.center, q.radius), q.members)):
                 inner_ok += 1
             if q.parent is not None:
                 p = self.cubes[q.parent]
@@ -168,7 +167,6 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
     scale = _DIAMETER_TARGET / diam if diam > 0 else 1.0
     nm = m.scaled(scale, offset)
     pts = nm.points
-    tree = cKDTree(pts)
 
     cubes: list[Cube] = []
     levels: list[list[int]] = []
@@ -182,8 +180,7 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
     for k in range(1, max_depth):
         prev_ids = levels[-1]
         sep = 10.0 * a0 ** (-k)
-        centers = _select_centers(pts, tree, sep,
-                                  [cubes[i].center_idx for i in prev_ids])
+        centers = _select_centers(nm, sep, [cubes[i].center_idx for i in prev_ids])
         center_set = np.zeros(nm.size, dtype=bool)
         center_set[centers] = True
         level_ids = []
@@ -210,30 +207,19 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
     return lat
 
 
-def _select_centers(pts: np.ndarray, tree: cKDTree, sep: float,
-                    priority: list[int]) -> list[int]:
+def _select_centers(nm: DiscreteMeasure, sep: float, priority: list[int]) -> list[int]:
     """Greedy maximal set of support points with pairwise distance >= sep.
 
     Priority indices are processed first (they are mutually separated by
-    construction), then all points in index order.
+    construction), then all points in index order; each chosen point blocks
+    its open ball of radius sep.
     """
-    n = len(pts)
-    blocked = np.zeros(n, dtype=bool)
+    blocked = np.zeros(nm.size, dtype=bool)
     chosen = []
-
-    def take(i: int):
-        chosen.append(i)
-        near = tree.query_ball_point(pts[i], sep * (1 + 1e-12))
-        for j in near:
-            if np.linalg.norm(pts[j] - pts[i]) < sep:
-                blocked[j] = True
-
-    for i in priority:
+    for i in chain(priority, range(nm.size)):
         if not blocked[i]:
-            take(i)
-    for i in range(n):
-        if not blocked[i]:
-            take(i)
+            chosen.append(i)
+            blocked[nm.ball_indices(nm.points[i], sep)] = True
     return chosen
 
 
@@ -293,14 +279,10 @@ def delta_mu(m: DiscreteMeasure, lattice: Lattice, q, s) -> float:
     if not lattice.is_descendant(q, s):
         raise NotNested(f"cube {q.id} is not contained in cube {s.id}")
     nm = lattice.measure
-    pts, w = nm.points, nm.weights
-    d_s = np.linalg.norm(pts - s.center[None, :], axis=1)
-    d_q = np.linalg.norm(pts - q.center[None, :], axis=1)
-    in_region = (d_s < 2 * s.ball_radius) & (d_q >= 2 * q.ball_radius)
-    if not np.any(in_region):
-        return 0.0
-    r = np.linalg.norm(pts[in_region] - q.center[None, :], axis=1)
-    return float(np.sum(w[in_region] * r ** (-nm.dim_param)))
+    idx = nm.ball_indices(s.center, 2 * s.ball_radius)
+    r = np.linalg.norm(nm.points[idx] - q.center[None, :], axis=1)
+    out = r >= 2 * q.ball_radius
+    return float(np.sum(nm.weights[idx[out]] * r[out] ** (-nm.dim_param)))
 
 
 def density_drop_check(m: DiscreteMeasure, lattice: Lattice, q, r) -> dict:

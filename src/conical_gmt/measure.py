@@ -5,6 +5,12 @@ measure: N atoms in R^d with positive weights and a density exponent n
 (0 < n < d) used by every Theta-type quantity.  Balls and cones are open,
 so boundary atoms never count; this keeps every query deterministic and
 lets the spatial index be checked bit-for-bit against brute force.
+
+``DiscreteMeasure.ball_indices`` is the package's one open-ball query over
+the atoms: a KD-tree prefilter with a slightly inflated radius, then the
+strict test |y - x| < r on ``np.linalg.norm(..., axis=1)``.  Masses,
+densities, the lattice's nets and containments, the corona's 2B_Q and the
+graph cover all ask it, so an atom on a sphere is outside everywhere alike.
 """
 
 from __future__ import annotations
@@ -79,16 +85,15 @@ class DiscreteMeasure:
         return float(d[:, 1].min())
 
     def ball_indices(self, x, r: float) -> np.ndarray:
-        """Sorted indices of atoms with |y - x| < r (strict)."""
+        """Sorted indices of atoms with |y - x| < r (strict); the one open-ball
+        query (see the module docstring)."""
         x = self._check_point(x)
         if not r > 0:
             raise InvalidRange("radius must be positive")
         if np.isinf(r):
             return np.arange(self.size)
-        cand = self._tree.query_ball_point(x, r * (1.0 + _QUERY_SLACK))
-        idx = np.array(sorted(cand), dtype=int)
-        if idx.size == 0:
-            return idx
+        idx = np.asarray(self._tree.query_ball_point(x, r * (1.0 + _QUERY_SLACK),
+                                                     return_sorted=True), dtype=int)
         d = np.linalg.norm(self.points[idx] - x[None, :], axis=1)
         return idx[d < r]
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,26 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
     assert nonzero > 0
     res = build_top(m, lat, params)
     assert res.ledger["total_energy"] == total_energy(nm, spec)
+
+
+def test_corona_queries_each_cube_ball_once(monkeypatch):
+    # the density and the energy of a cube share one query of its 2B_Q, and
+    # nothing else in build_top asks the open-ball query
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
+    calls = Counter()
+    query = DiscreteMeasure.ball_indices
+
+    def counted(self, x, r):
+        calls[tuple(np.asarray(x).tolist()), r] += 1
+        return query(self, x, r)
+
+    monkeypatch.setattr(DiscreteMeasure, "ball_indices", counted)
+    res = build_top(m, lat, default_params())
+    cubes = [lat.cubes[cid] for t in res.trees for cid in t.tree_ids]
+    assert len(res.trees) > 1
+    assert calls == Counter((tuple(q.center.tolist()), 2.0 * q.ball_radius) for q in cubes)
+    assert set(calls.values()) == {1}
 
 
 def test_verify_corona_line_passes():

@@ -14,7 +14,7 @@ from conical_gmt.diagnostics import (_shell_indices, beta2, beta_square_function
 from conical_gmt.errors import (EmptyBall, GraphAmbientMismatch, InvalidEta,
                                 UnsupportedDimension)
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import Plane, make_plane
+from conical_gmt.geometry import Plane, cone_mask, make_plane
 from conical_gmt.graphs import LipschitzGraph, fit_lipschitz_graph
 from conical_gmt.measure import DiscreteMeasure
 
@@ -383,9 +383,9 @@ def graph_cantor_mixture():
     return DiscreteMeasure(pts, w, 1), fit_lipschitz_graph(mg.points, V_AXIS, 0.8)
 
 
-def test_cover_greedy_equals_pairwise_loop():
-    # oracle: the greedy thinning with one scalar distance per chosen ball
-    m, graph = graph_cantor_mixture()
+def greedy_cover_oracle(m, graph):
+    """Off-graph atoms, their radii and the chosen balls' positions among
+    them, by the greedy thinning with one scalar distance per chosen ball."""
     gdist, _ = cKDTree(graph.ambient_anchors()).query(m.points, k=1)
     off = np.nonzero(gdist > 0)[0]
     radii = 0.01 * gdist[off]
@@ -394,10 +394,50 @@ def test_cover_greedy_equals_pairwise_loop():
         if all(np.linalg.norm(m.points[off[t]] - m.points[off[u]]) >= radii[t] + radii[u]
                for u in chosen):
             chosen.append(t)
+    return off, radii, chosen
+
+
+def test_cover_greedy_equals_pairwise_loop():
+    m, graph = graph_cantor_mixture()
+    _, radii, chosen = greedy_cover_oracle(m, graph)
     rep = necessary_bplg_cover(m, graph)
     assert rep["chosen_balls"] == len(chosen) > 1
     assert rep["sum_radii_n"] == float(np.sum(radii[chosen]))
     assert rep["disjoint"]
+
+
+def graph_hugging_cloud():
+    """A flat graph's samples plus 300 atoms at heights 1e-4 to 0.3 above it."""
+    g = flat_graph(200)
+    rng = np.random.default_rng(3)
+    z = rng.random(300)
+    h = 10.0 ** rng.uniform(-4.0, np.log10(0.3), 300)
+    pts = np.vstack([g.ambient_anchors(), np.stack([z, h], axis=1)])
+    return DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), 1), g
+
+
+@pytest.mark.parametrize("case, aperture", [
+    (graph_cantor_mixture, None), (graph_hugging_cloud, None), (graph_hugging_cloud, 0.9),
+], ids=["mixture", "hugging", "hugging-wide"])
+def test_cover_coverage_and_cone_voids_equal_unfiltered_loop(case, aperture):
+    # oracle: full-cloud 5r scans and a cone test over every graph sample for
+    # each (chosen ball, atom within 5r) pair.  Every atom within 5r of a
+    # centre is at least 95r from the samples, so no sample is within the
+    # cone's outer radius r and neither side can report a violation
+    m, graph = case()
+    off, radii, chosen = greedy_cover_oracle(m, graph)
+    rep = necessary_bplg_cover(m, graph, aperture)
+    samples, covered, voids = graph.ambient_anchors(), np.zeros(m.size, bool), []
+    for j, t in enumerate(chosen):
+        c, rc = m.points[off[t]], radii[t]
+        near = np.flatnonzero(np.linalg.norm(m.points - c[None, :], axis=1) < 5 * rc)
+        covered[near] = True
+        voids += [(j, int(y)) for y in near
+                  if np.any(cone_mask(samples, m.points[y], graph.normal, rep["aperture"],
+                                      outer_radius=rc))]
+    assert rep["chosen_balls"] == len(chosen) > 1
+    assert rep["all_covered"] == bool(np.all(covered[off]))
+    assert rep["cone_violations"] == voids == []
 
 
 def test_cover_ambient_mismatch():

@@ -287,6 +287,25 @@ def test_cone_pairs_one_partner_row_at_boundary_apertures():
                     assert mask.tolist() == [want]
 
 
+def test_cone_dist_one_row_matches_its_row_in_a_batch_at_boundary_apertures():
+    # a one-row product takes another BLAS path; padded inside cone_dist, a
+    # row tested alone keeps the bit it gets in a batch, even on the boundary
+    rng = np.random.default_rng(11)
+    for d in range(2, 6):
+        for k in range(1, d):
+            for seed in range(30):
+                v = sample_grassmannian(d, k, 1, seed=seed)[0]
+                x, pts = rng.standard_normal(d), rng.standard_normal((3, d))
+                diff = pts - x
+                perp = np.linalg.norm(diff - (diff @ v.basis.T) @ v.basis, axis=1)
+                edge = perp[0] / np.linalg.norm(diff[0])
+                for aperture in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                    batch_mask, batch_dist = cone_dist(pts, x, v, aperture)
+                    mask, dist = cone_dist(pts[:1], x, v, aperture)
+                    assert mask.tolist() == batch_mask[:1].tolist(), (d, k, seed)
+                    assert dist.tolist() == batch_dist[:1].tolist()
+
+
 def test_plane_serialization_roundtrip():
     p = make_plane([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     text = format_plane(p)

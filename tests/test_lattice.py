@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import greedy_centers_oracle, random_cloud
 
 from conical_gmt.errors import (IntermediateDoubling, InvalidParams, NotNested)
 from conical_gmt.generators import GeneratorSpec, generate
@@ -110,6 +110,45 @@ def test_ball_nesting_reported():
         if np.linalg.norm(q.center - p.center) + q.ball_radius <= p.ball_radius:
             ok += 1
     assert rep["ball_nesting_fraction"] == pytest.approx(ok / total)
+
+
+def test_containment_fractions_equal_brute_force():
+    # the Cantor grid and the segment satisfy both containments everywhere;
+    # atoms clustered at the origin of a line break them at some cubes
+    lattices = [build_lattice(m, 2.0, 8.0, natural_depth(m)) for m, _ in (
+        generate(GeneratorSpec("four_corner_cantor", {"generation": 4})),
+        generate(GeneratorSpec("segment", {"count": 300, "jitter": 0.5}, 7)))]
+    for seed in range(30):
+        z = np.random.default_rng(seed).random(30) ** 3
+        pts = np.stack([z, np.zeros(30)], axis=1)
+        lattices.append(build_lattice(DiscreteMeasure(pts, np.full(30, 1 / 30), 1),
+                                      2.0, 4.0, 5))
+    broken = set()
+    for lat in lattices:
+        pts = lat.measure.points
+        inner = outer = 0
+        for q in lat.cubes:
+            d = np.linalg.norm(pts - q.center[None, :], axis=1)
+            outer += d[q.members].max() <= 28.0 * q.radius
+            inner += set(np.flatnonzero(d < q.radius)) <= set(q.members.tolist())
+        rep = lat.containment_report()
+        assert rep["outer_containment_fraction"] == outer / len(lat.cubes)
+        assert rep["inner_containment_fraction"] == inner / len(lat.cubes)
+        broken |= {k for k in ("inner", "outer") if rep[f"{k}_containment_fraction"] < 1}
+    assert broken == {"inner", "outer"}
+
+
+@pytest.mark.parametrize("gen", [
+    GeneratorSpec("four_corner_cantor", {"generation": 4}),
+    GeneratorSpec("segment", {"count": 300, "jitter": 0.5}, 7),
+], ids=["cantor4", "segment300-jitter"])
+def test_lattice_centers_equal_greedy_oracle(gen):
+    m, _ = generate(gen)
+    lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
+    want = greedy_centers_oracle(lat.measure.points, lat.a0, lat.depth)
+    got = [sorted(lat.cubes[i].center_idx for i in ids) for ids in lat.levels]
+    assert got == want
+    assert len(got[-1]) > len(got[1])
 
 
 def test_doubling_flags_definition():
