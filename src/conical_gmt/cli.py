@@ -174,12 +174,12 @@ def _cmd_corona(args) -> int:
     depth = cfg.get("max_depth")
     lat = build_lattice(m, float(cfg.get("C0", 2.0)), a0,
                         natural_depth(m, a0) if depth is None else int(depth))
-    result = corona_mod.build_top(m, lat, params, c1_seed=int(cfg.get("seed", 0)))
-    verification = corona_mod.verify_corona(m, result, params)
+    result = corona_mod.build_top(lat, params, c1_seed=int(cfg.get("seed", 0)))
+    verification = corona_mod.verify_corona(result)
     rep = _report_base("corona", args, args.points)
     rep.update(corona_params=params.describe(),
                lattice={"C0": lat.c0, "A0": lat.a0, "depth": lat.depth,
-                        "cubes": len(lat.cubes), "scale": lat.scale,
+                        "cubes": len(lat.cubes),
                         "containment": lat.containment_report()},
                ledger=result.ledger, verification=verification)
     _write_json(rep, args.out)

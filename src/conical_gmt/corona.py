@@ -26,6 +26,14 @@ from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import growth_constant
 
+# a good atom counts as on its tree's graph within this vertical distance,
+# and an anchor as reproduced within _TOL_ANCHOR; both are counted in the
+# larger of the root radius and the largest coordinate, since a round trip
+# through an oblique plane's base and normal coordinates loses about
+# eps |x| (1 + L') to rounding
+_TOL_GRAPH = 1e-9
+_TOL_ANCHOR = 1e-12
+
 
 @dataclass(frozen=True)
 class CoronaParams:
@@ -113,19 +121,19 @@ class _Ctx:
         self.lattice = lattice
         self.spec = params.energy_spec()
         self._cube: dict[int, tuple[float, float]] = {}
-        nm, eta = lattice.measure, self.spec.inner_eta
+        m, eta = lattice.measure, self.spec.inner_eta
         radii = [lattice.cubes[ids[0]].radius for ids in lattice.levels]
         windows = [(eta * r, r / eta) for r in radii]
         windows.append((0.0, self.spec.outer_scale))
-        self._table = window_energies(nm, np.arange(nm.size), self.spec, windows)
+        self._table = window_energies(m, np.arange(m.size), self.spec, windows)
 
     def _theta_energy(self, q: Cube) -> tuple[float, float]:
         v = self._cube.get(q.id)
         if v is None:
-            nm = self.lattice.measure
+            m = self.lattice.measure
             idx, mass_q = cube_ball(self.lattice, q)
-            w = nm.weights[idx]
-            v = (float(np.sum(w)) / (2.0 * q.ball_radius) ** nm.dim_param,
+            w = m.weights[idx]
+            v = (float(np.sum(w)) / (2.0 * q.ball_radius) ** m.dim_param,
                  weighted_sum(w, self._table[idx, q.level]) / mass_q)
             self._cube[q.id] = v
         return v
@@ -137,10 +145,9 @@ class _Ctx:
         return self._theta_energy(q)[1]
 
 
-def stopping_decomposition(m, lattice: Lattice, root, params: CoronaParams,
+def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
                            _ctx: _Ctx | None = None) -> TreeResult:
     """Grow one stopping-time tree from a doubling root."""
-    lattice.check_measure(m)
     ctx = _ctx or _Ctx(lattice, params)
     root = lattice.resolve(root)
     if not root.doubling:
@@ -215,13 +222,12 @@ def stopping_decomposition(m, lattice: Lattice, root, params: CoronaParams,
     )
 
 
-def key_cone_exclusion(m, lattice: Lattice, q, p, params: CoronaParams) -> bool:
+def key_cone_exclusion(lattice: Lattice, q, p, params: CoronaParams) -> bool:
     """Atom-level test of the separation premise for cube pairs.
 
     True iff some atom of P lies in the half-aperture union cone of Q outside
     M B_Q, and additionally dist(Q, P) >= M r(P).
     """
-    lattice.check_measure(m)
     q, p = lattice.resolve(q), lattice.resolve(p)
     pts = lattice.measure.points
     mm = params.key_const
@@ -296,10 +302,9 @@ class CoronaResult:
     ledger: dict
 
 
-def build_top(m, lattice: Lattice, params: CoronaParams,
+def build_top(lattice: Lattice, params: CoronaParams,
               c1_seed: int = 0) -> CoronaResult:
     """Full recursion: trees, the top family, and the packing ledger."""
-    lattice.check_measure(m)
     ctx = _Ctx(lattice, params)
     root = lattice.root
     if not root.doubling:
@@ -316,7 +321,7 @@ def build_top(m, lattice: Lattice, params: CoronaParams,
             continue
         seen.add(rid)
         top_ids.append(rid)
-        tree = stopping_decomposition(m, lattice, rid, params, _ctx=ctx)
+        tree = stopping_decomposition(lattice, rid, params, _ctx=ctx)
         trees.append(tree)
         nxt: list[int] = []
         for sid in tree.stop_ids:
@@ -327,24 +332,23 @@ def build_top(m, lattice: Lattice, params: CoronaParams,
 
     tr_assignment = _assign_trees(lattice, set(top_ids))
 
-    nm = lattice.measure
-    w = nm.weights
+    m = lattice.measure
+    w = m.weights
     p = params.exponent
     packing = sum(t.root_theta ** p * float(np.sum(w[lattice.cubes[t.root_id].members]))
                   for t in trees)
-    c1 = growth_constant(nm, r0=1.0, sample_count=min(nm.size, 256), seed=c1_seed)
+    c1 = growth_constant(m, r0=root.radius, sample_count=min(m.size, 256), seed=c1_seed)
     e_total = weighted_sum(w, ctx._table[:, -1])
-    rhs = c1.value ** p * nm.total_mass + e_total
+    rhs = c1.value ** p * m.total_mass + e_total
     ledger = {
         "packing_sum": packing,
         "growth_constant": c1.value,
         "growth_degenerate": c1.degenerate,
-        "growth_term": c1.value ** p * nm.total_mass,
+        "growth_term": c1.value ** p * m.total_mass,
         "total_energy": e_total,
         "rhs": rhs,
         "ratio": packing / rhs if rhs > 0 else np.inf,
         "top_count": len(top_ids),
-        "normalization_scale": lattice.scale,
         "trees": [{
             "root": t.root_id,
             "level": lattice.cubes[t.root_id].level,
@@ -381,18 +385,17 @@ def _assign_trees(lattice: Lattice, top_set: set) -> dict:
     return assignment
 
 
-def verify_corona(m, result: CoronaResult, params: CoronaParams,
-                  tol_graph: float = 1e-9) -> dict:
-    """Recheck the structural conclusions on a finished decomposition.
+def verify_corona(result: CoronaResult) -> dict:
+    """Recheck the structural conclusions on a finished decomposition, with
+    the lattice and parameters it was built from.
 
-    Hard checks (collected, not raised): graph anchors reproduced exactly,
-    good atoms within tol_graph of the tree graph, stop-family disjointness,
-    lower density bound and energy control on non-stopped tree cubes, exact
-    tree partition of the lattice.  Soft quantities (density ratio maxima,
+    Hard checks (collected, not raised): graph anchors reproduced to rounding,
+    good atoms within _TOL_GRAPH of the tree graph, stop-family
+    disjointness, lower density bound and energy control on non-stopped tree
+    cubes, exact tree partition of the lattice.  Soft quantities (density ratio maxima,
     graph proximity fractions, LD mass fractions) are reported.
     """
-    lattice = result.lattice
-    lattice.check_measure(m)
+    lattice, params = result.lattice, result.params
     failures: list[str] = []
     tree_reports = []
     assignment = result.tr_assignment
@@ -405,6 +408,7 @@ def verify_corona(m, result: CoronaResult, params: CoronaParams,
         failures.append("tree assignment names a non-top root")
 
     pts = lattice.measure.points
+    unit = max(lattice.root.radius, float(np.max(np.abs(pts))))
     for tree in result.trees:
         root = lattice.cubes[tree.root_id]
         theta_r = tree.root_theta
@@ -453,11 +457,11 @@ def verify_corona(m, result: CoronaResult, params: CoronaParams,
                                           axis=0, return_inverse=True)
             dev_all = tree.graph.vertical_distance(distinct)[inverse.reshape(-1)]
             dev, gdev = dev_all[:len(anchors)], dev_all[len(anchors):]
-            if np.any(dev > 1e-12):
+            if np.any(dev > _TOL_ANCHOR * unit):
                 failures.append(f"tree {tree.root_id}: anchors deviate from the graph")
             if len(tree.good_indices):
                 report["good_max_deviation"] = float(np.max(gdev))
-                if np.any(gdev > tol_graph):
+                if np.any(gdev > _TOL_GRAPH * unit):
                     failures.append(f"tree {tree.root_id}: good atoms off the graph")
             else:
                 report["good_max_deviation"] = 0.0

@@ -275,23 +275,20 @@ def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
 
 
 def cube_ball(lattice, cube) -> tuple[np.ndarray, float]:
-    """Indices of the normalized cloud's atoms in 2B_Q, and mu(Q) > 0."""
-    nm = lattice.measure
-    mass_q = float(np.sum(nm.weights[cube.members]))
+    """Indices of the atoms in 2B_Q, and mu(Q) > 0.  The lattice runs on the
+    input cloud, so the ball's radius is in input units."""
+    m = lattice.measure
+    mass_q = float(np.sum(m.weights[cube.members]))
     if mass_q <= 0:
         raise EmptyCube(f"cube {cube.id} carries no mass")
-    return nm.ball_indices(cube.center, 2.0 * cube.ball_radius), mass_q
+    return m.ball_indices(cube.center, 2.0 * cube.ball_radius), mass_q
 
 
-def cube_energy(m: DiscreteMeasure, lattice, cube, spec: EnergySpec) -> float:
+def cube_energy(lattice, cube, spec: EnergySpec) -> float:
     """Window energy of a lattice cube, averaged by the cube's own mass:
 
         (1 / mu(Q)) sum_{x in 2B_Q} w(x) int_{eta r(Q)}^{r(Q)/eta} (...)
-
-    Evaluated on the lattice's normalized cloud; ``m`` must be the lattice's
-    source cloud or one of the same size and dimension.
     """
-    lattice.check_measure(m)
     cube = lattice.resolve(cube)
     idx, mass_q = cube_ball(lattice, cube)
     eta = spec.inner_eta

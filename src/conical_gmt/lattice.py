@@ -1,19 +1,22 @@
 """Hierarchical net-based partition of a point cloud into "cubes".
 
+The lattice runs on the input cloud itself, with radii in input units.  The
+root radius r0 = diam / (1 - 1e-9) is just above the diameter, so the level-0
+ball covers everything from any support point, and level k has radius
+r_k = r0 A0^-k.  No coordinate is transformed, so every distance and cone
+test over the lattice is the same arithmetic as on the input.
+
 Per level k the construction greedily selects centers among support points
-so that chosen centers are at least 10 * A0^-k apart (making the balls
-5 B(Q) = B(x_Q, 5 A0^-k) pairwise disjoint), then assigns every atom to the
+so that chosen centers are at least 10 r_k apart (making the balls
+5 B(Q) = B(x_Q, 5 r_k) pairwise disjoint), then assigns every atom to the
 nearest selected center inside its parent cube.  Centers of parent cubes are
 re-selected first, so each parent always owns at least one center and member
 nesting is exact by construction.
 
-The cloud is normalized to diameter just below 1 before building, so the
-level-0 ball of radius 1 covers everything from any support point; the scale
-factor is kept on the lattice.  The inner/outer ball containments
-(E cap B(Q) subset Q subset 28 B(Q)) are *checked and reported*, not
-enforced: the greedy assignment can violate them on adversarial clouds, and
-downstream consumers only rely on the verified partition, nesting, radius,
-and 5B-disjointness properties.
+The inner/outer ball containments (E cap B(Q) subset Q subset 28 B(Q)) are
+*checked and reported*, not enforced: the greedy assignment can violate them
+on adversarial clouds, and downstream consumers only rely on the verified
+partition, nesting, radius, and 5B-disjointness properties.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from .errors import (CubeNotFound, IntermediateDoubling, InvalidParams,
                      NotNested)
 from .measure import DiscreteMeasure, ball_mass
 
-_DIAMETER_TARGET = 1.0 - 1e-9
+# the root radius is the diameter divided by this, only so that the open root
+# ball about any atom strictly contains the whole cloud
+_ROOT_SLACK = 1.0 - 1e-9
 
 
 @dataclass
@@ -53,17 +58,13 @@ class Cube:
 
 
 class Lattice:
-    def __init__(self, source: DiscreteMeasure, measure: DiscreteMeasure,
-                 cubes: list[Cube], levels: list[list[int]],
-                 c0: float, a0: float, scale: float, offset: np.ndarray):
-        self.source = source            # the cloud the user handed in
-        self.measure = measure          # normalized cloud used for geometry
+    def __init__(self, measure: DiscreteMeasure, cubes: list[Cube],
+                 levels: list[list[int]], c0: float, a0: float):
+        self.measure = measure
         self.cubes = cubes
         self.levels = levels
         self.c0 = c0
         self.a0 = a0
-        self.scale = scale
-        self.offset = offset
 
     @property
     def root(self) -> Cube:
@@ -90,11 +91,6 @@ class Lattice:
             q = self.cubes[q.parent] if q.parent is not None else None
         return False
 
-    def check_measure(self, m: DiscreteMeasure) -> None:
-        if m is not self.source and m is not self.measure:
-            if m.size != self.source.size or m.ambient_dim != self.source.ambient_dim:
-                raise InvalidParams("measure does not match the lattice's source cloud")
-
     def containment_report(self) -> dict:
         """Fractions of cubes satisfying the ball containments.
 
@@ -102,13 +98,13 @@ class Lattice:
         containments and the designated-ball nesting B_Q within B_parent are
         only reported, since the greedy assignment does not enforce them.
         """
-        nm = self.measure
+        m = self.measure
         inner_ok = outer_ok = nest_ok = nest_total = 0
         for q in self.cubes:
-            d = np.linalg.norm(nm.points[q.members] - q.center[None, :], axis=1)
+            d = np.linalg.norm(m.points[q.members] - q.center[None, :], axis=1)
             if d.max() <= 28.0 * q.radius:
                 outer_ok += 1
-            if np.all(np.isin(nm.ball_indices(q.center, q.radius), q.members)):
+            if np.all(np.isin(m.ball_indices(q.center, q.radius), q.members)):
                 inner_ok += 1
             if q.parent is not None:
                 p = self.cubes[q.parent]
@@ -137,7 +133,7 @@ class Lattice:
 def natural_depth(m: DiscreteMeasure, a0: float = 8.0, cap: int = 12) -> int:
     """Depth at which the net resolves the cloud's atomic scale.
 
-    Deep enough for the greedy separation threshold 10 A0^-k to drop below
+    Deep enough for the greedy separation threshold 10 r0 A0^-k to drop below
     the smallest interpoint distance (atoms become singletons), but not so
     deep that the designated balls 2B_Q stop seeing neighbouring atoms;
     past that point singleton-chain densities diverge like A0^k and carry
@@ -163,28 +159,25 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
         raise InvalidParams("max_depth must be >= 1")
 
     diam = m.diameter()
-    offset = m.points[0].copy()
-    scale = _DIAMETER_TARGET / diam if diam > 0 else 1.0
-    nm = m.scaled(scale, offset)
-    pts = nm.points
+    r0 = diam / _ROOT_SLACK if diam > 0 else 1.0
+    pts = m.points
 
     cubes: list[Cube] = []
     levels: list[list[int]] = []
 
-    root = Cube(id=0, level=0, center_idx=0, radius=1.0,
-                members=np.arange(nm.size), parent=None,
+    root = Cube(id=0, level=0, center_idx=0, radius=r0,
+                members=np.arange(m.size), parent=None,
                 center=pts[0].copy())
     cubes.append(root)
     levels.append([0])
 
     for k in range(1, max_depth):
         prev_ids = levels[-1]
-        sep = 10.0 * a0 ** (-k)
-        centers = _select_centers(nm, sep, [cubes[i].center_idx for i in prev_ids])
-        center_set = np.zeros(nm.size, dtype=bool)
+        val = r0 * a0 ** (-k)
+        centers = _select_centers(m, 10.0 * val, [cubes[i].center_idx for i in prev_ids])
+        center_set = np.zeros(m.size, dtype=bool)
         center_set[centers] = True
         level_ids = []
-        val = a0 ** (-k)
         for pid in prev_ids:
             parent = cubes[pid]
             local_centers = parent.members[center_set[parent.members]]
@@ -202,37 +195,35 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
                 level_ids.append(q.id)
         levels.append(level_ids)
 
-    lat = Lattice(m, nm, cubes, levels, c0, a0, scale, offset)
+    lat = Lattice(m, cubes, levels, c0, a0)
     doubling_flags(lat)
     return lat
 
 
-def _select_centers(nm: DiscreteMeasure, sep: float, priority: list[int]) -> list[int]:
+def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list[int]:
     """Greedy maximal set of support points with pairwise distance >= sep.
 
     Priority indices are processed first (they are mutually separated by
     construction), then all points in index order; each chosen point blocks
     its open ball of radius sep.
     """
-    blocked = np.zeros(nm.size, dtype=bool)
+    blocked = np.zeros(m.size, dtype=bool)
     chosen = []
-    for i in chain(priority, range(nm.size)):
+    for i in chain(priority, range(m.size)):
         if not blocked[i]:
             chosen.append(i)
-            blocked[nm.ball_indices(nm.points[i], sep)] = True
+            blocked[m.ball_indices(m.points[i], sep)] = True
     return chosen
 
 
-def doubling_flags(lattice: Lattice, m: DiscreteMeasure | None = None) -> Lattice:
+def doubling_flags(lattice: Lattice) -> Lattice:
     """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict."""
-    if m is not None:
-        lattice.check_measure(m)
-    nm = lattice.measure
+    m = lattice.measure
     for q in lattice.cubes:
-        small = ball_mass(nm, q.center, q.radius)
-        big = ball_mass(nm, q.center, 100.0 * q.radius)
+        small = ball_mass(m, q.center, q.radius)
+        big = ball_mass(m, q.center, 100.0 * q.radius)
         q.doubling = big <= lattice.c0 * small
-        q.mass = float(np.sum(nm.weights[q.members]))
+        q.mass = float(np.sum(m.weights[q.members]))
     return lattice
 
 
@@ -272,23 +263,21 @@ def maximal_doubling(lattice: Lattice, cube) -> MaximalDoubling:
     return MaximalDoubling(found, uncovered, frac)
 
 
-def delta_mu(m: DiscreteMeasure, lattice: Lattice, q, s) -> float:
+def delta_mu(lattice: Lattice, q, s) -> float:
     """Sum over atoms in 2B_S setminus 2B_Q of w / |y - x_Q|^n."""
-    lattice.check_measure(m)
     q, s = lattice.resolve(q), lattice.resolve(s)
     if not lattice.is_descendant(q, s):
         raise NotNested(f"cube {q.id} is not contained in cube {s.id}")
-    nm = lattice.measure
-    idx = nm.ball_indices(s.center, 2 * s.ball_radius)
-    r = np.linalg.norm(nm.points[idx] - q.center[None, :], axis=1)
+    m = lattice.measure
+    idx = m.ball_indices(s.center, 2 * s.ball_radius)
+    r = np.linalg.norm(m.points[idx] - q.center[None, :], axis=1)
     out = r >= 2 * q.ball_radius
-    return float(np.sum(nm.weights[idx[out]] * r[out] ** (-nm.dim_param)))
+    return float(np.sum(m.weights[idx[out]] * r[out] ** (-m.dim_param)))
 
 
-def density_drop_check(m: DiscreteMeasure, lattice: Lattice, q, r) -> dict:
+def density_drop_check(lattice: Lattice, q, r) -> dict:
     """Compare Theta(100 B(Q)) with the geometric density-drop bound along a
     chain of non-doubling intermediates between Q and R."""
-    lattice.check_measure(m)
     q, r = lattice.resolve(q), lattice.resolve(r)
     if q.id == r.id or not lattice.is_descendant(q, r):
         raise NotNested(f"cube {q.id} is not a proper descendant of {r.id}")
@@ -300,13 +289,13 @@ def density_drop_check(m: DiscreteMeasure, lattice: Lattice, q, r) -> dict:
     for s in chain:
         if s.doubling:
             raise IntermediateDoubling(f"intermediate cube {s.id} is doubling")
-    nm = lattice.measure
-    n = nm.dim_param
-    d = nm.ambient_dim
+    m = lattice.measure
+    n = m.dim_param
+    d = m.ambient_dim
 
     def theta100(c: Cube) -> float:
         rad = 100.0 * c.radius
-        return ball_mass(nm, c.center, rad) / rad ** n
+        return ball_mass(m, c.center, rad) / rad ** n
 
     lhs = theta100(q)
     rhs_theta = theta100(r)

@@ -107,11 +107,6 @@ class DiscreteMeasure:
         x = self._check_point(x)
         return np.linalg.norm(self.points - x[None, :], axis=1)
 
-    def scaled(self, scale: float, offset=None) -> "DiscreteMeasure":
-        """New measure with points mapped to (p - offset) * scale, same weights."""
-        off = np.zeros(self.ambient_dim) if offset is None else np.asarray(offset, float)
-        return DiscreteMeasure((self.points - off[None, :]) * scale, self.weights, self.dim_param)
-
 
 def ball_mass(m: DiscreteMeasure, x, r: float) -> float:
     """Mass of the open ball B(x, r)."""

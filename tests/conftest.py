@@ -39,15 +39,15 @@ def brute_cone_mass(m: DiscreteMeasure, x, basis: np.ndarray, alpha: float,
     return float(np.sum(m.weights[mask]))
 
 
-def greedy_centers_oracle(points: np.ndarray, a0: float, depth: int) -> list:
+def greedy_centers_oracle(points: np.ndarray, r0: float, a0: float, depth: int) -> list:
     """Oracle: each level's net centres (sorted) by the greedy rule with a
-    full-cloud distance per chosen centre.  Level k keeps level k - 1's
-    centres (they are 10 a0^-(k-1) > 10 a0^-k apart, so all survive) and
-    then takes every atom in index order unless an open ball of radius
-    10 a0^-k around a taken centre holds it."""
+    full-cloud distance per chosen centre, for root radius r0.  Level k keeps
+    level k - 1's centres (they are 10 r0 a0^-(k-1) > 10 r0 a0^-k apart, so
+    all survive) and then takes every atom in index order unless an open ball
+    of radius 10 r0 a0^-k around a taken centre holds it."""
     levels = [[0]]
     for k in range(1, depth):
-        sep = 10.0 * a0 ** (-k)
+        sep = 10.0 * (r0 * a0 ** (-k))
         blocked = np.zeros(len(points), dtype=bool)
         chosen = []
         for i in levels[-1] + list(range(len(points))):

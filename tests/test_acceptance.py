@@ -170,7 +170,7 @@ def test_criterion_5_corona_structural_suite():
     for name, m in inputs.items():
         lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
         assert _lattice_invariants_exact(lat), f"{name}: lattice invariants"
-        res = build_top(m, lat, params)
+        res = build_top(lat, params)
         # (b) exact tree partition
         assert set(res.tr_assignment.keys()) == {q.id for q in lat.cubes}
         top_set = set(res.top_ids)
@@ -180,7 +180,7 @@ def test_criterion_5_corona_structural_suite():
                 cur = lat.cubes[cur.parent]
             assert res.tr_assignment[q.id] == cur.id, f"{name}: partition"
         # (c) + (d) via the verification report's hard checks
-        ver = verify_corona(m, res, params, tol_graph=1e-9)
+        ver = verify_corona(res)
         assert ver["passed"], (name, ver["failures"])
         ratio = res.ledger["ratio"]
         assert np.isfinite(ratio), name

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conical_gmt import diagnostics
-from conical_gmt.cli import run
+from conical_gmt.cli import _parse_balls, run
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.measure import load_csv, save_csv
+from conical_gmt.measure import DiscreteMeasure, load_csv, save_csv
 
 
 def test_gen_cantor_row_count(tmp_path):
@@ -199,7 +199,6 @@ def test_bplg_subcommands(tmp_path):
     pts_file = tmp_path / "mix.csv"
     from conical_gmt.graphs import fit_lipschitz_graph
     from conical_gmt.geometry import make_plane
-    from conical_gmt.measure import DiscreteMeasure
     graph = fit_lipschitz_graph(mg.points, make_plane([[0.0, 1.0]]), 0.8)
     pts = np.vstack([mg.points, [[0.5, 0.4]]])
     w = np.full(len(pts), 1.0 / len(pts))
@@ -276,3 +275,15 @@ def test_scan_bpbe_subcommand(tmp_path):
     data = json.loads(rep.read_text())
     assert data["all_pass"]
     assert data["balls"][0]["pinned"]
+
+
+def test_lattice_balls_sit_on_the_input_cloud():
+    # the lattice runs on the input cloud, so `--balls lattice` centres are
+    # input atoms also for a cloud far from the origin and of diameter 10
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 3}))
+    cloud = DiscreteMeasure(10.0 * m.points + 100.0, m.weights, 1)
+    balls, _ = _parse_balls("lattice", cloud, 2.0, 8.0, 5)
+    assert len(balls) > 1
+    for center, radius in balls:
+        assert np.any(np.all(cloud.points == center, axis=1))
+        assert radius > 2 * 28 * cloud.diameter() * 8.0 ** -4

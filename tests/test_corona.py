@@ -8,7 +8,7 @@ from conftest import SWEEP_CASES, _cone_energy, separation_oracle
 from conical_gmt.corona import (CoronaParams, _Ctx, build_top,
                                 key_cone_exclusion, separated_families,
                                 stopping_decomposition, verify_corona)
-from conical_gmt.energy import total_energy
+from conical_gmt.energy import pointwise_energies, total_energy, weighted_sum
 from conical_gmt.errors import ConeViolation, InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
@@ -50,7 +50,7 @@ def test_params_validation():
 def test_line_no_stopping_and_conditions_oracle():
     m, lat = line_setup()
     params = default_params()
-    tree = stopping_decomposition(m, lat, lat.root, params)
+    tree = stopping_decomposition(lat, lat.root, params)
     assert not tree.stop_ids
     assert sorted(tree.tree_ids) == sorted(q.id for q in lat.cubes)
     assert len(tree.good_indices) == m.size
@@ -76,7 +76,7 @@ def test_heavy_atom_trips_hd():
     m = DiscreteMeasure(pts, w, 1)
     lat = build_lattice(m, 2.0, 8.0, 4)
     params = default_params()
-    tree = stopping_decomposition(m, lat, lat.root, params)
+    tree = stopping_decomposition(lat, lat.root, params)
     heavy = count
     hd_cubes = [lat.cubes[i] for i in tree.stop_hd]
     assert any(heavy in q.members and q.is_singleton() for q in hd_cubes)
@@ -90,7 +90,7 @@ def test_zero_threshold_stops_root():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 3}))
     lat = build_lattice(m, 2.0, 8.0, 4)
     params = default_params(energy_stop=0.0)
-    tree = stopping_decomposition(m, lat, lat.root, params)
+    tree = stopping_decomposition(lat, lat.root, params)
     assert tree.stop_bce == [lat.root.id]
     assert tree.tree_ids == [lat.root.id]
     assert len(tree.good_indices) == 0
@@ -105,7 +105,7 @@ def test_not_doubling_root_rejected():
     bad = [q for q in lat.cubes if not q.doubling]
     assert bad
     with pytest.raises(NotDoublingRoot):
-        stopping_decomposition(m, lat, bad[0], default_params())
+        stopping_decomposition(lat, bad[0], default_params())
 
 
 def brute_key_exclusion(lat, q, p, params):
@@ -136,7 +136,7 @@ def test_key_exclusion_near_cube_false():
     root = lat.root
     child = lat.cubes[root.children[0]]
     # every atom of the child sits inside M B_root
-    assert not key_cone_exclusion(m, lat, root, child, params)
+    assert not key_cone_exclusion(lat, root, child, params)
 
 
 def test_key_exclusion_axis_construction_true():
@@ -149,7 +149,7 @@ def test_key_exclusion_axis_construction_true():
     p = next(c for c in lat.cubes if c.level == deep and 2 in c.members)
     # atom 2 sits on the vertical axis of atom 0 at distance ~0.9, far beyond
     # M r(B_Q), and both cubes are deep singletons
-    assert key_cone_exclusion(m, lat, q, p, params)
+    assert key_cone_exclusion(lat, q, p, params)
     assert brute_key_exclusion(lat, q, p, params)
 
 
@@ -161,7 +161,7 @@ def test_key_exclusion_matches_brute_force():
     ids = rng.choice(len(lat.cubes), size=(25, 2))
     for qa, qb in ids:
         q, p = lat.cubes[qa], lat.cubes[qb]
-        assert key_cone_exclusion(m, lat, q, p, params) == brute_key_exclusion(lat, q, p, params)
+        assert key_cone_exclusion(lat, q, p, params) == brute_key_exclusion(lat, q, p, params)
 
 
 def test_separated_families_single_neighbour_cluster():
@@ -274,7 +274,7 @@ def test_graph_evaluate_blocks_match_unblocked():
 def test_build_top_single_atom():
     m = DiscreteMeasure(np.array([[0.2, 0.7]]), np.array([1.0]), 1)
     lat = build_lattice(m, 2.0, 8.0, 3)
-    res = build_top(m, lat, default_params())
+    res = build_top(lat, default_params())
     assert res.top_ids == [lat.root.id]
     assert np.isfinite(res.ledger["packing_sum"])
     assert res.ledger["ratio"] >= 0
@@ -286,7 +286,7 @@ def test_build_top_line_ratio_stable_across_sizes():
     for count in (200, 800, 3200):
         m, _ = generate(GeneratorSpec("segment", {"count": count}))
         lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
-        res = build_top(m, lat, default_params())
+        res = build_top(lat, default_params())
         assert res.ledger["total_energy"] == 0.0
         ratios.append(res.ledger["ratio"])
     assert max(ratios) <= 2.0 * min(ratios)
@@ -301,7 +301,7 @@ def test_build_top_cantor_packing_tracks_energy():
     for g in (3, 4, 5):
         m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": g}))
         lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
-        res = build_top(m, lat, params)
+        res = build_top(lat, params)
         packs.append(res.ledger["packing_sum"])
         energies.append(res.ledger["total_energy"])
     assert packs[0] < packs[1] < packs[2]
@@ -313,8 +313,8 @@ def test_build_top_cantor_packing_tracks_energy():
 def test_build_top_determinism():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
-    r1 = build_top(m, lat, default_params())
-    r2 = build_top(m, lat, default_params())
+    r1 = build_top(lat, default_params())
+    r2 = build_top(lat, default_params())
     assert r1.top_ids == r2.top_ids
     assert r1.ledger["packing_sum"] == r2.ledger["packing_sum"]
     assert [t.stop_ids for t in r1.trees] == [t.stop_ids for t in r2.trees]
@@ -323,7 +323,7 @@ def test_build_top_determinism():
 def test_tree_partition_exact():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
-    res = build_top(m, lat, default_params())
+    res = build_top(lat, default_params())
     assignment = res.tr_assignment
     assert set(assignment.keys()) == {q.id for q in lat.cubes}
     # each cube's assigned root is its smallest enclosing top cube
@@ -339,9 +339,9 @@ def test_stop_maximality_and_relabel_idempotence():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
     params = default_params()
-    res = build_top(m, lat, params)
+    res = build_top(lat, params)
     for tree in res.trees:
-        again = stopping_decomposition(m, lat, tree.root_id, params)
+        again = stopping_decomposition(lat, tree.root_id, params)
         assert again.stop_bce == tree.stop_bce
         assert again.stop_hd == tree.stop_hd
         assert again.stop_ld == tree.stop_ld
@@ -357,7 +357,7 @@ def test_energy_control_recheck():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
     params = default_params()
-    res = build_top(m, lat, params)
+    res = build_top(lat, params)
     from conical_gmt.energy import cube_energy
     spec = params.energy_spec()
     for tree in res.trees[:10]:
@@ -370,7 +370,7 @@ def test_energy_control_recheck():
             # independent chain recomputation
             total, cur = 0.0, lat.cubes[cid]
             while True:
-                total += cube_energy(m, lat, cur, spec)
+                total += cube_energy(lat, cur, spec)
                 if cur.id == tree.root_id:
                     break
                 cur = lat.cubes[cur.parent]
@@ -403,7 +403,7 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
         assert ctx.cube_energy(q) == want
         nonzero += want > 0
     assert nonzero > 0
-    res = build_top(m, lat, params)
+    res = build_top(lat, params)
     assert res.ledger["total_energy"] == total_energy(nm, spec)
 
 
@@ -420,7 +420,7 @@ def test_corona_queries_each_cube_ball_once(monkeypatch):
         return query(self, x, r)
 
     monkeypatch.setattr(DiscreteMeasure, "ball_indices", counted)
-    res = build_top(m, lat, default_params())
+    res = build_top(lat, default_params())
     cubes = [lat.cubes[cid] for t in res.trees for cid in t.tree_ids]
     assert len(res.trees) > 1
     assert calls == Counter((tuple(q.center.tolist()), 2.0 * q.ball_radius) for q in cubes)
@@ -430,8 +430,8 @@ def test_corona_queries_each_cube_ball_once(monkeypatch):
 def test_verify_corona_line_passes():
     m, lat = line_setup(300)
     params = default_params()
-    res = build_top(m, lat, params)
-    rep = verify_corona(m, res, params)
+    res = build_top(lat, params)
+    rep = verify_corona(res)
     assert rep["passed"], rep["failures"]
     # the reported max density ratio equals a direct recomputation
     tree = res.trees[0]
@@ -447,15 +447,15 @@ def test_verify_corona_cantor_and_graph_pass():
                  GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 0.5})):
         m, _ = generate(spec)
         lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
-        res = build_top(m, lat, params)
-        rep = verify_corona(m, res, params)
+        res = build_top(lat, params)
+        rep = verify_corona(res)
         assert rep["passed"], rep["failures"]
 
 
 def test_anchor_reproduction_is_definitional():
     m, lat = line_setup(150)
     params = default_params()
-    res = build_top(m, lat, params)
+    res = build_top(lat, params)
     for tree in res.trees:
         if tree.graph is None:
             continue
@@ -467,7 +467,77 @@ def test_ld_mass_fraction_reported():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
     params = default_params()
-    res = build_top(m, lat, params)
+    res = build_top(lat, params)
     for row in res.ledger["trees"]:
         assert 0.0 <= row["ld_mass_fraction"] <= 1.0
         assert row["ld_mass_bound_sqrt_tau"] == pytest.approx(0.1)
+
+
+def _cantor(gen, order_seed=None):
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": gen}))
+    if order_seed is None:
+        return m
+    order = np.random.default_rng(order_seed).permutation(m.size)
+    return DiscreteMeasure(m.points[order], m.weights[order], m.dim_param)
+
+
+def _tree_shapes(res):
+    return res.top_ids, [(t.tree_ids, t.stop_bce, t.stop_hd, t.stop_ld, t.sep_ids,
+                          t.sep_star_ids, t.good_indices.tolist()) for t in res.trees]
+
+
+@pytest.mark.parametrize("order_seed", [None, 29], ids=["generator-order", "permuted"])
+def test_corona_total_energy_equals_energy_pipeline(order_seed):
+    # the lattice runs on the input cloud, so the ledger's whole-space energy
+    # is the input's, exact cone-boundary ties included, in any atom order
+    m = _cantor(5, order_seed)
+    params = default_params()
+    res = build_top(build_lattice(m, 2.0, 8.0, natural_depth(m)), params)
+    want = weighted_sum(m.weights, pointwise_energies(m, params.energy_spec())[0])
+    assert res.ledger["total_energy"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("gen", [4, 5])
+def test_corona_dilation_and_translation_metamorphic(gen):
+    # on the dyadic grid every difference of coordinates is exact under a
+    # dilation by 2 and a translation by 2^20 or 1e6; with n = p = 1 the
+    # energies and densities halve under the dilation and nothing moves
+    # under the translations
+    m = _cantor(gen)
+    params = default_params()
+
+    def corona(points):
+        cloud = DiscreteMeasure(points, m.weights, m.dim_param)
+        return build_top(build_lattice(cloud, 2.0, 8.0, natural_depth(cloud) + 1), params)
+
+    base = corona(m.points)
+    assert len(base.trees) > 1
+    dilated = corona(2.0 * m.points)
+    assert _tree_shapes(dilated) == _tree_shapes(base)
+    for key in ("total_energy", "packing_sum"):
+        assert dilated.ledger[key] == 0.5 * base.ledger[key]
+    assert dilated.ledger["ratio"] == base.ledger["ratio"]
+    for offset in (2.0 ** 20, 1e6):
+        moved = corona(m.points + offset)
+        assert _tree_shapes(moved) == _tree_shapes(base)
+        assert moved.ledger == base.ledger
+
+
+@pytest.mark.parametrize("move", ["dilated", "translated"])
+def test_verify_corona_oblique_plane_far_from_unit_scale(move):
+    # an oblique plane makes the graph's round trip through base and normal
+    # coordinates inexact by about eps |x|; the checks must pass however
+    # large the coordinates are, from a large diameter or from an offset
+    m, _ = generate(GeneratorSpec("segment", {"count": 300}))
+    pts = m.points[:, :1] * np.array([0.8, -0.6]) + m.points[:, 1:] * np.array([0.6, 0.8])
+    pts = 1e6 * pts if move == "dilated" else pts + 1e6
+    cloud = DiscreteMeasure(pts, m.weights, m.dim_param)
+    params = CoronaParams(plane=make_plane([[0.6, 0.8]]), aperture=0.8)
+    res = build_top(build_lattice(cloud, 2.0, 8.0, natural_depth(cloud)), params)
+    rep = verify_corona(res)
+    assert rep["passed"], rep["failures"]
+    graphs = [t.graph for t in res.trees if t.graph is not None]
+    assert graphs
+    size = float(np.max(np.abs(pts)))
+    for g in graphs:
+        assert float(np.max(g.vertical_distance(g.ambient_anchors()))) <= 1e-12 * size

@@ -76,7 +76,7 @@ def test_5b_disjointness_exhaustive():
 def test_radius_bounds_exact():
     m, lat = cantor_lattice()
     for q in lat.cubes:
-        lo = lat.a0 ** (-q.level)
+        lo = lat.root.radius * lat.a0 ** (-q.level)
         assert lo <= q.radius <= lat.c0 * lo
 
 
@@ -145,7 +145,7 @@ def test_containment_fractions_equal_brute_force():
 def test_lattice_centers_equal_greedy_oracle(gen):
     m, _ = generate(gen)
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
-    want = greedy_centers_oracle(lat.measure.points, lat.a0, lat.depth)
+    want = greedy_centers_oracle(lat.measure.points, lat.root.radius, lat.a0, lat.depth)
     got = [sorted(lat.cubes[i].center_idx for i in ids) for ids in lat.levels]
     assert got == want
     assert len(got[-1]) > len(got[1])
@@ -174,7 +174,7 @@ def test_isolated_singleton_doubling():
     m = DiscreteMeasure(pts, np.full(65, 1 / 65), 1)
     lat = build_lattice(m, 2.0, 8.0, 6)
     # the far atom ends up alone in its cube from some level on, and its
-    # 100-fold ball still sees nothing else after normalization
+    # 100-fold ball still sees nothing else
     deep = [q for q in lat.cubes if q.level == lat.depth - 1 and 64 in q.members]
     assert len(deep) == 1
     assert deep[0].is_singleton()
@@ -236,7 +236,7 @@ def test_maximal_doubling_brute_force():
 def test_delta_mu_cases():
     m, lat = cantor_lattice(gen=3, c0=2.0, a0=8.0, depth=4)
     root = lat.root
-    assert delta_mu(m, lat, root, root) == 0.0
+    assert delta_mu(lat, root, root) == 0.0
     # brute-force oracle on nested pairs
     nm = lat.measure
     checked = 0
@@ -244,7 +244,7 @@ def test_delta_mu_cases():
         if q.parent is None or checked > 10:
             continue
         s = lat.cubes[q.parent]
-        got = delta_mu(m, lat, q, s)
+        got = delta_mu(lat, q, s)
         want_mask = np.zeros(nm.size, dtype=bool)
         for i, y in enumerate(nm.points):
             in_s = np.linalg.norm(y - s.center) < 2 * s.ball_radius
@@ -265,7 +265,7 @@ def test_delta_mu_single_annulus_atom():
     # the annulus iff the radii say so -- verified directly by the formula
     q = next(c for c in lat.cubes if c.level == 2 and 0 in c.members)
     s = lat.cubes[q.parent]
-    val = delta_mu(m, lat, q, s)
+    val = delta_mu(lat, q, s)
     y = lat.measure.points[1]
     rho = np.linalg.norm(y - q.center)
     in_s = rho < 2 * s.ball_radius or np.linalg.norm(y - s.center) < 2 * s.ball_radius
@@ -278,14 +278,14 @@ def test_delta_mu_not_nested():
     _, lat = cantor_lattice(gen=2, c0=2.0, a0=8.0, depth=4)
     leaves = [q for q in lat.cubes if q.level == 3]
     with pytest.raises(NotNested):
-        delta_mu(lat.source, lat, leaves[0], leaves[1])
+        delta_mu(lat, leaves[0], leaves[1])
 
 
 def test_density_drop_child_case():
     m, lat = cantor_lattice(gen=3, c0=2.0, a0=8.0, depth=4)
     root = lat.root
     child = lat.cubes[root.children[0]]
-    rep = density_drop_check(m, lat, child, root)
+    rep = density_drop_check(lat, child, root)
     assert rep["levels_between"] == 0
     nm = lat.measure
     lhs = ball_mass(nm, child.center, 100 * child.radius) / (100 * child.radius)
@@ -315,13 +315,13 @@ def test_density_drop_chain_with_intermediate():
         for j in range(i + 2, len(chain)):
             mids = chain[i + 1:j]
             if all(not c.doubling for c in mids):
-                rep = density_drop_check(m, lat, chain[j], chain[i])
+                rep = density_drop_check(lat, chain[j], chain[i])
                 assert rep["holds"] == (rep["lhs"] <= rep["rhs"])
                 assert rep["levels_between"] == len(mids)
                 checked = True
             elif any(c.doubling for c in mids):
                 with pytest.raises(IntermediateDoubling):
-                    density_drop_check(m, lat, chain[j], chain[i])
+                    density_drop_check(lat, chain[j], chain[i])
                 raised = True
     assert checked and raised
 
@@ -330,7 +330,7 @@ def test_density_drop_not_nested():
     _, lat = cantor_lattice(gen=2, c0=2.0, a0=8.0, depth=3)
     l2 = [q for q in lat.cubes if q.level == 2]
     with pytest.raises(NotNested):
-        density_drop_check(lat.source, lat, l2[0], l2[1])
+        density_drop_check(lat, l2[0], l2[1])
 
 
 def test_doubling_flags_idempotent():
