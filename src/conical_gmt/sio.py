@@ -5,30 +5,37 @@ finite sum; as a function of eps it is piecewise constant with breakpoints
 at the atom distances, so suprema over truncations are exact maxima over
 breakpoint grids, read off one distance sort and a suffix sum.  Operator
 norms live on the weighted finite-dimensional L^2(mu) space: with
-D = diag(w), the stacked matrix B = vstack_c(D^1/2 K_c D^1/2 mask) has the
-truncated operator's norm as its top singular value, computed by Lanczos on
-B^T B.  Every norm carries its Ritz residual, which bounds its error, and a
-cap on the applications of B^T B; a norm whose residual misses the
-tolerance within the cap is flagged as stalled.
+D = diag(w), each kernel component gives the block D^1/2 K_c D^1/2 with the
+pairs within eps zeroed, and the truncated operator's norm is the top
+singular value of their stack B, computed by Lanczos on
+B^T B = -sum_c K_c K_c.  An odd kernel makes every block antisymmetric, so
+two components share one N x N array, one in each strict triangle, and an
+unsigned index per pair (one byte up to 255 truncations) names the first
+truncation that drops it.  Every norm carries its Ritz residual, which
+bounds its error, and a cap on the applications of B^T B; a norm whose
+residual misses the tolerance within the cap is flagged as stalled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dtrmv
 from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
 
-# Largest operator-norm profile allowed, in bytes: about N = 9,000 atoms for
+# Largest operator-norm profile allowed, in bytes: about N = 14,500 atoms for
 # a two-component kernel.
 OPERATOR_BYTE_BUDGET = 2 * 2 ** 30
-# Atom pairs per block of query rows while the interaction stack is built.
-_BLOCK_PAIRS = 2 ** 18
+# Side of the square tiles of atom pairs (2^16 pairs) in which the operator
+# is built.
+_TILE = 2 ** 8
 
 
 @dataclass(frozen=True)
@@ -220,36 +227,94 @@ def _components(kernel: Kernel) -> int:
     return kernel(np.ones((1, kernel.ambient_dim))).shape[1]
 
 
-def _interaction_stack(m: DiscreteMeasure, kernel: Kernel):
-    """Weighted kernel blocks D^1/2 K_c D^1/2 as one C-contiguous (c, N, N)
-    array, so that ``stack.reshape(c * N, N)`` is B, and the distance matrix.
+def _tiles(n: int):
+    """Square tiles (rows, cols) of the pair table that cover its upper
+    triangle, each at most _TILE x _TILE."""
+    for r0 in range(0, n, _TILE):
+        for c0 in range(r0, n, _TILE):
+            yield slice(r0, min(n, r0 + _TILE)), slice(c0, min(n, c0 + _TILE))
 
-    Built in blocks of query rows; each entry is sw[i] * k * sw[j] with the
-    kernel evaluated at y_j - x_i, and zero on coincident atoms.
+
+def _tile_offsets(pts: np.ndarray, rows: slice, cols: slice):
+    """Offsets z_j - z_i over a tile, their lengths, and the mask of the pairs
+    whose kernel value the tile owns: i < j at distinct locations."""
+    diffs = pts[None, cols] - pts[rows, None]
+    dist = np.linalg.norm(diffs, axis=2)
+    own = dist > 0
+    if rows.start == cols.start:
+        own = np.triu(own, 1)
+    return diffs, dist, own
+
+
+def _check_odd(kernel: Kernel, pts: np.ndarray) -> None:
+    """Refuse a kernel unless k(-x) == -k(x) bit for bit on the first tile's
+    offsets: the packed operator stores one value per pair and negates it for
+    the pair's other end."""
+    rows, cols = next(_tiles(len(pts)))
+    diffs, _, own = _tile_offsets(pts, rows, cols)
+    x = diffs[own]
+    if len(x) and not np.array_equal(kernel(-x), -kernel(x)):
+        raise InvalidParams(f"kernel {kernel.name} is not odd: k(-x) != -k(x) "
+                            "at some offset of the cloud")
+
+
+def _interaction_stack(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid):
+    """The weighted kernel blocks K_c = D^1/2 [k_c(z_j - z_i)] D^1/2 packed two
+    to an array, and the truncation index of every pair.
+
+    An odd kernel makes each K_c antisymmetric.  Fortran-ordered array p holds
+    K_2p in its strict upper triangle and K_2p+1 in its strict lower triangle
+    over a zero diagonal; with an odd component count the last lower triangle
+    stays zero.  The kernel is evaluated once per pair i < j, at z_j - z_i, in
+    square tiles: sw_i k_c sw_j is K_c[i, j], and its exact negation is
+    K_c[j, i].  ``idx[i, j]`` is the first grid position whose truncation
+    drops the pair (|z_j - z_i| <= eps), in the smallest unsigned dtype that
+    holds ``len(grid.eps)``; coincident atoms and the diagonal read 0.
     """
     pts = m.points
     n = m.size
-    stack = np.empty((_components(kernel), n, n))
-    dist = np.empty((n, n))
+    comps = _components(kernel)
+    packed = [np.zeros((n, n), order="F") for _ in range((comps + 1) // 2)]
+    idx = np.empty((n, n), dtype=np.min_scalar_type(len(grid.eps)), order="F")
     sw = np.sqrt(m.weights)
-    rows = max(1, _BLOCK_PAIRS // n)
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        diffs = pts[None, :, :] - pts[lo:hi, None, :]
-        dist[lo:hi] = np.linalg.norm(diffs, axis=2)
-        nz = dist[lo:hi].reshape(-1) > 0
-        vals = np.zeros((nz.size, len(stack)))
-        vals[nz] = kernel(diffs.reshape(-1, m.ambient_dim)[nz])
-        for comp, blk in enumerate(stack):
-            blk[lo:hi] = sw[lo:hi, None] * vals[:, comp].reshape(hi - lo, n) * sw[None, :]
-    return stack, dist
+    for rows, cols in _tiles(n):
+        diffs, dist, own = _tile_offsets(pts, rows, cols)
+        first = np.searchsorted(grid.eps, dist, side="left")
+        idx[rows, cols] = first
+        idx[cols, rows] = first.T
+        vals = np.zeros(dist.shape + (comps,))
+        vals[own] = kernel(diffs[own])
+        for comp in range(comps):
+            blk = sw[rows, None] * vals[:, :, comp] * sw[None, cols]
+            # On a diagonal tile both writes cover one square, and each
+            # leaves the other's triangle at zero, so they add.
+            if comp % 2 == 0:
+                packed[comp // 2][rows, cols] += blk
+            else:
+                packed[comp // 2][cols, rows] -= blk.T
+    return packed, idx
 
 
-def _top_singular(B: np.ndarray, tol: float, max_iter: int, start: np.ndarray):
-    """Top singular value of B by Lanczos on B^T B, fully reorthogonalised.
+def _normal_product(packed: list, comps: int, v: np.ndarray) -> np.ndarray:
+    """B^T B v = -sum_c K_c (K_c v) for the antisymmetric blocks K_c packed by
+    ``_interaction_stack``.  With T the triangle of ``packed[c // 2]`` that
+    holds K_c (upper for even c), K_c v = T v - T^T v: two triangular BLAS
+    products, each reading the Fortran-ordered array in place."""
+    out = np.zeros_like(v)
+    for comp in range(comps):
+        P, lower = packed[comp // 2], comp % 2
+        kv = dtrmv(P, v, lower=lower) - dtrmv(P, v, lower=lower, trans=1)
+        out -= dtrmv(P, kv, lower=lower) - dtrmv(P, kv, lower=lower, trans=1)
+    return out
 
-    Each step applies v -> B^T (B v) once and orthogonalises against the
-    basis twice; the top Ritz pair (theta, y) of the tridiagonal has residual
+
+def _top_singular(normal: Callable[[np.ndarray], np.ndarray], tol: float,
+                  max_iter: int, start: np.ndarray):
+    """Top singular value of B by Lanczos on ``normal``, v -> B^T B v, fully
+    reorthogonalised.
+
+    Each step applies ``normal`` once and orthogonalises against the basis
+    twice; the top Ritz pair (theta, y) of the tridiagonal has residual
     |B^T B y - theta y| = beta_j |s_j|.  The run stops once that is at most
     tol * theta: some eigenvalue of B^T B then lies within tol * theta of
     theta (Parlett), so sigma = sqrt(theta) is within about tol / 2.  After
@@ -257,12 +322,13 @@ def _top_singular(B: np.ndarray, tol: float, max_iter: int, start: np.ndarray):
     sigma^2, is returned as stalled.  Returns (sigma, Ritz vector, steps,
     residual / theta, stalled).
     """
-    basis = np.empty((min(max_iter, B.shape[1]), B.shape[1]))
+    n = len(start)
+    basis = np.empty((min(max_iter, n), n))
     alpha, beta = [], []
     q = start / np.linalg.norm(start)
     for j in range(len(basis)):
         basis[j] = q
-        w = (B @ q) @ B
+        w = normal(q)
         Q = basis[:j + 1]
         h = Q @ w
         w -= h @ Q
@@ -306,42 +372,47 @@ def operator_norm(m: DiscreteMeasure, kernel: Kernel, eps: float,
 
 def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid,
                           tol: float = 1e-6, max_iter: int = 500) -> list[OperatorNormResult]:
-    """Operator norms along a truncation grid on one interaction stack.
+    """Operator norms along a truncation grid on one packed operator.
 
-    The grid increases, so each truncation zeroes in place the pairs within
-    eps, a superset of the previous truncation's.  Each Lanczos run starts from the previous Ritz
-    vector plus a fixed-seed random unit vector: the residual certifies an
-    eigenvalue, and the random part makes it the top one with high
-    probability.  Once every pair is dropped the norm is 0 without a solve.
-    Raises ``TooLarge`` before allocating when the operator would exceed
-    ``OPERATOR_BYTE_BUDGET``.
+    The grid increases, so truncation k zeroes in place the pairs whose index
+    is at most k, a superset of the previous truncation's.  Each Lanczos run
+    starts from the previous Ritz vector plus a fixed-seed random unit vector:
+    the residual certifies an eigenvalue, and the random part makes it the top
+    one with high probability.  Once every pair is dropped the norm is 0
+    without a solve.  Raises ``TooLarge`` before allocating when the operator
+    would exceed ``OPERATOR_BYTE_BUDGET``, and ``InvalidParams`` when the
+    kernel is not odd bit for bit on the cloud's first tile of offsets.
     """
     if max_iter < 1:
         raise InvalidParams("max_iter must be at least 1")
     n = m.size
-    # Peak beyond a fixed block scratch: the (c, N, N) stack and the
-    # distances at 8 B per pair each, the truncation mask at 1 B per pair,
-    # and the Lanczos basis.
-    need = (8 * (_components(kernel) + 1) + 1) * n * n + 8 * min(max_iter, n) * n
+    comps = _components(kernel)
+    index_bytes = np.min_scalar_type(len(grid.eps)).itemsize
+    # Peak beyond a fixed tile scratch: the packed arrays at 8 B per pair for
+    # two components, the truncation index, the drop mask at 1 B per
+    # pair, and the Lanczos basis.
+    need = (8 * ((comps + 1) // 2) + index_bytes + 1) * n * n + 8 * min(max_iter, n) * n
     if need > OPERATOR_BYTE_BUDGET:
         raise TooLarge(f"an N={n} operator needs {need / 2 ** 30:.1f} GiB, over the "
                        f"{OPERATOR_BYTE_BUDGET / 2 ** 30:.0f} GiB budget")
-    stack, dist = _interaction_stack(m, kernel)
-    B = stack.reshape(-1, n)
-    reach = float(dist.max())
+    _check_odd(kernel, m.points)
+    packed, idx = _interaction_stack(m, kernel, grid)
+    normal = partial(_normal_product, packed, comps)
+    # every pair is dropped from this grid position on
+    reach = int(idx.max())
     rng = np.random.default_rng(0)
     ritz = np.zeros(n)
     out = []
-    for eps in grid.eps:
-        if eps >= reach:
+    for k, eps in enumerate(grid.eps):
+        if k >= reach:
             out.append(OperatorNormResult(0.0, float(eps), 0, False, 0.0))
             continue
-        dropped = dist <= eps
-        for blk in stack:
-            blk[dropped] = 0.0
+        for P in packed:
+            # one drop mask alive at a time: 1 B per pair
+            P[idx <= k] = 0.0
         g = rng.standard_normal(n)
         sigma, ritz, iters, resid, stalled = _top_singular(
-            B, tol, max_iter, ritz + g / np.linalg.norm(g))
+            normal, tol, max_iter, ritz + g / np.linalg.norm(g))
         out.append(OperatorNormResult(sigma, float(eps), iters, stalled, resid))
     return out
 

@@ -21,6 +21,30 @@ def random_cloud(seed: int, count: int = 200, d: int = 2,
     return DiscreteMeasure(pts, w, dim_param=1 if d == 2 else d - 1)
 
 
+def menger_curvature_sum(points: np.ndarray, weights: np.ndarray,
+                         block: int = 8) -> float:
+    """Oracle: sum over i < j < k of w_i w_j w_k c(z_i, z_j, z_k)^2 in the
+    plane, with Menger curvature c = 2 |cross(z_j - z_i, z_k - z_i)| over the
+    product of the three side lengths, for ``block`` values of i at a time."""
+    pts = np.asarray(points, float)
+    w = np.asarray(weights, float)
+    n = len(pts)
+    diff = pts[None, :, :] - pts[:, None, :]
+    d2 = np.sum(diff * diff, axis=2)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    total = 0.0
+    for lo in range(0, n, block):
+        i = np.arange(lo, min(n, lo + block))
+        a, b = diff[i, :, None, :], diff[i, None, :, :]
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        keep = (i[:, None, None] < np.arange(n)[None, :, None]) & upper[None]
+        c2 = np.zeros(keep.shape)
+        c2[keep] = 4.0 * cross[keep] ** 2 / (
+            d2[i][:, :, None] * d2[i][:, None, :] * d2[None])[keep]
+        total += float(np.einsum("i,j,k,ijk->", w[i], w, w, c2))
+    return total
+
+
 def brute_ball_mass(m: DiscreteMeasure, x, r: float) -> float:
     d = np.linalg.norm(m.points - np.asarray(x, float)[None, :], axis=1)
     return float(np.sum(m.weights[d < r]))

@@ -4,18 +4,33 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from conftest import random_cloud
+from conftest import menger_curvature_sum, random_cloud
 
+from conical_gmt import sio
 from conical_gmt.errors import InvalidParams, TooLarge
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.measure import DiscreteMeasure
-from conical_gmt.sio import (OPERATOR_BYTE_BUDGET, TruncationGrid, builtin_kernels,
-                             maximal_transform, norm_vs_generation,
-                             operator_norm, operator_norm_profile,
-                             truncated_transform, validate_kernel)
+from conical_gmt.sio import (OPERATOR_BYTE_BUDGET, Kernel, TruncationGrid,
+                             builtin_kernels, maximal_transform,
+                             norm_vs_generation, operator_norm,
+                             operator_norm_profile, truncated_transform,
+                             validate_kernel)
 
 CAUCHY = builtin_kernels(1, 2)["cauchy"]
 RIESZ12 = builtin_kernels(1, 2)["riesz"]
+RIESZ23 = builtin_kernels(2, 3)["riesz"]
+
+
+def dense_blocks(m, kernel, eps):
+    """Oracle: the weighted kernel blocks sw_i k_c(z_j - z_i) sw_j over every
+    ordered pair with |z_j - z_i| > eps, one kernel evaluation per entry, and
+    that mask."""
+    diffs = m.points[None, :, :] - m.points[:, None, :]
+    keep = np.linalg.norm(diffs, axis=2) > eps
+    vals = np.zeros(keep.shape + (sio._components(kernel),))
+    vals[keep] = kernel(diffs[keep])
+    sw = np.sqrt(m.weights)
+    return [sw[:, None] * vals[:, :, c] * sw[None, :] for c in range(vals.shape[2])], keep
 
 
 def test_cauchy_formula_values():
@@ -177,15 +192,74 @@ def test_operator_norm_trend_in_eps():
     assert all(b <= a * (1 + 1e-9) for a, b in zip(norms, norms[1:]))
 
 
-def test_operator_antisymmetry_blocks():
-    m = random_cloud(5, 25, uniform_weights=True)
-    diffs = m.points[None, :, :] - m.points[:, None, :]
-    flat = diffs.reshape(-1, 2)
-    nz = np.linalg.norm(flat, axis=1) > 0
-    vals = np.zeros((len(flat), 2))
-    vals[nz] = CAUCHY(flat[nz])
-    k1 = vals[:, 0].reshape(25, 25)
-    assert np.array_equal(k1, -k1.T)
+def test_packed_product_matches_dense_oracle():
+    rng = np.random.default_rng(31)
+    cloud = random_cloud(6, 30)
+    pts = cloud.points.copy()
+    central = np.argsort(np.linalg.norm(pts - 0.5, axis=1))[:10]
+    pts[central[5:]] = pts[central[:5]]
+    # 600 atoms span three row tiles, so off-diagonal and partial tiles too
+    cases = [(random_cloud(5, 600), CAUCHY),
+             (DiscreteMeasure(pts, cloud.weights, 1), CAUCHY),
+             (random_cloud(9, 25, d=3), RIESZ23)]
+    for m, kernel in cases:
+        d = np.unique(pdist(m.points))
+        d = d[d > 0]
+        # drops no pair, some pairs, and all but the farthest pair
+        grid = TruncationGrid(np.array([d[0] / 2, np.median(d), d[-2]]))
+        packed, idx = sio._interaction_stack(m, kernel, grid)
+        comps = sio._components(kernel)
+        assert len(packed) == (comps + 1) // 2 and idx.dtype == np.uint8
+        assert np.all(np.tril(packed[-1]) == 0.0) == (comps % 2 == 1)
+        for k, eps in enumerate(grid.eps):
+            for P in packed:
+                P[idx <= k] = 0.0
+            blocks, keep = dense_blocks(m, kernel, eps)
+            assert np.array_equal(idx > k, keep)
+            v = rng.standard_normal(m.size)
+            want = sum(K.T @ (K @ v) for K in blocks)
+            got = sio._normal_product(packed, comps, v)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert keep.sum() == 2
+
+
+def test_uint16_index_profile_matches_dense():
+    m = random_cloud(21, 48)
+    grid = TruncationGrid.log_spaced(m, 300)
+    assert sio._interaction_stack(m, CAUCHY, grid)[1].dtype == np.uint16
+    profile = operator_norm_profile(m, CAUCHY, grid, 1e-10, 500)
+    for r in profile:
+        blocks, _ = dense_blocks(m, CAUCHY, r.eps)
+        top = np.linalg.eigvalsh(sum(K.T @ K for K in blocks))[-1]
+        assert r.norm == pytest.approx(np.sqrt(max(top, 0.0)), rel=1e-6, abs=0.0)
+
+
+def test_packed_operator_meets_menger_curvature_identity():
+    # Melnikov: for the Cauchy kernel, |B sqrt(w)|^2 is the weighted curvature
+    # sum plus the diagonal sum of w_i w_j^2 / |z_i - z_j|^2
+    m = random_cloud(40, 40)
+    w = m.weights
+    grid = TruncationGrid(np.array([pdist(m.points).min() / 2]))
+    packed, idx = sio._interaction_stack(m, CAUCHY, grid)
+    for P in packed:
+        P[idx <= 0] = 0.0
+    sw = np.sqrt(w)
+    lhs = sw @ sio._normal_product(packed, 2, sw)
+    d2 = np.sum((m.points[None, :, :] - m.points[:, None, :]) ** 2, axis=2)
+    off = ~np.eye(m.size, dtype=bool)
+    rhs = (menger_curvature_sum(m.points, w)
+           + np.sum((w[:, None] * w[None, :] ** 2)[off] / d2[off]))
+    assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def test_odd_kernel_guard():
+    def even(x):
+        return np.abs(x) / np.sum(x ** 2, axis=1)[:, None]
+    m = random_cloud(3, 20)
+    with pytest.raises(InvalidParams):
+        operator_norm(m, Kernel("even", 1, 2, even, 1.0), 0.1)
+    for cloud, kernel in ((m, CAUCHY), (m, RIESZ12), (random_cloud(4, 20, d=3), RIESZ23)):
+        assert operator_norm(cloud, kernel, 0.1).norm > 0
 
 
 def test_operator_guard():
@@ -197,11 +271,11 @@ def test_operator_guard():
 
 
 def test_operator_byte_guard_fires_before_allocating():
-    n = 12_000
+    n = 16_000
     pts = np.zeros((n, 2))
     pts[:, 0] = np.arange(n)
     m = DiscreteMeasure(pts, np.ones(n), 1)
-    assert 25 * n * n > OPERATOR_BYTE_BUDGET
+    assert 10 * n * n > OPERATOR_BYTE_BUDGET
     t0 = time.perf_counter()
     with pytest.raises(TooLarge):
         operator_norm(m, CAUCHY, 0.5)
