@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -339,7 +340,10 @@ def _cmd_report(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and an
+    ``append`` option starts each parse from a fresh list."""
     parser = argparse.ArgumentParser(
         prog="conical-gmt",
         description="cone-energy and rectifiability diagnostics on point clouds")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .energy import EnergySpec, cube_ball, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
@@ -247,6 +246,7 @@ def _set_distance(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) * len(b) <= 250_000:
         d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         return float(d.min())
+    from scipy.spatial import cKDTree
     tree = cKDTree(b)
     d, _ = tree.query(a, k=1)
     return float(d.min())
@@ -395,6 +395,7 @@ def verify_corona(result: CoronaResult) -> dict:
     cubes, exact tree partition of the lattice.  Soft quantities (density ratio maxima,
     graph proximity fractions, LD mass fractions) are reported.
     """
+    from scipy.spatial import cKDTree
     lattice, params = result.lattice, result.params
     failures: list[str] = []
     tree_reports = []

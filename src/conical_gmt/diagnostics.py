@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
@@ -344,6 +343,7 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         if lip > 0:
             candidates.append(1.0 / (4.0 * lip))
         aperture = min(candidates)
+    from scipy.spatial import cKDTree
     samples = graph.ambient_anchors()
     sample_tree = cKDTree(samples)
     gdist, _ = sample_tree.query(m.points, k=1)

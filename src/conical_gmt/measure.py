@@ -11,16 +11,18 @@ the atoms: a KD-tree prefilter with a slightly inflated radius, then the
 strict test |y - x| < r on ``np.linalg.norm(..., axis=1)``.  Masses,
 densities, the lattice's nets and containments, the corona's 2B_Q and the
 graph cover all ask it, so an atom on a sphere is outside everywhere alike.
+The KD-tree is built on the first ball query and kept; scipy loads with it,
+so a pipeline that asks no ball, such as the p = 1 energy sweep, never
+loads scipy.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
 from .geometry import Cone, cone_mask
@@ -30,7 +32,8 @@ _QUERY_SLACK = 1e-9
 
 
 class DiscreteMeasure:
-    """Immutable weighted point cloud with a KD-tree index built on load."""
+    """Immutable weighted point cloud with a KD-tree index built on the first
+    ball query and kept, as is the diameter once computed."""
 
     def __init__(self, points, weights, dim_param: int):
         pts = np.ascontiguousarray(np.asarray(points, dtype=float))
@@ -51,7 +54,12 @@ class DiscreteMeasure:
         self.points = pts
         self.weights = w
         self.dim_param = n
-        self._tree = cKDTree(pts)
+        self._diameter: float | None = None
+
+    @cached_property
+    def _tree(self):
+        from scipy.spatial import cKDTree
+        return cKDTree(self.points)
 
     @property
     def ambient_dim(self) -> int:
@@ -70,13 +78,17 @@ class DiscreteMeasure:
 
         Distances come from coordinate differences, not the Gram identity
         |a|^2 + |b|^2 - 2 a.b, which cancels for clouds far from the origin.
+        Computed on the first call and kept.
         """
-        pts = self.points
-        best = 0.0
-        block = max(1, 2 ** 22 // len(pts))
-        for lo in range(0, len(pts), block):
-            best = max(best, float(cdist(pts[lo:lo + block], pts).max()))
-        return best
+        if self._diameter is None:
+            from scipy.spatial.distance import cdist
+            pts = self.points
+            best = 0.0
+            block = max(1, 2 ** 22 // len(pts))
+            for lo in range(0, len(pts), block):
+                best = max(best, float(cdist(pts[lo:lo + block], pts).max()))
+            self._diameter = best
+        return self._diameter
 
     def min_interpoint_distance(self) -> float:
         if self.size < 2:

@@ -19,13 +19,9 @@ residual misses the tolerance within the cap is flagged as stalled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dtrmv
-from scipy.spatial import cKDTree
 
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
@@ -194,6 +190,7 @@ class TruncationGrid:
         locations = np.unique(m.points, axis=0)
         if len(locations) < 2:
             return TruncationGrid(np.array([1.0]))
+        from scipy.spatial import cKDTree
         d, _ = cKDTree(locations).query(locations, k=2)
         lo = float(d[:, 1].min())
         hi = m.diameter()
@@ -295,17 +292,23 @@ def _interaction_stack(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid)
     return packed, idx
 
 
-def _normal_product(packed: list, comps: int, v: np.ndarray) -> np.ndarray:
-    """B^T B v = -sum_c K_c (K_c v) for the antisymmetric blocks K_c packed by
-    ``_interaction_stack``.  With T the triangle of ``packed[c // 2]`` that
-    holds K_c (upper for even c), K_c v = T v - T^T v: two triangular BLAS
-    products, each reading the Fortran-ordered array in place."""
-    out = np.zeros_like(v)
-    for comp in range(comps):
-        P, lower = packed[comp // 2], comp % 2
-        kv = dtrmv(P, v, lower=lower) - dtrmv(P, v, lower=lower, trans=1)
-        out -= dtrmv(P, kv, lower=lower) - dtrmv(P, kv, lower=lower, trans=1)
-    return out
+def _normal_operator(packed: list, comps: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> B^T B v = -sum_c K_c (K_c v) for the antisymmetric blocks K_c
+    packed by ``_interaction_stack``.  With T the triangle of
+    ``packed[c // 2]`` that holds K_c (upper for even c), K_c v = T v - T^T v:
+    two triangular BLAS products, each reading the Fortran-ordered array in
+    place.  The arrays are read at each application, so truncating them in
+    place truncates the operator."""
+    from scipy.linalg.blas import dtrmv
+
+    def normal(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for comp in range(comps):
+            P, lower = packed[comp // 2], comp % 2
+            kv = dtrmv(P, v, lower=lower) - dtrmv(P, v, lower=lower, trans=1)
+            out -= dtrmv(P, kv, lower=lower) - dtrmv(P, kv, lower=lower, trans=1)
+        return out
+    return normal
 
 
 def _top_singular(normal: Callable[[np.ndarray], np.ndarray], tol: float,
@@ -322,6 +325,7 @@ def _top_singular(normal: Callable[[np.ndarray], np.ndarray], tol: float,
     sigma^2, is returned as stalled.  Returns (sigma, Ritz vector, steps,
     residual / theta, stalled).
     """
+    from scipy.linalg import eigh_tridiagonal
     n = len(start)
     basis = np.empty((min(max_iter, n), n))
     alpha, beta = [], []
@@ -397,7 +401,7 @@ def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGr
                        f"{OPERATOR_BYTE_BUDGET / 2 ** 30:.0f} GiB budget")
     _check_odd(kernel, m.points)
     packed, idx = _interaction_stack(m, kernel, grid)
-    normal = partial(_normal_product, packed, comps)
+    normal = _normal_operator(packed, comps)
     # every pair is dropped from this grid position on
     reach = int(idx.max())
     rng = np.random.default_rng(0)

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conical_gmt
 from conical_gmt import diagnostics
-from conical_gmt.cli import _parse_balls, run
+from conical_gmt.cli import _build_parser, _parse_balls, run
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.measure import DiscreteMeasure, load_csv, save_csv
 
@@ -275,6 +279,69 @@ def test_scan_bpbe_subcommand(tmp_path):
     data = json.loads(rep.read_text())
     assert data["all_pass"]
     assert data["balls"][0]["pinned"]
+
+
+def _fresh_python(args, cwd):
+    """Run ``python args`` in a new interpreter that imports this conical_gmt."""
+    src = os.path.dirname(os.path.dirname(conical_gmt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cached_parser_carries_nothing_between_runs(tmp_path):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "40", "--out", str(pts)])
+    rep = tmp_path / "scan.json"
+    argv = ["scan-bpbe", "--points", str(pts), "--n", "1", "--alpha", "0.8",
+            "--M0", "0.5", "--kappa", "0.9", "--direction-samples", "2",
+            "--seed", "3", "--balls", "all", "--pin-plane", "0,1",
+            "--pin-plane", "1,0", "--out", str(rep)]
+    reports = []
+    for _ in range(2):
+        assert run(argv) == 0
+        reports.append(rep.read_text())
+    assert _build_parser() is _build_parser()
+    code = ("import sys; from conical_gmt.cli import run; "
+            f"sys.exit(run({argv!r}))")
+    assert _fresh_python(["-c", code], tmp_path).returncode == 0
+    reports.append(rep.read_text())
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["params"]["pin_plane"] == ["0,1", "1,0"]
+
+
+def test_exit_codes_of_bad_arguments_and_help(capsys):
+    for _ in range(2):
+        assert run(["energy", "--points", "x.csv"]) == 2
+        assert run(["no-such-command"]) == 2
+        assert run(["--help"]) == 0
+        assert run(["corona", "--help"]) == 0
+    assert capsys.readouterr().out.count("include full member lists") == 2
+
+
+def test_gen_and_p1_energy_load_no_scipy(tmp_path):
+    gen = ["gen", "--type", "four_corner_cantor", "--generation", "3",
+           "--out", "c.csv"]
+    energy = ["energy", "--points", "c.csv", "--n", "1", "--p", "1",
+              "--alpha", "0.8", "--plane", "0,1", "--R", "1", "--out", "e.json"]
+    code = ("import sys; from conical_gmt import cli; "
+            f"assert cli.run({gen!r}) == 0 and cli.run({energy!r}) == 0; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "e.json").read_text())["total_energy"] > 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    run(["gen", "--type", "four_corner_cantor", "--generation", "2",
+         "--out", str(tmp_path / "c.csv")])
+    argv = ["-m", "conical_gmt", "energy", "--points", "c.csv", "--n", "1",
+            "--p", "1", "--alpha", "0.8", "--plane", "0,1", "--R", "1",
+            "--out", "e.json"]
+    assert _fresh_python(argv, tmp_path).returncode == 0
+    assert json.loads((tmp_path / "e.json").read_text())["kind"] == "energy"
+    assert _fresh_python(argv[:3], tmp_path).returncode == 2
 
 
 def test_lattice_balls_sit_on_the_input_cloud():

@@ -24,6 +24,20 @@ def test_diameter_exact_far_from_origin(offset):
     assert m.diameter() == pytest.approx(pdist(pts).max(), rel=1e-12)
 
 
+def test_tree_and_diameter_are_built_on_first_use():
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 3}))
+    assert "_tree" not in vars(m) and m._diameter is None
+    x = m.points[5]
+    d = np.linalg.norm(m.points - x[None, :], axis=1)
+    # dyadic atoms: every radius below is some atom's exact distance
+    for r in np.unique(d)[1:]:
+        assert np.array_equal(m.ball_indices(x, r), np.nonzero(d < r)[0])
+    tree = vars(m)["_tree"]
+    m.ball_indices(m.points[0], 0.5)
+    assert vars(m)["_tree"] is tree
+    assert m.diameter() == pdist(m.points).max() == m._diameter
+
+
 def test_ball_mass_single_atom():
     m = single_atom()
     assert ball_mass(m, np.zeros(2), 0.1) == 1.0

@@ -211,6 +211,7 @@ def test_packed_product_matches_dense_oracle():
         comps = sio._components(kernel)
         assert len(packed) == (comps + 1) // 2 and idx.dtype == np.uint8
         assert np.all(np.tril(packed[-1]) == 0.0) == (comps % 2 == 1)
+        normal = sio._normal_operator(packed, comps)
         for k, eps in enumerate(grid.eps):
             for P in packed:
                 P[idx <= k] = 0.0
@@ -218,7 +219,7 @@ def test_packed_product_matches_dense_oracle():
             assert np.array_equal(idx > k, keep)
             v = rng.standard_normal(m.size)
             want = sum(K.T @ (K @ v) for K in blocks)
-            got = sio._normal_product(packed, comps, v)
+            got = normal(v)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
         assert keep.sum() == 2
 
@@ -244,7 +245,7 @@ def test_packed_operator_meets_menger_curvature_identity():
     for P in packed:
         P[idx <= 0] = 0.0
     sw = np.sqrt(w)
-    lhs = sw @ sio._normal_product(packed, 2, sw)
+    lhs = sw @ sio._normal_operator(packed, 2)(sw)
     d2 = np.sum((m.points[None, :, :] - m.points[:, None, :]) ** 2, axis=2)
     off = ~np.eye(m.size, dtype=bool)
     rhs = (menger_curvature_sum(m.points, w)
