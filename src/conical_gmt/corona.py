@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import EnergySpec, cube_ball, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
-from .geometry import Plane, cone_mask
+from .geometry import Plane, cone_mask, pair_distances, row_blocks
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import growth_constant
@@ -243,9 +243,11 @@ def key_cone_exclusion(lattice: Lattice, q, p, params: CoronaParams) -> bool:
 
 
 def _set_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min |a_i - b_j|: up to 250,000 pairs from the differences in
+    ``row_blocks`` of a, past that by a KD-tree on b."""
     if len(a) * len(b) <= 250_000:
-        d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        return float(d.min())
+        return min(float(pair_distances(a[rows], b).min())
+                   for rows in row_blocks(len(a), len(b)))
     from scipy.spatial import cKDTree
     tree = cKDTree(b)
     d, _ = tree.query(a, k=1)

@@ -43,11 +43,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyCube, InvalidParams, MissingDirection
 from .geometry import (Plane, _row_norms, cone_dist, cone_mask, cone_pairs,
-                       plane_metric, sample_grassmannian)
+                       plane_metric, row_blocks, sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
-
-# (direction, atom) pairs per chunk of ``_direction_energies``' mask tables.
-_DIRECTION_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,8 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
 
     Each vertex sorts its atoms in 0 < |y - x| < radius once; every direction
     then only masks that sorted list, with ``cone_dist``'s arithmetic, and the
-    directions' step integrals are evaluated together, ``_DIRECTION_BLOCK``
-    (direction, atom) pairs at a time.  Every entry equals the single-direction
+    directions' step integrals are evaluated together, in ``row_blocks`` of
+    directions as wide as the atom list.  Every entry equals the single-direction
     ``_step_energy`` value bit for bit (see the module docstring).
     """
     out = np.zeros((len(vertex_idx), len(directions)))
@@ -242,9 +239,8 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
         operand = diff if k > 1 else np.vstack((diff, diff))
         ext = np.append(d, radius)
         power = ext ** -np_exp
-        step = max(1, _DIRECTION_BLOCK // k)
-        for lo in range(0, len(directions), step):
-            chunk = directions[lo:lo + step]
+        for rows in row_blocks(len(directions), k):
+            chunk = directions[rows]
             par = np.empty((len(chunk), k, m.ambient_dim))
             for j, v in enumerate(chunk):
                 par[j] = ((operand @ v.basis.T) @ v.basis)[:k]
@@ -261,7 +257,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
             contrib = cum ** p * (power[:k] - power[nxt]) / np_exp
             for j in range(len(chunk)):
                 # numpy's pairwise sum of the compressed row, as _step_energy
-                out[row, lo + j] = float(contrib[j][end[j]].sum())
+                out[row, rows.start + j] = float(contrib[j][end[j]].sum())
     return out
 
 

@@ -20,6 +20,15 @@ The relation is symmetric bit for bit: both lengths are even in y - x, and
 negating a difference is exact, so seen from y the pair gets the same mask bit
 and the same distance as seen from x.  ``cone_pairs`` therefore tests each
 unordered pair once, from its lower-indexed end.
+
+Pair blocks: a kernel that compares rows with ``width`` columns pair by pair
+(the diameter, graph evaluation and slopes, nearest-centre assignment, set
+distance and direction table) takes ``row_blocks``' slices of
+``PAIR_BLOCK // width`` rows, and the SIO operator square tiles of
+``PAIR_BLOCK`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs whatever
+the cloud's size; ``pair_distances`` gives a row block's distances.  Per-pair
+values do not depend on the block, and each kernel reduces them by max, min
+or argmin or writes them in place, so its output does not either.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .errors import DimensionMismatch, InvalidParams, RankDeficient
 
 ORTHO_TOL = 1e-12
 RANK_TOL = 1e-10
+# Pairs per block of every pairwise kernel (see the module docstring).
+PAIR_BLOCK = 2 ** 16
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -188,6 +199,24 @@ def cone_contains(cone: Cone, y) -> bool:
         return False
     _, perp = project(diff, cone.direction)
     return float(np.linalg.norm(perp)) < cone.aperture * dist
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``max(1, PAIR_BLOCK // width)`` rows covering
+    range(rows): the row blocks of a pairwise kernel ``width`` pairs wide."""
+    step = max(1, PAIR_BLOCK // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(rows, lo + step))
+
+
+def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j| for every row i of ``a`` and j of ``b``, an (len(a), len(b))
+    array: the bits of ``np.linalg.norm(a[:, None] - b[None], axis=2)`` with
+    one temporary instead of three.  Callers pass ``row_blocks`` of ``a``."""
+    sq = a[:, None, :] - b[None, :, :]
+    sq *= sq
+    out = sq.sum(axis=2)
+    return np.sqrt(out, out=out)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

@@ -22,10 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeViolation, DimensionMismatch, InvalidParams
-from .geometry import Plane, cone_pairs
-
-# Queries per block in LipschitzGraph.evaluate.
-_EVAL_ROWS = 256
+from .geometry import Plane, cone_pairs, pair_distances, row_blocks
 
 
 def cone_separation_violations(points: np.ndarray, direction: Plane,
@@ -66,18 +63,18 @@ class LipschitzGraph:
     def evaluate(self, zcoords: np.ndarray) -> np.ndarray:
         """Graph values at base-plane coordinates, anchors reproduced exactly.
 
-        Queries are taken in blocks of ``_EVAL_ROWS``, so the scratch is
-        (block x anchors x c) whatever the number of queries.
+        Queries are taken in ``row_blocks`` as wide as the anchor count, so
+        the scratch is about ``geometry.PAIR_BLOCK`` (query, anchor) pairs
+        whatever the numbers of queries and anchors.
         """
         z = np.atleast_2d(np.asarray(zcoords, dtype=float))
         vals = np.empty((len(z), self.anchors_value.shape[1]))
-        for lo in range(0, len(z), _EVAL_ROWS):
-            zb = z[lo:lo + _EVAL_ROWS]
-            d = self.extension_constant * np.linalg.norm(
-                zb[:, None, :] - self.anchors_base[None, :, :], axis=2)[:, :, None]
+        for rows in row_blocks(len(z), self.anchor_count):
+            d = pair_distances(z[rows], self.anchors_base)[:, :, None]
+            d *= self.extension_constant
             upper = np.min(self.anchors_value[None, :, :] + d, axis=1)
             lower = np.max(self.anchors_value[None, :, :] - d, axis=1)
-            vals[lo:lo + _EVAL_ROWS] = 0.5 * (upper + lower)
+            vals[rows] = 0.5 * (upper + lower)
         return vals if np.asarray(zcoords).ndim > 1 else vals[0]
 
     def ambient_anchors(self) -> np.ndarray:
@@ -145,16 +142,24 @@ def fit_lipschitz_graph(anchor_points, direction: Plane, aperture: float) -> Lip
 
 def _graph_through(pts: np.ndarray, direction: Plane, aperture: float) -> LipschitzGraph:
     """The graph through distinct anchors ``pts``, which the caller has
-    checked for half-aperture separation."""
+    checked for half-aperture separation.  ``lip_measured`` is the largest
+    slope |v_j - v_i| / |z_j - z_i| over the pairs i < j, taken in
+    ``row_blocks``: entry (a, b) of a block starting at row lo is the pair
+    (lo + a, lo + 1 + b), so its upper triangle holds the block's pairs.
+    Slopes are nonnegative, so zeroing the lower triangle never raises the
+    maximum."""
     base = direction.complement()
     z = base.coords(pts)
     vals = direction.coords(pts)
+    k = len(pts)
     lip = 0.0
-    if len(pts) > 1:
-        for i in range(len(pts) - 1):
-            dz = np.linalg.norm(z[i + 1:] - z[i][None, :], axis=1)
-            dv = np.linalg.norm(vals[i + 1:] - vals[i][None, :], axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slopes = np.where(dz > 0, dv / dz, np.inf)
-            lip = max(lip, float(np.max(slopes)))
+    for rows in row_blocks(k - 1, k):
+        lo = rows.start
+        dz = pair_distances(z[rows], z[lo + 1:])
+        slopes = pair_distances(vals[rows], vals[lo + 1:])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes /= dz
+        slopes[dz == 0] = np.inf
+        slopes[np.tri(*slopes.shape, -1, dtype=bool)] = 0.0
+        lip = max(lip, float(slopes.max()))
     return LipschitzGraph(base, direction, z, vals, lip, 2.0 / aperture)

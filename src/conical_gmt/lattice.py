@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (CubeNotFound, IntermediateDoubling, InvalidParams,
                      NotNested)
+from .geometry import pair_distances, row_blocks
 from .measure import DiscreteMeasure, ball_mass
 
 # the root radius is the diameter divided by this, only so that the open root
@@ -180,14 +181,15 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
         level_ids = []
         for pid in prev_ids:
             parent = cubes[pid]
-            local_centers = parent.members[center_set[parent.members]]
-            local_centers = np.sort(local_centers)
+            members = parent.members
+            local_centers = np.sort(members[center_set[members]])
             # nearest in-parent center, ties to the lowest point index
-            d = np.linalg.norm(pts[parent.members][:, None, :]
-                               - pts[local_centers][None, :, :], axis=2)
-            owner = local_centers[np.argmin(d, axis=1)]
+            owner = np.empty_like(members)
+            for rows in row_blocks(len(members), len(local_centers)):
+                d = pair_distances(pts[members[rows]], pts[local_centers])
+                owner[rows] = local_centers[np.argmin(d, axis=1)]
             for c in local_centers:
-                mem = parent.members[owner == c]
+                mem = members[owner == c]
                 q = Cube(id=len(cubes), level=k, center_idx=int(c), radius=val,
                          members=mem, parent=pid, center=pts[c].copy())
                 cubes.append(q)

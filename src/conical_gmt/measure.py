@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
-from .geometry import Cone, cone_mask
+from .geometry import Cone, cone_mask, row_blocks
 
 # relative inflation of KD-tree query radii; strict filtering happens afterwards
 _QUERY_SLACK = 1e-9
@@ -74,19 +74,21 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
     def diameter(self) -> float:
-        """Exact max pairwise distance, computed in memory-bounded blocks.
+        """Exact max pairwise distance, computed in blocks of at most
+        ``geometry.PAIR_BLOCK`` pairs, so the scratch does not grow with N.
 
         Distances come from coordinate differences, not the Gram identity
         |a|^2 + |b|^2 - 2 a.b, which cancels for clouds far from the origin.
-        Computed on the first call and kept.
+        ``cdist``'s distance is symmetric bit for bit, so each row block is
+        compared only with the atoms from its first row on.  Computed on the
+        first call and kept.
         """
         if self._diameter is None:
             from scipy.spatial.distance import cdist
             pts = self.points
             best = 0.0
-            block = max(1, 2 ** 22 // len(pts))
-            for lo in range(0, len(pts), block):
-                best = max(best, float(cdist(pts[lo:lo + block], pts).max()))
+            for rows in row_blocks(len(pts), len(pts)):
+                best = max(best, float(cdist(pts[rows], pts[rows.start:]).max()))
             self._diameter = best
         return self._diameter
 

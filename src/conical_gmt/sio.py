@@ -19,19 +19,18 @@ residual misses the tolerance within the cap is flagged as stalled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
 
 # Largest operator-norm profile allowed, in bytes: about N = 14,500 atoms for
 # a two-component kernel.
 OPERATOR_BYTE_BUDGET = 2 * 2 ** 30
-# Side of the square tiles of atom pairs (2^16 pairs) in which the operator
-# is built.
-_TILE = 2 ** 8
 
 
 @dataclass(frozen=True)
@@ -226,10 +225,11 @@ def _components(kernel: Kernel) -> int:
 
 def _tiles(n: int):
     """Square tiles (rows, cols) of the pair table that cover its upper
-    triangle, each at most _TILE x _TILE."""
-    for r0 in range(0, n, _TILE):
-        for c0 in range(r0, n, _TILE):
-            yield slice(r0, min(n, r0 + _TILE)), slice(c0, min(n, c0 + _TILE))
+    triangle, each of at most ``geometry.PAIR_BLOCK`` pairs (256 x 256)."""
+    side = isqrt(geometry.PAIR_BLOCK)
+    for r0 in range(0, n, side):
+        for c0 in range(r0, n, side):
+            yield slice(r0, min(n, r0 + side)), slice(c0, min(n, c0 + side))
 
 
 def _tile_offsets(pts: np.ndarray, rows: slice, cols: slice):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,35 @@ def menger_curvature_sum(points: np.ndarray, weights: np.ndarray,
             d2[i][:, :, None] * d2[i][:, None, :] * d2[None])[keep]
         total += float(np.einsum("i,j,k,ijk->", w[i], w, w, c2))
     return total
+
+
+def mixture_cloud() -> DiscreteMeasure:
+    """The 1,000-atom mixture of a jittered Lipschitz graph (744 atoms) and a
+    generation-4 Cantor piece that the direction scans are tested on."""
+    comps = [{"spec": {"kind": "lipschitz_graph", "seed": 4,
+                       "params": {"count": 744, "lipschitz": 0.5, "jitter": 0.5}}},
+             {"spec": {"kind": "four_corner_cantor", "params": {"generation": 4}},
+              "offset": [1.25, -0.5]}]
+    m, _ = generate(GeneratorSpec("mixture", {"components": comps}, 4))
+    return m
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes traced by ``tracemalloc`` during the
+    call above what was traced before it; numpy reports its array buffers to
+    ``tracemalloc``, so the peak includes every temporary array."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
 
 
 def brute_ball_mass(m: DiscreteMeasure, x, r: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import SWEEP_CASES, _cone_energy, random_cloud
+from conftest import SWEEP_CASES, _cone_energy, mixture_cloud, random_cloud
 
 from conical_gmt import energy
 from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
@@ -295,15 +295,6 @@ def assert_scan_matches_oracle(monkeypatch, m, balls, aperture, exponent,
     return json.loads(rep)
 
 
-def mixture_cloud():
-    comps = [{"spec": {"kind": "lipschitz_graph", "seed": 4,
-                       "params": {"count": 744, "lipschitz": 0.5, "jitter": 0.5}}},
-             {"spec": {"kind": "four_corner_cantor", "params": {"generation": 4}},
-              "offset": [1.25, -0.5]}]
-    m, _ = generate(GeneratorSpec("mixture", {"components": comps}, 4))
-    return m
-
-
 def test_direction_table_matches_oracle_on_mixture_p2(monkeypatch):
     m = mixture_cloud()
     assert m.size == 1000
@@ -339,17 +330,6 @@ def test_direction_table_degenerate_balls(monkeypatch):
     rep = assert_scan_matches_oracle(monkeypatch, m, balls, 0.5, 2.0, 2, 1, [V_AXIS])
     assert [b["ball_mass"] for b in rep["balls"]] == [0.75, 0.25, 0.0]
     assert _direction_energies(m, [0, 1, 2], [V_AXIS], 0.5, 2.0, 1.5).sum() == 0.0
-
-
-def test_direction_table_is_chunk_independent(monkeypatch):
-    m = mixture_cloud()
-    idx = m.ball_indices(m.points[372], 0.35)
-    directions = [V_AXIS] + sample_grassmannian(2, 1, 12, 7)
-    whole = _direction_energies(m, idx, directions, 0.8, 2.0, 0.35)
-    monkeypatch.setattr(energy, "_DIRECTION_BLOCK", 3 * len(idx))
-    chunked = _direction_energies(m, idx, directions, 0.8, 2.0, 0.35)
-    assert np.count_nonzero(whole) > 0
-    assert np.array_equal(chunked, whole)
 
 
 def test_bme_ratios_equal_left_to_right_oracle_sum():

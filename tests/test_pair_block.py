@@ -1,0 +1,167 @@
+"""The shared pair block: every pairwise kernel gives the same output
+whatever ``geometry.PAIR_BLOCK`` is, and its scratch does not grow with the
+cloud."""
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist  # loaded before any traced call
+
+from conftest import mixture_cloud, random_cloud, traced_peak
+
+from conical_gmt import geometry
+from conical_gmt.corona import _set_distance
+from conical_gmt.energy import _direction_energies
+from conical_gmt.generators import GeneratorSpec, generate
+from conical_gmt.geometry import make_plane, pair_distances, row_blocks, sample_grassmannian
+from conical_gmt.graphs import LipschitzGraph, _graph_through
+from conical_gmt.lattice import build_lattice
+from conical_gmt.measure import DiscreteMeasure
+from conical_gmt.sio import TruncationGrid, _interaction_stack, builtin_kernels
+
+V_AXIS = make_plane([[0.0, 1.0]])
+# a block far smaller than any kernel's width, so every kernel runs one row
+# (or a 2 x 2 SIO tile) at a time
+TINY_BLOCK = 7
+SCRATCH_LIMIT = 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("rows, width", [(0, 5), (1, 1), (10, 3), (100, 1), (9, 50)])
+def test_row_blocks_cover_the_rows_within_the_budget(monkeypatch, rows, width):
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", TINY_BLOCK)
+    step = max(1, TINY_BLOCK // width)
+    blocks = list(row_blocks(rows, width))
+    assert np.array_equal(np.concatenate([np.arange(rows)[b] for b in blocks] or [[]]),
+                          np.arange(rows))
+    assert all(b.stop - b.start == step for b in blocks[:-1])
+    assert all(0 < b.stop - b.start <= step for b in blocks)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+def test_pair_distances_are_the_norm_of_the_differences(d):
+    rng = np.random.default_rng(d)
+    a, b = rng.random((30, d)) + 1e4, rng.random((40, d)) + 1e4
+    b[:5] = a[:5]
+    assert np.array_equal(pair_distances(a, b),
+                          np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+
+
+def graph_anchors() -> np.ndarray:
+    m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 0.5,
+                                                      "jitter": 0.3}, 3))
+    return m.points
+
+
+def diameters():
+    far = random_cloud(85, 200, d=3)
+    return (random_cloud(83, 300).diameter(),
+            DiscreteMeasure(far.points + 1e6, far.weights, 2).diameter())
+
+
+def graph_values():
+    g = _graph_through(graph_anchors(), V_AXIS, 0.8)
+    z = np.random.default_rng(5).uniform(-0.2, 1.2, (400, 1))
+    return g.evaluate(z), g.evaluate(g.anchors_base)
+
+
+def lipschitz_constants():
+    pts = graph_anchors()
+    return (_graph_through(pts, V_AXIS, 0.8).lip_measured,
+            _graph_through(pts[:2], V_AXIS, 0.8).lip_measured,
+            _graph_through(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]]),
+                           V_AXIS, 0.8).lip_measured)
+
+
+def slope_loop_oracle(pts: np.ndarray, direction) -> float:
+    """Oracle: the largest anchor-pair slope, one row of pairs i < j at a time."""
+    z, v = direction.complement().coords(pts), direction.coords(pts)
+    lip = 0.0
+    for i in range(len(pts) - 1):
+        dz = np.linalg.norm(z[i + 1:] - z[i][None, :], axis=1)
+        dv = np.linalg.norm(v[i + 1:] - v[i][None, :], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lip = max(lip, float(np.max(np.where(dz > 0, dv / dz, np.inf))))
+    return lip
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_lip_measured_equals_the_slope_loop(monkeypatch, tiny):
+    if tiny:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", TINY_BLOCK)
+    plane3 = make_plane([[0.0, 0.0, 1.0]])
+    cases = [(graph_anchors(), V_AXIS), (random_cloud(4, 120, d=3).points, plane3),
+             (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]]), V_AXIS),
+             (np.array([[0.25, 0.5]]), V_AXIS)]
+    for pts, direction in cases:
+        assert _graph_through(pts, direction, 0.8).lip_measured == slope_loop_oracle(pts, direction)
+
+
+def lattice_cubes():
+    m, _ = generate(GeneratorSpec("segment", {"count": 400, "jitter": 0.05}, 2))
+    mix = mixture_cloud()
+    out = []
+    for lat in (build_lattice(m, 2.0, 8.0, 5),
+                build_lattice(DiscreteMeasure(mix.points, mix.weights, 1), 2.0, 4.0, 5)):
+        out.append(np.array([(q.center_idx, q.parent if q.parent is not None else -1)
+                             for q in lat.cubes]))
+        out.extend(q.members for q in lat.cubes)
+    return tuple(out)
+
+
+def direction_energies():
+    m = mixture_cloud()
+    idx = m.ball_indices(m.points[372], 0.35)
+    directions = [V_AXIS] + sample_grassmannian(2, 1, 12, 7)
+    table = _direction_energies(m, idx, directions, 0.8, 2.0, 0.35)
+    assert np.count_nonzero(table) > 0
+    return (table,)
+
+
+def interaction_stacks():
+    out = []
+    for m, kernel in ((random_cloud(5, 40), builtin_kernels()["cauchy"]),
+                      (random_cloud(9, 25, d=3), builtin_kernels(2, 3)["riesz"])):
+        packed, idx = _interaction_stack(m, kernel, TruncationGrid.log_spaced(m, 8))
+        out.extend(packed)
+        out.append(idx)
+    return tuple(out)
+
+
+def set_distances():
+    rng = np.random.default_rng(8)
+    a, b = rng.random((50, 2)), rng.random((80, 2)) + [0.5, 0.0]
+    return _set_distance(a, b), _set_distance(b, a), _set_distance(a[:1], b)
+
+
+BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
+               "lip-measured": lipschitz_constants, "lattice": lattice_cubes,
+               "direction-energies": direction_energies,
+               "interaction-stack": interaction_stacks, "set-distance": set_distances}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_outputs_do_not_depend_on_the_block(monkeypatch, case):
+    whole = BLOCK_CASES[case]()
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", TINY_BLOCK)
+    tiny = BLOCK_CASES[case]()
+    assert len(tiny) == len(whole)
+    for got, want in zip(tiny, whole):
+        assert np.array_equal(got, want)
+
+
+def test_evaluate_scratch_does_not_grow_with_queries_or_anchors():
+    rng = np.random.default_rng(14)
+    g = LipschitzGraph(make_plane([[1.0, 0.0]]), V_AXIS, np.sort(rng.random((4096, 1)), axis=0),
+                       rng.random((4096, 1)), 1.0, 2.5)
+    z = rng.random((4096, 1))
+    vals, peak = traced_peak(g.evaluate, z)
+    assert vals.shape == (4096, 1)
+    assert np.array_equal(vals[:8], g.evaluate(z[:8]))
+    assert peak < SCRATCH_LIMIT
+
+
+def test_diameter_scratch_does_not_grow_with_the_cloud():
+    m = random_cloud(8, 8192)
+    diam, peak = traced_peak(m.diameter)
+    assert diam == max(cdist(m.points[lo:lo + 512], m.points).max()
+                       for lo in range(0, m.size, 512))
+    assert peak < SCRATCH_LIMIT
