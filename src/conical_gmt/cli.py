@@ -66,12 +66,12 @@ def _report_base(kind: str, args: argparse.Namespace, points_path: str | None) -
     return base
 
 
-def _parse_scales(text: str, diameter: float) -> list[float]:
+def _parse_scales(text: str, m: DiscreteMeasure) -> list[float]:
     if text.startswith("dyadic:"):
         k = int(text.split(":", 1)[1])
         if k < 1:
             raise InputError("dyadic scale count must be >= 1")
-        top = diameter if diameter > 0 else 1.0
+        top = m.diameter() or 1.0
         return [top / 2 ** j for j in range(k)]
     vals = [float(v) for v in text.split(",")]
     if any(v <= 0 for v in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
@@ -109,7 +109,7 @@ def _cmd_energy(args) -> int:
     m = _load_points(args.points, args.n)
     plane = parse_plane(args.plane)
     outer = float("inf") if args.R in ("inf", "Inf") else float(args.R)
-    spec = energy.EnergySpec(plane, args.alpha, args.p, outer, args.eta)
+    spec = energy.EnergySpec(plane, args.alpha, args.p, outer)
     energies, counts = energy.pointwise_energies(m, spec)
     total = energy.weighted_sum(m.weights, energies)
     if args.per_point:
@@ -132,7 +132,7 @@ def _parse_balls(kind: str, m: DiscreteMeasure, c0: float, a0: float, depth: int
         return [(m.points[0], max(m.diameter(), 1e-12) * 1.001)], "single covering ball"
     if kind == "lattice":
         lat = build_lattice(m, c0, a0, depth)
-        balls = [(q.center, 2 * q.ball_radius) for q in lat.cubes if q.doubling]
+        balls = [(q.center, q.double_ball_radius) for q in lat.cubes if q.doubling]
         return balls, f"2B balls of doubling lattice cubes (depth {depth})"
     if os.path.exists(kind):
         with open(kind) as fh:
@@ -241,7 +241,7 @@ def _cmd_beta(args) -> int:
         if not 0 <= idx < m.size:
             raise InputError(f"center index {idx} out of range")
         center = m.points[idx]
-    scales = _parse_scales(args.scales, m.diameter())
+    scales = _parse_scales(args.scales, m)
     rows = []
     for r in scales:
         try:
@@ -249,7 +249,8 @@ def _cmd_beta(args) -> int:
             rows.append((r, b.beta, b.degenerate, b.ball_mass))
         except EmptyBall:
             rows.append((r, 0.0, False, 0.0))
-    square = diagnostics.beta_square_function(m, center, scales) if len(scales) > 1 else None
+    square = (diagnostics.beta_square_sum(scales, [row[1] for row in rows])
+              if len(scales) > 1 else None)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["r", "beta", "degenerate", "ball_mass"])
@@ -258,11 +259,11 @@ def _cmd_beta(args) -> int:
                         format(bm, ".17g")])
     rep = _report_base("beta", args, args.points)
     rep.update(center=center.tolist(),
-               square_function=square["total"] if square else None,
+               square_function=square,
                scales=[float(s) for s in scales])
     _write_json(rep, args.json_out)
     print(f"beta profile over {len(scales)} scales"
-          + (f", square function {square['total']:.6g}" if square else ""))
+          + (f", square function {square:.6g}" if square is not None else ""))
     return 0
 
 
@@ -372,7 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--alpha", type=float, required=True)
     e.add_argument("--plane", required=True)
     e.add_argument("--R", required=True)
-    e.add_argument("--eta", type=float, default=0.1)
     e.add_argument("--per-point")
     e.add_argument("--out")
     e.set_defaults(func=_cmd_energy)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergySpec, cube_ball, weighted_sum, window_energies
+from .energy import EnergySpec, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
 from .geometry import Plane, cone_mask, pair_distances, row_blocks
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
@@ -46,18 +46,16 @@ class CoronaParams:
     key_const: float | None = None  # M, defaults to 4 / aperture
     sep_const: float | None = None  # t, defaults to 10 M
     prox_const: float | None = None  # Lambda, defaults to 4 M
+    # the cube energies' spec, built from the fields above, which it checks
+    spec: EnergySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.aperture < 1:
-            raise InvalidParams("aperture must lie in (0, 1)")
-        if not self.exponent >= 1:
-            raise InvalidParams("exponent p must be >= 1")
+        object.__setattr__(self, "spec", EnergySpec(
+            self.plane, self.aperture, self.exponent, np.inf, self.eta))
         if not (0 < self.density_low < 1 < self.density_high):
             raise InvalidParams("need tau < 1 < A")
         if not 0 <= self.energy_stop < 1:
             raise InvalidParams("energy threshold must lie in [0, 1)")
-        if not 0 < self.eta < 1:
-            raise InvalidParams("eta must lie in (0, 1)")
         m = self.key_const if self.key_const is not None else 4.0 / self.aperture
         t = self.sep_const if self.sep_const is not None else 10.0 * m
         lam = self.prox_const if self.prox_const is not None else 4.0 * m
@@ -70,10 +68,6 @@ class CoronaParams:
         object.__setattr__(self, "key_const", m)
         object.__setattr__(self, "sep_const", t)
         object.__setattr__(self, "prox_const", lam)
-
-    def energy_spec(self) -> EnergySpec:
-        return EnergySpec(self.plane, self.aperture, self.exponent,
-                          np.inf, self.eta)
 
     def describe(self) -> dict:
         return {"aperture": self.aperture, "exponent": self.exponent,
@@ -118,7 +112,7 @@ class _Ctx:
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
         self.lattice = lattice
-        self.spec = params.energy_spec()
+        self.spec = params.spec
         self._cube: dict[int, tuple[float, float]] = {}
         m, eta = lattice.measure, self.spec.inner_eta
         radii = [lattice.cubes[ids[0]].radius for ids in lattice.levels]
@@ -130,10 +124,10 @@ class _Ctx:
         v = self._cube.get(q.id)
         if v is None:
             m = self.lattice.measure
-            idx, mass_q = cube_ball(self.lattice, q)
+            idx = m.ball_indices(q.center, q.double_ball_radius)
             w = m.weights[idx]
-            v = (float(np.sum(w)) / (2.0 * q.ball_radius) ** m.dim_param,
-                 weighted_sum(w, self._table[idx, q.level]) / mass_q)
+            v = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
+                 weighted_sum(w, self._table[idx, q.level]) / q.mass)
             self._cube[q.id] = v
         return v
 
@@ -205,10 +199,8 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
             graph = _graph_through(np.unique(anchors, axis=0), params.plane,
                                    params.aperture)
 
-    w = lattice.measure.weights
-    root_mass = float(np.sum(w[root.members]))
-    hd_mass = sum(float(np.sum(w[lattice.cubes[i].members])) for i in stop["hd"])
-    ld_mass = sum(float(np.sum(w[lattice.cubes[i].members])) for i in stop["ld"])
+    hd_mass = sum(lattice.cubes[i].mass for i in stop["hd"])
+    ld_mass = sum(lattice.cubes[i].mass for i in stop["ld"])
     return TreeResult(
         root_id=root.id, tree_ids=tree_ids,
         stop_hd=stop["hd"], stop_ld=stop["ld"], stop_bce=stop["bce"],
@@ -216,8 +208,8 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
         good_indices=good, graph=graph, graph_violations=violations,
         theta_ledger=theta_ledger, chain_energy=chain_energy,
         root_theta=theta_r,
-        is_increasing_density=hd_mass >= 0.5 * root_mass,
-        ld_mass_fraction=ld_mass / root_mass if root_mass > 0 else 0.0,
+        is_increasing_density=hd_mass >= 0.5 * root.mass,
+        ld_mass_fraction=ld_mass / root.mass,
     )
 
 
@@ -299,7 +291,6 @@ class CoronaResult:
     lattice: Lattice
     trees: list[TreeResult]
     top_ids: list[int]
-    next_map: dict
     tr_assignment: dict
     ledger: dict
 
@@ -314,7 +305,6 @@ def build_top(lattice: Lattice, params: CoronaParams,
 
     trees: list[TreeResult] = []
     top_ids: list[int] = []
-    next_map: dict[int, list[int]] = {}
     queue = [root.id]
     seen = set()
     while queue:
@@ -325,22 +315,16 @@ def build_top(lattice: Lattice, params: CoronaParams,
         top_ids.append(rid)
         tree = stopping_decomposition(lattice, rid, params, _ctx=ctx)
         trees.append(tree)
-        nxt: list[int] = []
         for sid in tree.stop_ids:
-            md = maximal_doubling(lattice, sid)
-            nxt.extend(c.id for c in md.cubes)
-        next_map[rid] = nxt
-        queue.extend(nxt)
+            queue.extend(c.id for c in maximal_doubling(lattice, sid).cubes)
 
     tr_assignment = _assign_trees(lattice, set(top_ids))
 
     m = lattice.measure
-    w = m.weights
     p = params.exponent
-    packing = sum(t.root_theta ** p * float(np.sum(w[lattice.cubes[t.root_id].members]))
-                  for t in trees)
+    packing = sum(t.root_theta ** p * lattice.cubes[t.root_id].mass for t in trees)
     c1 = growth_constant(m, r0=root.radius, sample_count=min(m.size, 256), seed=c1_seed)
-    e_total = weighted_sum(w, ctx._table[:, -1])
+    e_total = weighted_sum(m.weights, ctx._table[:, -1])
     rhs = c1.value ** p * m.total_mass + e_total
     ledger = {
         "packing_sum": packing,
@@ -355,7 +339,7 @@ def build_top(lattice: Lattice, params: CoronaParams,
             "root": t.root_id,
             "level": lattice.cubes[t.root_id].level,
             "root_theta": t.root_theta,
-            "root_mass": float(np.sum(w[lattice.cubes[t.root_id].members])),
+            "root_mass": lattice.cubes[t.root_id].mass,
             "tree_size": len(t.tree_ids),
             "stop_counts": {"bce": len(t.stop_bce), "hd": len(t.stop_hd),
                             "ld": len(t.stop_ld)},
@@ -369,8 +353,7 @@ def build_top(lattice: Lattice, params: CoronaParams,
             "cone_violations": len(t.graph_violations),
         } for t in trees],
     }
-    return CoronaResult(params, lattice, trees, top_ids, next_map,
-                        tr_assignment, ledger)
+    return CoronaResult(params, lattice, trees, top_ids, tr_assignment, ledger)
 
 
 def _assign_trees(lattice: Lattice, top_set: set) -> dict:
@@ -413,7 +396,6 @@ def verify_corona(result: CoronaResult) -> dict:
     pts = lattice.measure.points
     unit = max(lattice.root.radius, float(np.max(np.abs(pts))))
     for tree in result.trees:
-        root = lattice.cubes[tree.root_id]
         theta_r = tree.root_theta
         report = {"root": tree.root_id}
 

@@ -74,9 +74,15 @@ def beta_square_function(m: DiscreteMeasure, x, scale_grid) -> dict:
             betas[i] = beta2(m, x, r).beta
         except EmptyBall:
             betas[i] = 0.0
-    gaps = np.log(scales[:-1] / scales[1:])
-    total = float(np.sum(betas[:-1] ** 2 * gaps))
-    return {"scales": scales.tolist(), "betas": betas.tolist(), "total": total}
+    return {"scales": scales.tolist(), "betas": betas.tolist(),
+            "total": beta_square_sum(scales, betas)}
+
+
+def beta_square_sum(scales, betas) -> float:
+    """sum_i beta_i^2 log(r_i / r_{i+1}) over a strictly decreasing grid of
+    scales r_i with their beta numbers: the left-endpoint Riemann sum."""
+    scales, betas = np.asarray(scales, dtype=float), np.asarray(betas, dtype=float)
+    return float(np.sum(betas[:-1] ** 2 * np.log(scales[:-1] / scales[1:])))
 
 
 def _plane_ball_cap(base: np.ndarray, plane: Plane, center: np.ndarray, r: float):
@@ -159,10 +165,10 @@ def tangent_convergence(m: DiscreteMeasure, x, scale_grid) -> dict:
     if m.dim_param > 2:
         raise UnsupportedDimension("tangent profiles support n <= 2 only")
     x = np.asarray(x, dtype=float)
-    finest = beta2(m, x, scales[-1])
+    fits = [beta2(m, x, r) for r in scales]
+    finest = fits[-1]
     values = []
-    for r in scales:
-        fit = beta2(m, x, r)
+    for r, fit in zip(scales, fits):
         gap = hausdorff_plane_sections(fit.base_point, fit.plane,
                                        finest.base_point, finest.plane, x, r)
         values.append(gap / r)
@@ -223,7 +229,6 @@ def cone_outside_tube_check(x, r: float, tangent: Plane, tube_base, tube_plane: 
         return {"hypothesis_ok": False, "eta": eta, "section_gap": gap,
                 "passed": None, "violations": 0, "samples": 0, "witness": None}
     rng = np.random.default_rng(seed)
-    d = tangent.ambient_dim
     normal = tangent.complement()
 
     def unit_in(plane: Plane, count: int) -> np.ndarray:
@@ -311,14 +316,17 @@ def f_epsilon_set(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
             raise InvalidParams("grid radii must lie in (0, 1]")
     out = []
     for i in range(m.size):
-        d = m.distances_from(m.points[i])
+        ds, cum = sorted_mass(m.distances_from(m.points[i]), m.weights)
+        # before[j] is mu(B(x, ds[j])) at the first position of a run of equal
+        # distances and more at its later ones, so every position may be tested
+        before = np.append(0.0, cum)
         if explicit is None:
-            radii = np.unique(np.concatenate((d[(d > 0) & (d <= 1.0)], [1.0])))
+            lo, hi = np.searchsorted(ds, (0.0, 1.0), side="right")
+            radii = np.append(ds[lo:hi], 1.0)
+            mass = np.append(before[lo:hi], before[np.searchsorted(ds, 1.0)])
         else:
             radii = explicit
-        ds, cum = sorted_mass(d, m.weights)
-        pos = np.searchsorted(ds, radii, side="left")  # strict: atoms with dist < r
-        mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
+            mass = before[np.searchsorted(ds, radii, side="left")]
         if np.any(mass <= eps * radii ** n):
             out.append(i)
     return np.asarray(out, dtype=int)

@@ -41,10 +41,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCube, InvalidParams, MissingDirection
+from .errors import DimensionMismatch, InvalidParams, MissingDirection
 from .geometry import (Plane, _row_norms, cone_dist, cone_mask, cone_pairs,
                        plane_metric, row_blocks, sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
+
+
+def _check_cone(aperture: float, exponent: float) -> None:
+    """The rules every cone energy puts on its aperture and exponent."""
+    if not 0 < aperture < 1:
+        raise InvalidParams("aperture must lie in (0, 1)")
+    if not exponent >= 1:
+        raise InvalidParams("exponent p must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,10 +66,7 @@ class EnergySpec:
     inner_eta: float = 0.1
 
     def __post_init__(self):
-        if not 0 < self.aperture < 1:
-            raise InvalidParams("aperture must lie in (0, 1)")
-        if not self.exponent >= 1:
-            raise InvalidParams("exponent p must be >= 1")
+        _check_cone(self.aperture, self.exponent)
         if not self.outer_scale > 0:
             raise InvalidParams("outer scale R must be positive")
         if not 0 < self.inner_eta < 1:
@@ -270,27 +275,16 @@ def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
     return total
 
 
-def cube_ball(lattice, cube) -> tuple[np.ndarray, float]:
-    """Indices of the atoms in 2B_Q, and mu(Q) > 0.  The lattice runs on the
-    input cloud, so the ball's radius is in input units."""
-    m = lattice.measure
-    mass_q = float(np.sum(m.weights[cube.members]))
-    if mass_q <= 0:
-        raise EmptyCube(f"cube {cube.id} carries no mass")
-    return m.ball_indices(cube.center, 2.0 * cube.ball_radius), mass_q
-
-
 def cube_energy(lattice, cube, spec: EnergySpec) -> float:
     """Window energy of a lattice cube, averaged by the cube's own mass:
 
         (1 / mu(Q)) sum_{x in 2B_Q} w(x) int_{eta r(Q)}^{r(Q)/eta} (...)
     """
-    cube = lattice.resolve(cube)
-    idx, mass_q = cube_ball(lattice, cube)
+    cube, m = lattice.resolve(cube), lattice.measure
+    idx = m.ball_indices(cube.center, cube.double_ball_radius)
     eta = spec.inner_eta
-    e = window_energies(lattice.measure, idx, spec,
-                        [(eta * cube.radius, cube.radius / eta)])
-    return weighted_sum(lattice.measure.weights[idx], e[:, 0]) / mass_q
+    e = window_energies(m, idx, spec, [(eta * cube.radius, cube.radius / eta)])
+    return weighted_sum(m.weights[idx], e[:, 0]) / cube.mass
 
 
 def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,
@@ -305,6 +299,7 @@ def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,
     the best direction.  The ball family is finite and reported as such: no
     claim is made about unsampled balls or directions.
     """
+    _check_cone(aperture, exponent)
     if not 0 < mass_fraction <= 1:
         raise InvalidParams("mass fraction kappa must lie in (0, 1]")
     if not energy_bound >= 0:
@@ -363,6 +358,7 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
     ``direction_assignment`` maps atom index -> Plane; every atom inside some
     tested ball must be covered.
     """
+    _check_cone(aperture, exponent)
     if hasattr(direction_assignment, "__getitem__") and not hasattr(direction_assignment, "get"):
         assignment = {i: direction_assignment[i] for i in range(len(direction_assignment))}
     else:

@@ -45,10 +45,6 @@ class IntermediateDoubling(InputError):
     pass
 
 
-class EmptyCube(InputError):
-    pass
-
-
 class EmptyBall(InputError):
     pass
 

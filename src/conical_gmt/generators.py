@@ -142,7 +142,7 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
         if not comps:
             raise InvalidSpec("mixture needs a components list")
         parts, metas, masses = [], [], []
-        for i, comp in enumerate(comps):
+        for comp in comps:
             sub = GeneratorSpec(comp["spec"]["kind"], comp["spec"].get("params", {}),
                                 comp["spec"].get("seed", spec.seed))
             sub_m, sub_meta = generate(sub)

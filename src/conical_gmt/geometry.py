@@ -81,10 +81,8 @@ class Plane:
 
     def complement(self) -> "Plane":
         """Orthonormal basis of the orthogonal complement."""
-        d = self.ambient_dim
         # rows of basis span V; null space of the projection gives V^perp
-        u, s, vt = np.linalg.svd(self.basis)
-        return Plane(vt[self.dim:])
+        return Plane(np.linalg.svd(self.basis)[2][self.dim:])
 
     def coords(self, points: np.ndarray) -> np.ndarray:
         """Coordinates of (projected) points in this plane's basis."""
@@ -104,7 +102,7 @@ def make_plane(vectors) -> Plane:
     m, d = v.shape
     if m == 0 or m > d:
         raise InvalidParams(f"need between 1 and {d} spanning vectors in R^{d}")
-    u, s, vt = np.linalg.svd(v, full_matrices=False)
+    _, s, vt = np.linalg.svd(v, full_matrices=False)
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankDeficient("input vectors are linearly dependent within 1e-10")
     if m == d:

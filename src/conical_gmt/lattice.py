@@ -17,6 +17,10 @@ The inner/outer ball containments (E cap B(Q) subset Q subset 28 B(Q)) are
 *checked and reported*, not enforced: the greedy assignment can violate them
 on adversarial clouds, and downstream consumers only rely on the verified
 partition, nesting, radius, and 5B-disjointness properties.
+
+Each cube's own quantities are computed once, on the cube: mu(Q), the
+doubling flag, whether the atoms of B(Q) (asked once, by the doubling test)
+all lie in Q, and the radii of B_Q and 2B_Q.
 """
 
 from __future__ import annotations
@@ -47,12 +51,18 @@ class Cube:
     children: list = field(default_factory=list)
     doubling: bool = False
     mass: float = 0.0
+    inner_contained: bool = False   # every atom of B(Q) is a member
     center: np.ndarray = None
 
     @property
     def ball_radius(self) -> float:
         """Radius of B_Q = 28 B(Q)."""
         return 28.0 * self.radius
+
+    @property
+    def double_ball_radius(self) -> float:
+        """Radius of 2B_Q = 56 B(Q)."""
+        return 2.0 * self.ball_radius
 
     def is_singleton(self) -> bool:
         return len(self.members) == 1
@@ -103,10 +113,9 @@ class Lattice:
         inner_ok = outer_ok = nest_ok = nest_total = 0
         for q in self.cubes:
             d = np.linalg.norm(m.points[q.members] - q.center[None, :], axis=1)
-            if d.max() <= 28.0 * q.radius:
+            if d.max() <= q.ball_radius:
                 outer_ok += 1
-            if np.all(np.isin(m.ball_indices(q.center, q.radius), q.members)):
-                inner_ok += 1
+            inner_ok += q.inner_contained
             if q.parent is not None:
                 p = self.cubes[q.parent]
                 nest_total += 1
@@ -219,13 +228,16 @@ def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list
 
 
 def doubling_flags(lattice: Lattice) -> Lattice:
-    """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict."""
+    """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict, its
+    mass mu(Q), and whether B(Q)'s atoms all lie in Q."""
     m = lattice.measure
     for q in lattice.cubes:
-        small = ball_mass(m, q.center, q.radius)
+        inner = m.ball_indices(q.center, q.radius)
+        small = float(np.sum(m.weights[inner]))
         big = ball_mass(m, q.center, 100.0 * q.radius)
         q.doubling = big <= lattice.c0 * small
         q.mass = float(np.sum(m.weights[q.members]))
+        q.inner_contained = bool(np.all(np.isin(inner, q.members)))
     return lattice
 
 
@@ -259,9 +271,7 @@ def maximal_doubling(lattice: Lattice, cube) -> MaximalDoubling:
     descend(q)
     cov = np.concatenate(covered) if covered else np.empty(0, dtype=int)
     uncovered = np.setdiff1d(q.members, cov, assume_unique=False)
-    w = lattice.measure.weights
-    total = float(np.sum(w[q.members]))
-    frac = float(np.sum(w[uncovered]) / total) if total > 0 else 0.0
+    frac = float(np.sum(lattice.measure.weights[uncovered]) / q.mass)
     return MaximalDoubling(found, uncovered, frac)
 
 
@@ -271,9 +281,9 @@ def delta_mu(lattice: Lattice, q, s) -> float:
     if not lattice.is_descendant(q, s):
         raise NotNested(f"cube {q.id} is not contained in cube {s.id}")
     m = lattice.measure
-    idx = m.ball_indices(s.center, 2 * s.ball_radius)
+    idx = m.ball_indices(s.center, s.double_ball_radius)
     r = np.linalg.norm(m.points[idx] - q.center[None, :], axis=1)
-    out = r >= 2 * q.ball_radius
+    out = r >= q.double_ball_radius
     return float(np.sum(m.weights[idx[out]] * r[out] ** (-m.dim_param)))
 
 

@@ -9,7 +9,7 @@ lets the spatial index be checked bit-for-bit against brute force.
 ``DiscreteMeasure.ball_indices`` is the package's one open-ball query over
 the atoms: a KD-tree prefilter with a slightly inflated radius, then the
 strict test |y - x| < r on ``np.linalg.norm(..., axis=1)``.  Masses,
-densities, the lattice's nets and containments, the corona's 2B_Q and the
+densities, the lattice's nets and B(Q), the corona's 2B_Q and the
 graph cover all ask it, so an atom on a sphere is outside everywhere alike.
 The KD-tree is built on the first ball query and kept; scipy loads with it,
 so a pipeline that asks no ball, such as the p = 1 energy sweep, never
@@ -155,19 +155,18 @@ def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float
     mu(B(x, r)) is a left-continuous step function of r jumping after each
     atom distance, so the supremum equals the maximum of closed-ball mass
     over the candidate radii {r_min} and every atom distance in (r_min, r_max).
+    Those are read off one ``sorted_mass`` profile: cum[j] is the closed-ball
+    mass at ds[j] when j is the last of its run of equal distances, and at
+    most that elsewhere in the run, so every position may be a candidate.
     """
     if not 0 < r_min < r_max:
         raise InvalidRange("need 0 < r_min < r_max")
-    x = np.asarray(x, dtype=float)
-    d = m.distances_from(x)
-    n = m.dim_param
-    cands = np.concatenate(([r_min], d[(d > r_min) & (d < r_max)]))
-    cands = np.unique(cands)
-    ds, cum = sorted_mass(d, m.weights)
-    # closed-ball mass at c: atoms with distance <= c
-    pos = np.searchsorted(ds, cands, side="right")
-    mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
-    return float(np.max(mass / cands ** n))
+    ds, cum = sorted_mass(m.distances_from(x), m.weights)
+    lo = np.searchsorted(ds, r_min, side="right")
+    hi = np.searchsorted(ds, r_max, side="left")
+    radii = np.append(r_min, ds[lo:hi])
+    mass = np.append(cum[lo - 1] if lo else 0.0, cum[lo:hi])
+    return float(np.max(mass / radii ** m.dim_param))
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def _cauchy(x: np.ndarray) -> np.ndarray:
     return np.stack([x[:, 0] / r2, -x[:, 1] / r2], axis=1)
 
 
-def _riesz(n: int, d: int):
+def _riesz(n: int):
     def k(x: np.ndarray) -> np.ndarray:
         r = np.linalg.norm(x, axis=1)
         return x / r[:, None] ** (n + 1)
@@ -75,7 +75,7 @@ def builtin_kernels(n: int = 1, d: int = 2) -> dict[str, Kernel]:
     Cauchy kernel needs 2.0 (the second derivative of 1/z has modulus
     2/|z|^3), the Riesz kernel (n+1)(n+3).
     """
-    kernels = {"riesz": Kernel("riesz", n, d, _riesz(n, d), float((n + 1) * (n + 3)))}
+    kernels = {"riesz": Kernel("riesz", n, d, _riesz(n), float((n + 1) * (n + 3)))}
     if n == 1 and d == 2:
         kernels["cauchy"] = Kernel("cauchy", 1, 2, _cauchy, 2.0)
     return kernels
@@ -99,7 +99,6 @@ def validate_kernel(kernel: Kernel, radii=None, directions: int = 8,
     pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
     odd_gap = float(np.max(np.abs(kernel(pts) + kernel(-pts))))
 
-    ok0 = ok1 = ok2 = True
     worst = {0: 0.0, 1: 0.0, 2: 0.0}
     n = kernel.dim_param
     for x in pts:

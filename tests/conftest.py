@@ -7,7 +7,7 @@ import pytest
 from conical_gmt.energy import _in_cone_jumps, _step_energy
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
-from conical_gmt.measure import DiscreteMeasure
+from conical_gmt.measure import DiscreteMeasure, sorted_mass
 
 
 def random_cloud(seed: int, count: int = 200, d: int = 2,
@@ -112,6 +112,54 @@ def greedy_centers_oracle(points: np.ndarray, r0: float, a0: float, depth: int) 
     return levels
 
 
+def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
+    """Oracle: the low-density set over each atom's sorted set of candidate
+    radii (``np.unique`` of its distances in (0, 1], and 1) or the grid, with
+    the open-ball mass at each radius found by binary search."""
+    out = []
+    for i in range(m.size):
+        d = m.distances_from(m.points[i])
+        radii = (np.unique(np.concatenate((d[(d > 0) & (d <= 1.0)], [1.0])))
+                 if r_grid is None else np.asarray(r_grid, dtype=float))
+        ds, cum = sorted_mass(d, m.weights)
+        pos = np.searchsorted(ds, radii, side="left")
+        mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
+        if np.any(mass <= eps * radii ** m.dim_param):
+            out.append(i)
+    return np.asarray(out, dtype=int)
+
+
+def maximal_function_candidates(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:
+    """Oracle: the closed-ball density maximum over the sorted set of
+    candidate radii {r_min} and the distances in (r_min, r_max), with the
+    mass at each radius found by binary search."""
+    d = m.distances_from(x)
+    cands = np.unique(np.concatenate(([r_min], d[(d > r_min) & (d < r_max)])))
+    ds, cum = sorted_mass(d, m.weights)
+    pos = np.searchsorted(ds, cands, side="right")
+    mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
+    return float(np.max(mass / cands ** m.dim_param))
+
+
+def _profile_clouds() -> list:
+    """Clouds with exact distance ties for the radial-profile oracles: Cantor
+    generation 4, a dyadic grid in R^3 (n = 2) with random weights, and random
+    clouds in R^2 and R^3 with a third of their atoms duplicated."""
+    cantor, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    g = np.arange(5) / 8.0
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    w = np.random.default_rng(89).random(len(grid)) + 0.1
+    clouds = [pytest.param(cantor, id="cantor4-n1"),
+              pytest.param(DiscreteMeasure(grid, w / w.sum(), 2), id="grid-n2")]
+    for d in (2, 3):
+        base = random_cloud(90 + d, 120, d)
+        pts = base.points.copy()
+        pts[:40] = pts[40:80]
+        clouds.append(pytest.param(DiscreteMeasure(pts, base.weights, d - 1),
+                                   id=f"duplicates-n{d - 1}"))
+    return clouds
+
+
 def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction,
                  aperture: float, n: int, p: float, lo: float, hi: float) -> float:
     """Oracle: int_lo^hi (mass(K(x, r)) / r^n)^p dr/r for one vertex and one
@@ -179,6 +227,7 @@ def _sweep_cases():
 
 
 SWEEP_CASES = _sweep_cases()
+PROFILE_CLOUDS = _profile_clouds()
 
 
 @pytest.fixture

@@ -198,6 +198,29 @@ def test_beta_zero_row_only_for_empty_balls(tmp_path, monkeypatch):
              "--scales", "0.5", "--out", str(out)])
 
 
+def test_beta_fits_each_scale_once(tmp_path, monkeypatch):
+    pts = tmp_path / "c3.csv"
+    run(["gen", "--type", "four_corner_cantor", "--generation", "3",
+         "--out", str(pts)])
+    calls = []
+    fit = diagnostics.beta2
+
+    def counted(m, x, r):
+        calls.append(r)
+        return fit(m, x, r)
+
+    monkeypatch.setattr(diagnostics, "beta2", counted)
+    rep = tmp_path / "beta.json"
+    assert run(["beta", "--points", str(pts), "--n", "1", "--center", "idx:0",
+                "--scales", "dyadic:6", "--out", str(tmp_path / "beta.csv"),
+                "--json-out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert calls == data["scales"]
+    m = load_csv(pts, 1)
+    assert data["square_function"] == diagnostics.beta_square_function(
+        m, m.points[0], data["scales"])["total"]
+
+
 def test_bplg_subcommands(tmp_path):
     mg, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 100, "lipschitz": 0.3}))
     pts_file = tmp_path / "mix.csv"
@@ -279,6 +302,21 @@ def test_scan_bpbe_subcommand(tmp_path):
     data = json.loads(rep.read_text())
     assert data["all_pass"]
     assert data["balls"][0]["pinned"]
+
+
+@pytest.mark.parametrize("option, value", [("--alpha", "-0.2"), ("--alpha", "1.5"),
+                                           ("--p", "0.5")])
+def test_scan_bpbe_rejects_invalid_cone_parameters(tmp_path, capsys, option, value):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "40", "--out", str(pts)])
+    rep = tmp_path / "scan.json"
+    argv = {"--alpha": "0.8", "--p": "1", "--M0": "0.5", "--kappa": "0.9",
+            "--direction-samples": "2", "--seed": "3", "--balls": "all", option: value}
+    code = run(["scan-bpbe", "--points", str(pts), "--n", "1", "--out", str(rep),
+                *(t for kv in argv.items() for t in kv)])
+    assert code == 2
+    assert "must" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def _fresh_python(args, cwd):

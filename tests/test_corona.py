@@ -359,7 +359,7 @@ def test_energy_control_recheck():
     params = default_params()
     res = build_top(lat, params)
     from conical_gmt.energy import cube_energy
-    spec = params.energy_spec()
+    spec = params.spec
     for tree in res.trees[:10]:
         theta_r = tree.root_theta
         bound = params.energy_stop * theta_r ** params.exponent
@@ -388,7 +388,7 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
     m, _ = generate(gen)
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
     params = CoronaParams(plane=make_plane(plane), aperture=0.8)
-    spec = params.energy_spec()
+    spec = params.spec
     nm, eta = lat.measure, params.eta
     ctx = _Ctx(lat, params)
     nonzero = 0
@@ -493,7 +493,7 @@ def test_corona_total_energy_equals_energy_pipeline(order_seed):
     m = _cantor(5, order_seed)
     params = default_params()
     res = build_top(build_lattice(m, 2.0, 8.0, natural_depth(m)), params)
-    want = weighted_sum(m.weights, pointwise_energies(m, params.energy_spec())[0])
+    want = weighted_sum(m.weights, pointwise_energies(m, params.spec)[0])
     assert res.ledger["total_energy"] == pytest.approx(want, rel=1e-12, abs=0)
 
 

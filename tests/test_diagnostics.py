@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from conftest import SWEEP_CASES, _shell_index, random_cloud, theta_m_oracle
+from conftest import (PROFILE_CLOUDS, SWEEP_CASES, _shell_index, f_epsilon_candidates,
+                      random_cloud, theta_m_oracle)
+
+from conical_gmt import diagnostics
 
 from conical_gmt.diagnostics import (_shell_indices, beta2, beta_square_function,
                                      cone_outside_tube_check,
@@ -326,6 +329,39 @@ def test_f_epsilon_monotone_and_grid_consistency():
         grid = np.geomspace(1e-3, 1.0, 50)
         c = set(f_epsilon_set(m, 0.2, r_grid=grid).tolist())
         assert c <= b
+
+
+@pytest.mark.parametrize("m", PROFILE_CLOUDS)
+def test_f_epsilon_reads_the_sorted_profile(m):
+    # every position of the sorted profile in place of the candidate set; the
+    # grid has radii equal to atom distances, and the set changes with eps
+    # (the uniform Cantor set all at once)
+    d = m.distances_from(m.points[0])
+    grid = np.unique(np.concatenate((d[(d > 0) & (d <= 1)][::7], [0.01, 0.3, 1.0])))
+    sizes = set()
+    for eps in (0.05, 0.2, 0.45, 0.5, 1.0):
+        got = f_epsilon_set(m, eps)
+        assert got.tolist() == f_epsilon_candidates(m, eps).tolist()
+        assert (f_epsilon_set(m, eps, r_grid=grid).tolist()
+                == f_epsilon_candidates(m, eps, grid).tolist())
+        sizes.add(len(got))
+    assert len(sizes) > 1
+
+
+def test_tangent_convergence_fits_each_scale_once(monkeypatch):
+    m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 0.3}))
+    calls = []
+    fit = diagnostics.beta2
+
+    def counted(m, x, r):
+        calls.append(r)
+        return fit(m, x, r)
+
+    monkeypatch.setattr(diagnostics, "beta2", counted)
+    scales = [0.4, 0.2, 0.1, 0.05]
+    rep = diagnostics.tangent_convergence(m, m.points[150], scales)
+    assert calls == scales
+    assert rep["values"][-1] == 0.0
 
 
 def flat_graph(count=60):

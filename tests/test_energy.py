@@ -15,7 +15,7 @@ from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
                                 pointwise_energies, pointwise_energy,
                                 projection_energy_check,
                                 riesz_cone_sum, total_energy, window_energies)
-from conical_gmt.errors import MissingDirection
+from conical_gmt.errors import InvalidParams, MissingDirection
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
 from conical_gmt.lattice import build_lattice
@@ -363,6 +363,18 @@ def test_bme_missing_direction():
     m, _ = generate(GeneratorSpec("segment", {"count": 10}))
     with pytest.raises(MissingDirection):
         bme_check(m, [(np.array([0.5, 0.0]), 1.0)], 0.9, 1.0, 1.0, {0: V_AXIS})
+
+
+@pytest.mark.parametrize("aperture, exponent", [(-0.2, 1.0), (1.5, 1.0), (0.8, 0.5)])
+def test_scans_apply_the_energy_spec_rules(aperture, exponent):
+    m, _ = generate(GeneratorSpec("segment", {"count": 10}))
+    balls = [(np.array([0.5, 0.0]), 1.0)]
+    with pytest.raises(InvalidParams):
+        EnergySpec(V_AXIS, aperture, exponent)
+    with pytest.raises(InvalidParams):
+        bpbe_scan(m, balls, aperture, exponent, 0.5, 0.9, 2, 3)
+    with pytest.raises(InvalidParams):
+        bme_check(m, balls, aperture, exponent, 1.0, {i: V_AXIS for i in range(10)})
 
 
 def test_bme_single_interaction_hand_ratio():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,24 @@ def test_lattice_centers_equal_greedy_oracle(gen):
     got = [sorted(lat.cubes[i].center_idx for i in ids) for ids in lat.levels]
     assert got == want
     assert len(got[-1]) > len(got[1])
+
+
+def test_lattice_asks_each_inner_ball_once(monkeypatch):
+    # the doubling test's query of B(x_Q, r_Q) also decides the inner
+    # containment, so the containment report asks no ball
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
+    depth = natural_depth(m)
+    calls = Counter()
+    query = DiscreteMeasure.ball_indices
+
+    def counted(self, x, r):
+        calls[tuple(np.asarray(x).tolist()), r] += 1
+        return query(self, x, r)
+
+    monkeypatch.setattr(DiscreteMeasure, "ball_indices", counted)
+    lat = build_lattice(m, 2.0, 8.0, depth)
+    lat.containment_report()
+    assert [calls[tuple(q.center.tolist()), q.radius] for q in lat.cubes] == [1] * len(lat.cubes)
 
 
 def test_doubling_flags_definition():

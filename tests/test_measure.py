@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from conftest import brute_ball_mass, brute_cone_mass, random_cloud
+from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
+                      maximal_function_candidates, random_cloud)
 
 from conical_gmt.errors import InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
@@ -126,6 +127,20 @@ def test_maximal_function_matches_brute_force(rng):
     val = maximal_function(m, x, r_min, r_max)
     assert val >= best - 1e-9
     assert val <= best * (1 + 1e-6) + 1e-9 or val == pytest.approx(best, rel=1e-3)
+
+
+@pytest.mark.parametrize("m", PROFILE_CLOUDS)
+def test_maximal_function_reads_the_sorted_profile(m):
+    # every position of the sorted profile in place of the candidate set, at
+    # every atom and one point off the cloud; r_min and r_max sit on atom
+    # distances, between them and below the spacing
+    d = np.unique(m.distances_from(m.points[0]))
+    ranges = [(d[1], d[-1]), (d[3], d[len(d) // 2]), (d[1] / 3, 1.0),
+              (0.5 * (d[2] + d[3]), 2.0)]
+    for x in (*m.points, m.points.mean(axis=0)):
+        for r_min, r_max in ranges:
+            assert (maximal_function(m, x, r_min, r_max)
+                    == maximal_function_candidates(m, x, r_min, r_max))
 
 
 def test_growth_constant_segment():

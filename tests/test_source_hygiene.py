@@ -1,0 +1,137 @@
+"""Dead-name scan of the package source, with the standard library's ``ast``.
+
+Fails on a function-local name that is bound and never read, on a
+parameter that is never read, and on an assignment whose value is never read
+because a later statement of the same block assigns the name again with no
+read in between.  Names starting with ``_`` are exempt, as are ``self`` and
+``cls``.  A read anywhere inside the function counts, nested functions and
+comprehensions included, so a closure's use of an outer local counts for the
+outer function.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "conical_gmt"
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(fn):
+    """The nodes of fn's body, not descending into nested functions or
+    classes, whose bindings are their own."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*_FUNCS, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(fn) -> list:
+    """(name, line) of every local binding in fn's own body, less the names
+    it declares global or nonlocal."""
+    bound, declared = [], set()
+    for node in _own_nodes(fn):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append((node.id, node.lineno))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [((a.asname or a.name).split(".")[0], node.lineno)
+                      for a in node.names]
+    return [(name, line) for name, line in bound if name not in declared]
+
+
+def _reads(tree) -> set:
+    """Names read anywhere in tree; ``x += 1`` reads x."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def _params(fn):
+    a = fn.args
+    for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+        if arg is not None:
+            yield arg.arg, arg.lineno
+
+
+def _stored(stmt) -> set:
+    """Names a plain assignment statement binds."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
+def _overwritten(fn):
+    """(name, line) of assignments that a later assignment in the same block
+    replaces before any statement between them reads the name."""
+    for node in (fn, *_own_nodes(fn)):
+        if node is not fn and isinstance(node, (*_FUNCS, ast.ClassDef)):
+            continue
+        for block in (getattr(node, f, None) for f in ("body", "orelse", "finalbody")):
+            if not isinstance(block, list):
+                continue
+            pending = {}                       # name -> line of its store
+            for stmt in block:
+                read = _reads(stmt)
+                for name in _stored(stmt) - read:
+                    if name in pending:
+                        yield name, pending[name]
+                pending = {k: v for k, v in pending.items() if k not in read}
+                pending.update((name, stmt.lineno) for name in _stored(stmt))
+
+
+def dead_names(source: str, filename: str = "<source>") -> list[str]:
+    """Unread locals and parameters, and overwritten values, of every
+    function in ``source``."""
+    found = []
+    for fn in ast.walk(ast.parse(source, filename)):
+        if not isinstance(fn, _FUNCS):
+            continue
+        reads = _reads(fn)
+        for kind, names in (("local", _bindings(fn)), ("parameter", _params(fn))):
+            for name, line in names:
+                if name.startswith("_") or name in ("self", "cls") or name in reads:
+                    continue
+                found.append(f"{filename}:{line}: {kind} {name!r} of "
+                             f"{fn.name}() is never read")
+        for name, line in _overwritten(fn):
+            if not name.startswith("_"):
+                found.append(f"{filename}:{line}: value of {name!r} in "
+                             f"{fn.name}() is overwritten before it is read")
+    return found
+
+
+def test_scan_finds_unread_locals_and_parameters():
+    src = ("def f(a, b, _c):\n"
+           "    x = 1\n"
+           "    y, _z = 2, 3\n"
+           "    k = n = 0\n"
+           "    for t in range(3):\n"
+           "        k += t\n"
+           "    n = k\n"
+           "    def g():\n"
+           "        v = 1\n"
+           "        v = 2\n"
+           "        return b + v\n"
+           "    return y + g() + n\n")
+    assert [s.split(": ", 1)[1] for s in dead_names(src)] == [
+        "local 'x' of f() is never read", "parameter 'a' of f() is never read",
+        "value of 'n' in f() is overwritten before it is read",
+        "value of 'v' in g() is overwritten before it is read"]
+
+
+def test_package_has_no_unread_locals_or_parameters():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += dead_names(path.read_text(), path.name)
+    assert found == []
