@@ -280,20 +280,21 @@ def theta_m_property(points, direction: Plane, theta: float,
         raise DimensionMismatch("points and plane dimensions differ")
     hit = np.zeros((len(pts), 0), dtype=bool)   # column c is shell j = lo + c
     lo = 0
-    for i, mask, dist in cone_pairs(pts, direction, theta):
-        partners = np.flatnonzero(mask)
-        if len(partners) == 0:
+    for i0, mask, dist in cone_pairs(pts, direction, theta):
+        i, c = np.nonzero(mask)
+        if len(i) == 0:
             continue
-        j = _shell_indices(dist[partners])
+        j = _shell_indices(dist[i, c])
         if hit.shape[1] == 0:
             lo = int(j.min())
-        # widen the table to shells lo_new <= j < hi
+        # widen the table to shells lo_new <= j < hi, once per strip
         lo_new, hi = min(lo, int(j.min())), max(lo + hit.shape[1], int(j.max()) + 1)
         if lo_new < lo or hi > lo + hit.shape[1]:
             hit = np.pad(hit, ((0, 0), (lo - lo_new, hi - lo - hit.shape[1])))
             lo = lo_new
-        hit[i, j - lo] = True
-        hit[partners + i + 1, j - lo] = True
+        j -= lo
+        hit[i + i0, j] = True
+        hit[c + i0 + 1, j] = True
     counts = np.count_nonzero(hit, axis=1)
     if per_point:
         return int(counts.max(initial=0)), counts

@@ -16,9 +16,13 @@ whole-cloud sweep ``pointwise_energies`` needs no sort.  The cone relation is
 symmetric bit for bit (see ``geometry``), and the term |y-x|^{-n} - R^{-n} is
 the same from both ends, so the sweep tests each unordered pair once
 (``cone_pairs``) and credits w_y times the term to x and w_x times it to y.
-An atom's sum then adds its lower-indexed partners' terms one at a time
-before its own row's numpy sum; that order differs from one sum per atom in
-the last bits only, within 1e-13 relative of an exactly rounded sum.
+It runs in ``cone_pairs``' row strips.  A strip first credits every row's
+partners j > i, row after row, and then adds to each of its rows numpy's sum
+of that row's compressed terms.  So an atom adds its lower-indexed partners'
+terms one at a time, in index order, and then its own row's sum, the order of
+a sweep one row at a time, whatever the strips are.  That order differs from
+one sum per atom in the last bits only, within 1e-13 relative of an exactly
+rounded sum.
 
 A window energy int_lo^hi only reads the profile below hi, so
 ``window_energies`` builds each vertex's profile once and reads every window
@@ -147,16 +151,24 @@ def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray
         return energies, counts
     n, R, w = m.dim_param, spec.outer_scale, m.weights
     tail = 0.0 if np.isinf(R) else R ** -n
-    for i, mask, dist in cone_pairs(m.points, spec.direction, spec.aperture):
-        counts[i] += np.count_nonzero(mask)
-        counts[i + 1:] += mask
-        near = np.flatnonzero(mask & (dist < R))
-        if len(near) == 0:
-            continue
-        term = dist[near] ** -n - tail
-        near += i + 1
-        energies[i] += float(np.sum(w[near] * term))
-        energies[near] += w[i] * term
+    for i0, mask, dist in cone_pairs(m.points, spec.direction, spec.aperture):
+        rows, width = mask.shape
+        counts[i0:i0 + rows] += np.count_nonzero(mask, axis=1)
+        counts[i0 + 1:] += np.add.reduce(mask, axis=0, dtype=np.intp)
+        mask &= dist < R
+        per_row = np.count_nonzero(mask, axis=1)
+        partner = np.flatnonzero(mask)          # strip positions r * width + c
+        term = dist.ravel()[partner]
+        term **= -n
+        term -= tail
+        partner -= np.repeat(np.arange(rows) * width - (i0 + 1), per_row)
+        # each partner j takes w_i times its term, row after row (``add.at``
+        # applies repeated indices in order); then each row adds numpy's sum
+        # of its own compressed terms (see the module docstring)
+        np.add.at(energies, partner, np.repeat(w[i0:i0 + rows], per_row) * term)
+        term *= w[partner]
+        ends = np.cumsum(per_row).tolist()
+        energies[i0:i0 + rows] += [np.add.reduce(term[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return energies / n, counts
 
 

@@ -5,14 +5,20 @@ a ``Cone`` is the open set K(x, V, alpha) = {y : dist(y, V+x) < alpha |x-y|},
 optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
-Tie rule: ``cone_dist`` is the package's one vectorized cone test
-(``cone_mask`` returns its mask).  It compares |P_{V^perp}(y-x)| < alpha |y-x|
-in floating point, which keeps exact boundary points outside: on a dyadic grid
-at alpha = 0.8 the 3-4-5 pairs are not in the cone.  Both lengths are square
-roots of sums of squares taken in coordinate order, c0*c0 + c1*c1 + ...;
-for d <= 7 this equals ``np.linalg.norm(..., axis=1)`` bit for bit, while for
-d >= 8 numpy's pairwise summation groups the terms differently, so a distance
-can differ from it in the last place.  A one-row input is padded to two rows,
+Tie rule: ``_cone_test`` is the package's one vectorized cone arithmetic;
+``cone_dist`` applies it to points seen from one vertex, ``cone_pairs`` to
+strips of pairs, and ``cone_mask`` returns ``cone_dist``'s mask.  It compares
+|P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact boundary
+points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are not in the
+cone.  Both lengths are square roots of sums of squares taken in coordinate
+order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
+``np.linalg.norm(..., axis=1)`` bit for bit, while for d >= 8 numpy's pairwise
+summation groups the terms differently, so a distance can differ from it in
+the last place.  The plane coordinates of the differences are one BLAS
+product of their (M, d) block with the basis; elementwise arithmetic would
+round the d-term sums differently.  Mapping them back is a product with one
+term per entry when V is a line, one rounding in BLAS and elementwise alike,
+so it is taken elementwise there.  A one-row block is padded to two rows,
 since a one-row product takes another BLAS path: a row's bit does not depend
 on the batch it came in.  ``cone_contains`` is the scalar test oracle.
 
@@ -29,10 +35,20 @@ distance and direction table) takes ``row_blocks``' slices of
 the cloud's size; ``pair_distances`` gives a row block's distances.  Per-pair
 values do not depend on the block, and each kernel reduces them by max, min
 or argmin or writes them in place, so its output does not either.
+
+The whole-cloud sweep ``cone_pairs`` works in row strips: rows [i0, i1)
+against the columns (i0, N), with ``max(1, (PAIR_BLOCK // 4) // (N - 1 - i0))``
+rows, so a strip holds at most ``max(PAIR_BLOCK // 4, N - 1)`` pairs.  Its
+mask keeps the pairs j > i, so each unordered pair is still tested once, and
+a strip of one pair is padded like a one-row input.  One ``_ConeWork``
+scratch serves every strip of a sweep: with fresh arrays per strip, glibc
+returns the freed top of the heap to the system after each strip and faults
+it back in on the next.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -225,6 +241,63 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
+class _ConeWork:
+    """Scratch of the strict cone test for up to ``size`` differences in R^d
+    against an m-plane: the differences coordinate by coordinate, their
+    stacked (size, d) block and its plane coordinates, the distances, the
+    perpendicular lengths, a temporary and two masks.  A sweep reuses one, so
+    its strips' cone tests allocate no pair-sized array."""
+
+    def __init__(self, size: int, d: int, m: int):
+        self.diff = np.empty((d, size))
+        # room for the one-row padding (see the module docstring)
+        self.block = np.empty((max(size, 2), d))
+        self.coef = np.empty((max(size, 2), m))
+        self.dist, self.perp, self.tmp = np.empty((3, size))
+        self.mask, self.flag = np.empty((2, size), dtype=bool)
+
+
+def _cone_test(work: _ConeWork, shape: tuple, direction: Plane, aperture: float,
+               inner_radius: float,
+               outer_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one cone arithmetic of ``cone_dist`` and ``cone_pairs``: the mask
+    and the distances, of ``shape``, for the differences y - x held in
+    ``work.diff``, coordinate by coordinate.  The results are views of
+    ``work``."""
+    size = math.prod(shape)
+    flat = work.diff[:, :size]
+    diff = flat.reshape(-1, *shape)
+    dist, perp, tmp = (a[:size].reshape(shape) for a in (work.dist, work.perp, work.tmp))
+    np.multiply(diff[0], diff[0], out=dist)
+    for dk in diff[1:]:
+        dist += np.multiply(dk, dk, out=tmp)
+    np.sqrt(dist, out=dist)
+    block = work.block[:max(size, 2)]
+    for k, dk in enumerate(flat):
+        block[:size, k] = dk
+    if size == 1:
+        block[1] = block[0]     # one row is padded to two (see the module docstring)
+    coef = np.matmul(block, direction.basis.T, out=work.coef[:len(block)])
+    if direction.dim == 1:
+        # a one-term product is one rounding, in BLAS as elementwise
+        along = coef[:size, 0].reshape(shape)
+        par = (np.multiply(along, b, out=tmp) for b in direction.basis[0])
+    else:
+        par = (p.reshape(shape) for p in (coef @ direction.basis)[:size].T)
+    for k, p in enumerate(par):
+        np.subtract(diff[k], p, out=tmp)
+        if k == 0:
+            np.multiply(tmp, tmp, out=perp)
+        else:
+            perp += np.multiply(tmp, tmp, out=tmp)
+    np.sqrt(perp, out=perp)
+    mask, flag = (a[:size].reshape(shape) for a in (work.mask, work.flag))
+    np.less(perp, np.multiply(dist, aperture, out=tmp), out=mask)
+    mask &= np.greater(dist, inner_radius, out=flag)
+    mask &= np.less(dist, outer_radius, out=flag)
+    return mask, dist
+
+
 def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
               aperture: float, inner_radius: float = 0.0,
               outer_radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
@@ -235,25 +308,39 @@ def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
     x = np.asarray(vertex, dtype=float)
     if pts.shape[1] != x.shape[0] or x.shape[0] != direction.ambient_dim:
         raise DimensionMismatch("points/vertex/plane dimensions differ")
-    diff = pts - x[None, :]
-    dist = _row_norms(diff)
-    # one row is padded to two (see the module docstring)
-    operand = diff if len(diff) != 1 else np.vstack((diff, diff))
-    par = ((operand @ direction.basis.T) @ direction.basis)[:len(diff)]
-    perp = _row_norms(diff - par)
-    mask = (dist > inner_radius) & (dist < outer_radius) & (perp < aperture * dist)
-    return mask, dist
+    work = _ConeWork(len(pts), len(x), direction.dim)
+    np.subtract(pts.T, x[:, None], out=work.diff)
+    return _cone_test(work, (len(pts),), direction, aperture, inner_radius, outer_radius)
 
 
 def cone_pairs(points: np.ndarray, direction: Plane,
                aperture: float) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The upper triangle of the strict cone relation on ``points``: for each
-    i < N - 1, ``(i, mask, dist)`` is ``cone_dist`` of ``points[i+1:]`` seen
-    from ``points[i]``, so entry k belongs to the pair (i, i + 1 + k).  By the
-    tie rule's symmetry this is also the pair seen from its other end."""
+    """The upper triangle of the strict cone relation on ``points``, in row
+    strips (see the module docstring).  A strip ``(i0, mask, dist)`` pairs
+    the rows i0 <= i < i0 + len(mask) with the columns j = i0 + 1 + c of
+    (i0, N): ``dist[r, c]`` is |x_j - x_i|, and ``mask[r, c]`` is
+    ``cone_dist``'s bit for the pair (i, j) where j > i and False where
+    j <= i.  By the tie rule's symmetry that bit is also the pair's seen from
+    x_j.  Both arrays are scratch that the next strip overwrites."""
     pts = np.asarray(points, dtype=float)
-    for i in range(len(pts) - 1):
-        yield i, *cone_dist(pts[i + 1:], pts[i], direction, aperture)
+    if pts.ndim != 2 or pts.shape[1] != direction.ambient_dim:
+        raise DimensionMismatch("points/plane dimensions differ")
+    n, d = pts.shape
+    budget = max(1, PAIR_BLOCK // 4)
+    work = _ConeWork(max(budget, n - 1), d, direction.dim)
+    coords = np.ascontiguousarray(pts.T)
+    i0 = 0
+    while i0 < n - 1:
+        width = n - 1 - i0
+        i1 = min(n - 1, i0 + max(1, budget // width))
+        rows = i1 - i0
+        np.subtract(coords[:, None, i0 + 1:], coords[:, i0:i1, None],
+                    out=work.diff[:, :rows * width].reshape(d, rows, width))
+        mask, dist = _cone_test(work, (rows, width), direction, aperture, 0.0, np.inf)
+        for r in range(1, rows):
+            mask[r, :r] = False         # the pairs j <= i
+        yield i0, mask, dist
+        i0 = i1
 
 
 def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,

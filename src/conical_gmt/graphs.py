@@ -36,8 +36,9 @@ def cone_separation_violations(points: np.ndarray, direction: Plane,
     if pts.ndim != 2 or pts.shape[1] != direction.ambient_dim:
         raise DimensionMismatch("anchor points and plane dimensions differ")
     out = []
-    for i, mask, _ in cone_pairs(pts, direction, aperture / 2.0):
-        out.extend((i, i + 1 + int(b)) for b in np.flatnonzero(mask))
+    for i0, mask, _ in cone_pairs(pts, direction, aperture / 2.0):
+        i, c = np.nonzero(mask)
+        out.extend(zip((i + i0).tolist(), (c + i0 + 1).tolist()))
     return out
 
 

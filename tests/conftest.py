@@ -188,6 +188,30 @@ def theta_m_oracle(points: np.ndarray, direction, theta: float) -> np.ndarray:
     return counts
 
 
+def pointwise_energies_row_loop(m: DiscreteMeasure, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: the p = 1 whole-cloud sweep one row at a time.  Row i is the
+    cone test of the atoms after x_i seen from x_i; each in-cone partner j
+    within R takes w_i times its term at once, and x_i adds numpy's sum of
+    its row's terms, so an atom adds its lower-indexed partners' terms one
+    at a time, in order, before its own row's sum."""
+    n, R, w = m.dim_param, spec.outer_scale, m.weights
+    tail = 0.0 if np.isinf(R) else R ** -n
+    energies = np.zeros(m.size)
+    counts = np.zeros(m.size, dtype=int)
+    for i in range(m.size - 1):
+        mask, dist = cone_dist(m.points[i + 1:], m.points[i], spec.direction, spec.aperture)
+        counts[i] += np.count_nonzero(mask)
+        counts[i + 1:] += mask
+        near = np.flatnonzero(mask & (dist < R))
+        if len(near) == 0:
+            continue
+        term = dist[near] ** -n - tail
+        near += i + 1
+        energies[i] += float(np.sum(w[near] * term))
+        energies[near] += w[i] * term
+    return energies / n, counts
+
+
 def separation_oracle(points: np.ndarray, direction, aperture: float) -> list:
     """Oracle: half-aperture cone violations by a cone test per row of the
     upper triangle, without padding the last one-partner row."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import SWEEP_CASES, _cone_energy, mixture_cloud, random_cloud
+from conftest import (SWEEP_CASES, _cone_energy, mixture_cloud,
+                      pointwise_energies_row_loop, random_cloud)
 
 from conical_gmt import energy
 from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
@@ -492,6 +493,35 @@ def test_pointwise_energies_equal_riesz_cone_sum():
     for i in range(m.size):
         assert energies[i] == pytest.approx(riesz_cone_sum(m, m.points[i], V_AXIS, 0.6),
                                             rel=1e-12, abs=0.0)
+
+
+def _row_loop_cases():
+    """(measure, aperture) cases for the row-loop oracle: Cantor generations 4
+    and 5 (exact 3-4-5 ties at alpha = 0.8) as generated and shuffled, and
+    random clouds offset by 1e6."""
+    cases = []
+    for gen in (4, 5):
+        m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": gen}))
+        perm = np.random.default_rng(gen).permutation(m.size)
+        cases.append(pytest.param(m, 0.8, id=f"cantor{gen}"))
+        cases.append(pytest.param(DiscreteMeasure(m.points[perm], m.weights[perm], 1), 0.8,
+                                  id=f"cantor{gen}-shuffled"))
+    for seed, count in ((86, 400), (87, 1000)):
+        far = random_cloud(seed, count)
+        cases.append(pytest.param(DiscreteMeasure(far.points + 1e6, far.weights, 1), 0.6,
+                                  id=f"offset-1e6-N{count}"))
+    return cases
+
+
+@pytest.mark.parametrize("R", [0.5, np.inf])
+@pytest.mark.parametrize("m, aperture", _row_loop_cases())
+def test_pointwise_energies_equal_the_row_loop(m, aperture, R):
+    # the strips keep the row loop's order of every atom's sum, bit for bit
+    spec = EnergySpec(V_AXIS, aperture, 1.0, R)
+    energies, counts = pointwise_energies(m, spec)
+    want_energies, want_counts = pointwise_energies_row_loop(m, spec)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(energies, want_energies)
 
 
 @pytest.mark.parametrize("R", [0.5, np.inf])

@@ -251,25 +251,31 @@ def test_cone_dist_matches_norm_expression(d):
 
 @pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
 def test_cone_pairs_rows_are_cone_dist_from_either_end(m, direction, aperture):
-    # row i holds the pairs (i, j > i); each must carry the mask bit and the
-    # distance of a full-cloud cone test at x_i and, by symmetry, at x_j
+    # strip row r holds the pairs (i, j > i) of i = i0 + r from column r on;
+    # each must carry the mask bit and the distance of a full-cloud cone test
+    # at x_i and, by symmetry, at x_j, and the columns before r (j <= i) none
     pts = m.points
     seen = 0
     rows = [cone_dist(pts, x, direction, aperture) for x in pts]
-    for i, mask, dist in cone_pairs(pts, direction, aperture):
-        assert np.array_equal(mask, rows[i][0][i + 1:])
-        assert np.array_equal(dist, rows[i][1][i + 1:])
-        back = np.arange(i + 1, len(pts))
-        assert np.array_equal(mask, [rows[j][0][i] for j in back])
-        assert np.array_equal(dist, [rows[j][1][i] for j in back])
-        seen += 1
+    for i0, strip_mask, strip_dist in cone_pairs(pts, direction, aperture):
+        assert i0 == seen
+        for r, (mask, dist) in enumerate(zip(strip_mask, strip_dist)):
+            i = i0 + r
+            assert not mask[:r].any()
+            mask, dist = mask[r:], dist[r:]
+            assert np.array_equal(mask, rows[i][0][i + 1:])
+            assert np.array_equal(dist, rows[i][1][i + 1:])
+            back = np.arange(i + 1, len(pts))
+            assert np.array_equal(mask, [rows[j][0][i] for j in back])
+            assert np.array_equal(dist, [rows[j][1][i] for j in back])
+            seen += 1
     assert seen == max(len(pts) - 1, 0)
 
 
 def test_cone_pairs_one_partner_row_at_boundary_apertures():
-    # the last row has one partner; a one-row product takes another BLAS path
-    # whose |P_{V^perp}| can differ in the last bit, and that bit decides an
-    # aperture on the pair's cone boundary
+    # two atoms make one strip of one pair; a one-row product takes another
+    # BLAS path whose |P_{V^perp}| can differ in the last bit, and that bit
+    # decides an aperture on the pair's cone boundary
     rng = np.random.default_rng(5)
     for d in range(2, 6):
         for k in range(1, d):
@@ -284,7 +290,7 @@ def test_cone_pairs_one_partner_row_at_boundary_apertures():
                         continue
                     want = cone_dist(pts, pts[0], v, aperture)[0][1]
                     (_, mask, _), = cone_pairs(pts, v, aperture)
-                    assert mask.tolist() == [want]
+                    assert mask.tolist() == [[want]]
 
 
 def test_cone_dist_one_row_matches_its_row_in_a_batch_at_boundary_apertures():

@@ -10,17 +10,20 @@ from conftest import mixture_cloud, random_cloud, traced_peak
 
 from conical_gmt import geometry
 from conical_gmt.corona import _set_distance
-from conical_gmt.energy import _direction_energies
+from conical_gmt.diagnostics import theta_m_property
+from conical_gmt.energy import EnergySpec, _direction_energies, pointwise_energies
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import make_plane, pair_distances, row_blocks, sample_grassmannian
-from conical_gmt.graphs import LipschitzGraph, _graph_through
+from conical_gmt.geometry import (cone_pairs, make_plane, pair_distances, row_blocks,
+                                  sample_grassmannian)
+from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice
 from conical_gmt.measure import DiscreteMeasure
 from conical_gmt.sio import TruncationGrid, _interaction_stack, builtin_kernels
 
 V_AXIS = make_plane([[0.0, 1.0]])
 # a block far smaller than any kernel's width, so every kernel runs one row
-# (or a 2 x 2 SIO tile) at a time
+# (or a 2 x 2 SIO tile) at a time, and every cone-pair strip is one row, the
+# last one a single pair
 TINY_BLOCK = 7
 SCRATCH_LIMIT = 4 * 2 ** 20
 
@@ -132,10 +135,40 @@ def set_distances():
     return _set_distance(a, b), _set_distance(b, a), _set_distance(a[:1], b)
 
 
+def sweep_clouds():
+    """Clouds for the cone-pair sweeps: Cantor generation 5 (exact 3-4-5 ties
+    at alpha = 0.8), shuffled, and a random cloud offset by 1e6."""
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 5}))
+    perm = np.random.default_rng(3).permutation(m.size)
+    far = random_cloud(86, 700)
+    return (DiscreteMeasure(m.points[perm], m.weights[perm], 1),
+            DiscreteMeasure(far.points + 1e6, far.weights, 1))
+
+
+def sweep_energies():
+    out = []
+    for m in sweep_clouds():
+        for R in (0.5, np.inf):
+            out.extend(pointwise_energies(m, EnergySpec(V_AXIS, 0.8, 1.0, R)))
+    return tuple(out)
+
+
+def separation_pairs():
+    return tuple(np.array(cone_separation_violations(m.points, V_AXIS, 0.5), dtype=int)
+                 for m in sweep_clouds())
+
+
+def shell_counts():
+    return tuple(theta_m_property(m.points, V_AXIS, 0.6, per_point=True)[1]
+                 for m in sweep_clouds())
+
+
 BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
                "lip-measured": lipschitz_constants, "lattice": lattice_cubes,
                "direction-energies": direction_energies,
-               "interaction-stack": interaction_stacks, "set-distance": set_distances}
+               "interaction-stack": interaction_stacks, "set-distance": set_distances,
+               "sweep-energies": sweep_energies, "separation": separation_pairs,
+               "shell-counts": shell_counts}
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
@@ -164,4 +197,18 @@ def test_diameter_scratch_does_not_grow_with_the_cloud():
     diam, peak = traced_peak(m.diameter)
     assert diam == max(cdist(m.points[lo:lo + 512], m.points).max()
                        for lo in range(0, m.size, 512))
+    assert peak < SCRATCH_LIMIT
+
+
+def test_tiny_block_strips_are_rows_ending_in_one_pair(monkeypatch):
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", TINY_BLOCK)
+    pts = random_cloud(88, 9).points
+    strips = [(i0, mask.shape) for i0, mask, _ in cone_pairs(pts, V_AXIS, 0.8)]
+    assert strips == [(i, (1, 8 - i)) for i in range(8)]
+
+
+def test_sweep_scratch_does_not_grow_with_the_cloud():
+    m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 6}))
+    (energies, counts), peak = traced_peak(pointwise_energies, m, EnergySpec(V_AXIS, 0.8, 1.0, 1.0))
+    assert energies.shape == counts.shape == (4096,)
     assert peak < SCRATCH_LIMIT
