@@ -14,6 +14,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -136,9 +137,29 @@ def _parse_balls(kind: str, m: DiscreteMeasure, c0: float, a0: float, depth: int
         return balls, f"2B balls of doubling lattice cubes (depth {depth})"
     if os.path.exists(kind):
         with open(kind) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{kind}: not JSON ({exc.msg})") from exc
+        d = m.ambient_dim
+        if not isinstance(data, list):
+            raise InputError(f"{kind}: expected a list of [centre, radius] balls")
+        for i, b in enumerate(data):
+            if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], list)
+                    and len(b[0]) == d and all(map(_finite, b[0]))
+                    and _finite(b[1]) and b[1] > 0):
+                raise InputError(f"{kind}: ball {i} is not [centre of {d} finite "
+                                 f"numbers, finite radius > 0]")
         return [(np.asarray(b[0], float), float(b[1])) for b in data], f"file {kind}"
     raise InputError(f"unknown ball family {kind!r}")
+
+
+def _finite(v) -> bool:
+    """True for a JSON number that is a finite float."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:       # an integer beyond the float range
+        return False
 
 
 def _cmd_scan_bpbe(args) -> int:

@@ -107,7 +107,9 @@ class _Ctx:
 
     ``_table[x, k]`` is atom x's energy over level k's window
     (eta r_k, r_k / eta); the last column is the whole-space window.  Each
-    cube's 2B_Q is queried once, for its density and its energy together.
+    visited cube's 2B_Q is asked once, for its density and its energy
+    together: a tree's root on its own, and the children of each cube the
+    tree expands in one family call.
     """
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
@@ -120,22 +122,27 @@ class _Ctx:
         windows.append((0.0, self.spec.outer_scale))
         self._table = window_energies(m, np.arange(m.size), self.spec, windows)
 
-    def _theta_energy(self, q: Cube) -> tuple[float, float]:
-        v = self._cube.get(q.id)
-        if v is None:
-            m = self.lattice.measure
-            idx = m.ball_indices(q.center, q.double_ball_radius)
+    def ask(self, cubes: list[Cube]) -> None:
+        """Density and energy of every cube not asked before, from one query
+        of their 2B_Q."""
+        new = [q for q in cubes if q.id not in self._cube]
+        if not new:
+            return
+        m = self.lattice.measure
+        balls = m.balls(np.array([q.center for q in new]),
+                        [q.double_ball_radius for q in new])
+        for q, idx in zip(new, balls):
             w = m.weights[idx]
-            v = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
-                 weighted_sum(w, self._table[idx, q.level]) / q.mass)
-            self._cube[q.id] = v
-        return v
+            self._cube[q.id] = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
+                                weighted_sum(w, self._table[idx, q.level]) / q.mass)
 
     def theta2b(self, q: Cube) -> float:
-        return self._theta_energy(q)[0]
+        self.ask([q])
+        return self._cube[q.id][0]
 
     def cube_energy(self, q: Cube) -> float:
-        return self._theta_energy(q)[1]
+        self.ask([q])
+        return self._cube[q.id][1]
 
 
 def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
@@ -171,8 +178,10 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
         if label is not None:
             stop[label].append(q.id)
             continue
-        for cid in reversed(q.children):
-            stack.append((lattice.cubes[cid], esum))
+        children = [lattice.cubes[cid] for cid in q.children]
+        ctx.ask(children)
+        for c in reversed(children):
+            stack.append((c, esum))
 
     stop_all = stop["bce"] + stop["hd"] + stop["ld"]
     stopped_atoms = (np.concatenate([lattice.cubes[i].members for i in stop_all])
@@ -409,7 +418,11 @@ def verify_corona(result: CoronaResult) -> dict:
         max_ratio = 0.0
         prox_hits = 0
         anchors = tree.graph.ambient_anchors() if tree.graph is not None else None
-        anchor_tree = cKDTree(anchors) if anchors is not None and len(anchors) else None
+        if anchors is not None and len(anchors):
+            cubes = [lattice.cubes[cid] for cid in tree.tree_ids]
+            gap, _ = cKDTree(anchors).query(np.array([q.center for q in cubes]), k=1)
+            reach = params.prox_const * np.array([q.ball_radius for q in cubes])
+            prox_hits = int(np.count_nonzero(gap < reach))
         bce_threshold = params.energy_stop * theta_r ** params.exponent
         for cid in tree.tree_ids:
             q = lattice.cubes[cid]
@@ -422,10 +435,6 @@ def verify_corona(result: CoronaResult) -> dict:
                     failures.append(f"tree {tree.root_id}: cube {cid} above the BCE bound")
                 if q.doubling and theta_q > params.density_high * theta_r:
                     failures.append(f"tree {tree.root_id}: cube {cid} above the HD bound")
-            if anchor_tree is not None:
-                d, _ = anchor_tree.query(q.center, k=1)
-                if d < params.prox_const * q.ball_radius:
-                    prox_hits += 1
         for cid in tree.stop_hd:
             if not lattice.cubes[cid].doubling:
                 failures.append(f"tree {tree.root_id}: HD cube {cid} not doubling")

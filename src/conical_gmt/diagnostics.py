@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
 from .geometry import Plane, _row_norms, cone_mask, cone_pairs
 from .graphs import LipschitzGraph
-from .measure import _QUERY_SLACK, DiscreteMeasure, ball_mass, sorted_mass
+from .measure import _QUERY_SLACK, DiscreteMeasure, sorted_mass
 
 DEGENERATE_GAP = 1e-12
 _CIRCLE_SAMPLES = 2048
@@ -281,10 +281,10 @@ def theta_m_property(points, direction: Plane, theta: float,
     hit = np.zeros((len(pts), 0), dtype=bool)   # column c is shell j = lo + c
     lo = 0
     for i0, mask, dist in cone_pairs(pts, direction, theta):
-        i, c = np.nonzero(mask)
-        if len(i) == 0:
+        pair = np.flatnonzero(mask)             # strip positions r * width + c
+        if len(pair) == 0:
             continue
-        j = _shell_indices(dist[i, c])
+        j = _shell_indices(dist.ravel()[pair])
         if hit.shape[1] == 0:
             lo = int(j.min())
         # widen the table to shells lo_new <= j < hi, once per strip
@@ -293,8 +293,16 @@ def theta_m_property(points, direction: Plane, theta: float,
             hit = np.pad(hit, ((0, 0), (lo - lo_new, hi - lo - hit.shape[1])))
             lo = lo_new
         j -= lo
-        hit[i + i0, j] = True
-        hit[c + i0 + 1, j] = True
+        # the pair at strip position r * width + c joins atoms i0 + r and
+        # i0 + 1 + c; each end marks its table entry atom * shells + j
+        rows, width = mask.shape
+        r = np.repeat(np.arange(rows), np.count_nonzero(mask, axis=1))
+        c = pair - r * width
+        table, shells = hit.reshape(-1), hit.shape[1]
+        for atom in (r + i0, c + i0 + 1):
+            atom *= shells
+            atom += j
+            table[atom] = True
     counts = np.count_nonzero(hit, axis=1)
     if per_point:
         return int(counts.max(initial=0)), counts
@@ -374,13 +382,12 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         np.any(_row_norms(centers[a] - centers[a + 1:]) < ch_radii[a] + ch_radii[a + 1:])
         for a in range(k - 1))
 
-    # each 5-dilate is asked once: it flags the atoms it covers and lists the
-    # atoms whose cone below rc must miss the samples; only samples the KD
-    # prefilter puts within rc can be in that cone
+    # the 5-dilates are asked in one family call: each flags the atoms it
+    # covers and lists the atoms whose cone below rc must miss the samples;
+    # only samples the KD prefilter puts within rc can be in that cone
     covered = np.zeros(m.size, dtype=bool)
     cone_violations = []
-    for j, (c, rc) in enumerate(zip(centers, ch_radii)):
-        near = m.ball_indices(c, 5 * rc)
+    for j, (rc, near) in enumerate(zip(ch_radii, m.balls(centers, 5 * ch_radii))):
         covered[near] = True
         for y_idx in near:
             y = m.points[y_idx]
@@ -391,7 +398,7 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
 
     n = m.dim_param
     sum_rn = float(np.sum(ch_radii ** n))
-    sum_mass = float(sum(ball_mass(m, c, rc) for c, rc in zip(centers, ch_radii)))
+    sum_mass = float(sum(float(np.sum(m.weights[idx])) for idx in m.balls(centers, ch_radii)))
     return {
         "aperture": aperture,
         "theta": theta,

@@ -26,8 +26,11 @@ rounded sum.
 
 A window energy int_lo^hi only reads the profile below hi, so
 ``window_energies`` builds each vertex's profile once and reads every window
-off it.  A corona run does this once per atom for all lattice levels, whose
-windows (eta r(Q), r(Q)/eta) depend only on the level.
+off it.  It tests the vertices against the cloud in ``cone_rows``' row
+blocks, one cone test per block of about ``PAIR_BLOCK // 4`` pairs in one
+reused scratch, and then sorts and integrates each row on its own.  A corona
+run does this once per atom for all lattice levels, whose windows
+(eta r(Q), r(Q)/eta) depend only on the level.
 
 Scans over many directions (``bpbe_scan``, ``bme_check``) go through
 ``_direction_energies``: each vertex sorts the atoms within the radius once,
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, MissingDirection
 from .geometry import (Plane, _row_norms, cone_dist, cone_mask, cone_pairs,
-                       plane_metric, row_blocks, sample_grassmannian)
+                       cone_rows, plane_metric, row_blocks, sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
 
 
@@ -95,7 +98,11 @@ def _in_cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
     x = np.asarray(x, dtype=float)
     if x.shape != points.shape[1:]:
         raise DimensionMismatch(f"vertex must live in R^{points.shape[1]}")
-    mask, dist = cone_dist(points, x, direction, aperture, outer_radius=hi)
+    return _jumps(*cone_dist(points, x, direction, aperture, outer_radius=hi), weights)
+
+
+def _jumps(mask: np.ndarray, dist: np.ndarray, weights: np.ndarray):
+    """``_in_cone_jumps``' answer from a cone test's mask and distances."""
     if not mask.any():
         return np.empty(0), np.empty(0), 0
     d, cum = sorted_mass(dist[mask], weights[mask])
@@ -213,19 +220,22 @@ def window_energies(m: DiscreteMeasure, vertex_idx, spec: EnergySpec,
 
     Each vertex's in-cone profile is built once, out to the largest hi; its
     strict ``< hi`` prefix is exactly the profile that hi alone would give,
-    so every entry equals its single-window value bit for bit.
+    so every entry equals its single-window value bit for bit.  The vertices
+    are tested against the cloud in ``cone_rows``' blocks, one cone test per
+    block; each row is then sorted and integrated on its own, as
+    ``_in_cone_jumps`` does for one vertex.
     """
     out = np.zeros((len(vertex_idx), len(windows)))
     top = max(hi for _, hi in windows)
     n, p = m.dim_param, spec.exponent
-    for row, i in enumerate(vertex_idx):
-        radii, cum, _ = _in_cone_jumps(m.points, m.weights, m.points[i],
-                                       spec.direction, spec.aperture, top)
-        if len(radii) == 0:
-            continue
-        for col, (lo, hi) in enumerate(windows):
-            c = np.searchsorted(radii, hi, side="left")
-            out[row, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
+    vertices = m.points[np.asarray(vertex_idx, dtype=int)]
+    for rows, mask, dist in cone_rows(m.points, vertices, spec.direction,
+                                      spec.aperture, outer_radius=top):
+        for row in np.flatnonzero(mask.any(axis=1)):
+            radii, cum, _ = _jumps(mask[row], dist[row], m.weights)
+            for col, (lo, hi) in enumerate(windows):
+                c = np.searchsorted(radii, hi, side="left")
+                out[rows.start + row, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
     return out
 
 

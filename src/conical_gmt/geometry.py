@@ -6,12 +6,13 @@ optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
 Tie rule: ``_cone_test`` is the package's one vectorized cone arithmetic;
-``cone_dist`` applies it to points seen from one vertex, ``cone_pairs`` to
-strips of pairs, and ``cone_mask`` returns ``cone_dist``'s mask.  It compares
-|P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact boundary
-points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are not in the
-cone.  Both lengths are square roots of sums of squares taken in coordinate
-order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
+``cone_rows`` applies it to points seen from row blocks of vertices,
+``cone_dist`` (its one-vertex case) to points seen from one vertex,
+``cone_pairs`` to strips of pairs, and ``cone_mask`` returns ``cone_dist``'s
+mask.  It compares |P_{V^perp}(y-x)| < alpha |y-x| in floating point, which
+keeps exact boundary points outside: on a dyadic grid at alpha = 0.8 the
+3-4-5 pairs are not in the cone.  Both lengths are square roots of sums of
+squares taken in coordinate order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
 ``np.linalg.norm(..., axis=1)`` bit for bit, while for d >= 8 numpy's pairwise
 summation groups the terms differently, so a distance can differ from it in
 the last place.  The plane coordinates of the differences are one BLAS
@@ -32,18 +33,21 @@ Pair blocks: a kernel that compares rows with ``width`` columns pair by pair
 distance and direction table) takes ``row_blocks``' slices of
 ``PAIR_BLOCK // width`` rows, and the SIO operator square tiles of
 ``PAIR_BLOCK`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs whatever
-the cloud's size; ``pair_distances`` gives a row block's distances.  Per-pair
-values do not depend on the block, and each kernel reduces them by max, min
-or argmin or writes them in place, so its output does not either.
+the cloud's size; ``pair_distances`` gives a row block's distances.  A family
+of open balls is answered in ``count_blocks``: consecutive balls holding about
+``PAIR_BLOCK`` atoms together.  Per-pair values do not depend on the block,
+and each kernel reduces them by max, min or argmin or writes them in place,
+so its output does not either.
 
 The whole-cloud sweep ``cone_pairs`` works in row strips: rows [i0, i1)
 against the columns (i0, N), with ``max(1, (PAIR_BLOCK // 4) // (N - 1 - i0))``
 rows, so a strip holds at most ``max(PAIR_BLOCK // 4, N - 1)`` pairs.  Its
 mask keeps the pairs j > i, so each unordered pair is still tested once, and
-a strip of one pair is padded like a one-row input.  One ``_ConeWork``
-scratch serves every strip of a sweep: with fresh arrays per strip, glibc
-returns the freed top of the heap to the system after each strip and faults
-it back in on the next.
+a strip of one pair is padded like a one-row input.  ``cone_rows`` takes
+``max(1, (PAIR_BLOCK // 4) // N)`` vertices a block against all N points.
+One ``_ConeWork`` scratch serves every strip or block of a sweep: with fresh
+arrays per strip, glibc returns the freed top of the heap to the system after
+each strip and faults it back in on the next.
 """
 
 from __future__ import annotations
@@ -223,6 +227,19 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
         yield slice(lo, min(rows, lo + step))
 
 
+def count_blocks(counts) -> Iterator[slice]:
+    """Consecutive slices of items whose ``counts`` sum to at most
+    ``PAIR_BLOCK``, or of one item that alone holds more: the blocks of a
+    kernel whose items differ in width."""
+    cum = np.cumsum(counts)
+    lo = 0
+    while lo < len(cum):
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + PAIR_BLOCK, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a_i - b_j| for every row i of ``a`` and j of ``b``, an (len(a), len(b))
     array: the bits of ``np.linalg.norm(a[:, None] - b[None], axis=2)`` with
@@ -303,14 +320,36 @@ def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
               outer_radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized strict cone membership for an (N, d) array of points, with
     the distance |y - x| of every point; boundary ties stay outside (see the
-    module docstring)."""
-    pts = np.asarray(points, dtype=float)
+    module docstring).  The one-vertex case of ``cone_rows``."""
     x = np.asarray(vertex, dtype=float)
-    if pts.shape[1] != x.shape[0] or x.shape[0] != direction.ambient_dim:
+    _, mask, dist = next(cone_rows(points, x[None], direction, aperture,
+                                   inner_radius, outer_radius))
+    return mask[0], dist[0]
+
+
+def cone_rows(points: np.ndarray, vertices: np.ndarray, direction: Plane,
+              aperture: float, inner_radius: float = 0.0,
+              outer_radius: float = np.inf
+              ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """The strict cone relation of every vertex with every point, in row
+    blocks of about ``PAIR_BLOCK // 4`` pairs: a block ``(rows, mask, dist)``
+    holds ``cone_dist(points, vertices[i], ...)`` in row i - rows.start of
+    its (len, N) arrays, which are scratch that the next block overwrites."""
+    pts = np.asarray(points, dtype=float)
+    xs = np.asarray(vertices, dtype=float)
+    if pts.ndim != 2 or xs.ndim != 2 or not pts.shape[1] == xs.shape[1] == direction.ambient_dim:
         raise DimensionMismatch("points/vertex/plane dimensions differ")
-    work = _ConeWork(len(pts), len(x), direction.dim)
-    np.subtract(pts.T, x[:, None], out=work.diff)
-    return _cone_test(work, (len(pts),), direction, aperture, inner_radius, outer_radius)
+    n, d = pts.shape
+    step = max(1, min(len(xs), (PAIR_BLOCK // 4) // max(n, 1)))
+    work = _ConeWork(step * n, d, direction.dim)
+    coords = np.ascontiguousarray(pts.T)
+    for lo in range(0, len(xs), step):
+        rows = slice(lo, min(len(xs), lo + step))
+        k = rows.stop - lo
+        np.subtract(coords[:, None, :], xs[rows].T[:, :, None],
+                    out=work.diff[:, :k * n].reshape(d, k, n))
+        yield (rows, *_cone_test(work, (k, n), direction, aperture, inner_radius,
+                                 outer_radius))
 
 
 def cone_pairs(points: np.ndarray, direction: Plane,

@@ -20,13 +20,14 @@ partition, nesting, radius, and 5B-disjointness properties.
 
 Each cube's own quantities are computed once, on the cube: mu(Q), the
 doubling flag, whether the atoms of B(Q) (asked once, by the doubling test)
-all lie in Q, and the radii of B_Q and 2B_Q.
+all lie in Q, and the radii of B_Q and 2B_Q.  Balls are asked as families
+(``DiscreteMeasure.balls``): the nets' balls per block of candidates, and
+each level's B(Q) and 100 B(Q) in one call each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -111,10 +112,14 @@ class Lattice:
         """
         m = self.measure
         inner_ok = outer_ok = nest_ok = nest_total = 0
+        for ids in self.levels:
+            cubes = [self.cubes[i] for i in ids]
+            owner = _level_owner(m.size, cubes)
+            centers = np.array([q.center for q in cubes])
+            # one distance pass per level: every atom against its own centre
+            d = np.linalg.norm(m.points - centers[owner], axis=1)
+            outer_ok += len(cubes) - len(np.unique(owner[d > cubes[0].ball_radius]))
         for q in self.cubes:
-            d = np.linalg.norm(m.points[q.members] - q.center[None, :], axis=1)
-            if d.max() <= q.ball_radius:
-                outer_ok += 1
             inner_ok += q.inner_contained
             if q.parent is not None:
                 p = self.cubes[q.parent]
@@ -216,29 +221,60 @@ def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list
 
     Priority indices are processed first (they are mutually separated by
     construction), then all points in index order; each chosen point blocks
-    its open ball of radius sep.
+    its open ball of radius sep.  The balls are asked in families, the
+    priority points' in one call and then, per row block of the atoms, the
+    points still unblocked when the block starts; the greedy then runs over
+    the answers in order, so the choice is the one-point-at-a-time choice.
+    A block is ``PAIR_BLOCK // s**2`` atoms, s the priority balls' mean size,
+    so its balls hold about ``PAIR_BLOCK / s`` atoms: the larger the balls,
+    the more of a block's candidates an earlier one blocks, and the fewer a
+    block asks.
     """
     blocked = np.zeros(m.size, dtype=bool)
     chosen = []
-    for i in chain(priority, range(m.size)):
-        if not blocked[i]:
-            chosen.append(i)
-            blocked[m.ball_indices(m.points[i], sep)] = True
+
+    def take(candidates):
+        for i, ball in zip(candidates, m.balls(m.points[candidates], sep)):
+            if not blocked[i]:
+                chosen.append(int(i))
+                blocked[ball] = True
+
+    take(np.asarray(priority, dtype=int))
+    # the priority balls are disjoint, so this is their mean size
+    size = max(1, np.count_nonzero(blocked) // max(1, len(priority)))
+    for rows in row_blocks(m.size, size * size):
+        candidates = rows.start + np.flatnonzero(~blocked[rows])
+        if len(candidates):
+            take(candidates)
     return chosen
 
 
 def doubling_flags(lattice: Lattice) -> Lattice:
     """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict, its
-    mass mu(Q), and whether B(Q)'s atoms all lie in Q."""
+    mass mu(Q), and whether B(Q)'s atoms all lie in Q.  Each level asks its
+    B(Q) in one call and its 100 B(Q) in another; a ball's mass is the sum
+    of its sorted atoms' weights, as ``ball_mass`` takes it."""
     m = lattice.measure
-    for q in lattice.cubes:
-        inner = m.ball_indices(q.center, q.radius)
-        small = float(np.sum(m.weights[inner]))
-        big = ball_mass(m, q.center, 100.0 * q.radius)
-        q.doubling = big <= lattice.c0 * small
-        q.mass = float(np.sum(m.weights[q.members]))
-        q.inner_contained = bool(np.all(np.isin(inner, q.members)))
+    w = m.weights
+    for ids in lattice.levels:
+        cubes = [lattice.cubes[i] for i in ids]
+        centers = np.array([q.center for q in cubes])
+        r = cubes[0].radius
+        owner = _level_owner(m.size, cubes)
+        for j, (q, inner, big) in enumerate(zip(cubes, m.balls(centers, r),
+                                                m.balls(centers, 100.0 * r))):
+            q.doubling = float(np.sum(w[big])) <= lattice.c0 * float(np.sum(w[inner]))
+            q.mass = float(np.sum(w[q.members]))
+            q.inner_contained = bool(np.all(owner[inner] == j))
     return lattice
+
+
+def _level_owner(size: int, cubes: list[Cube]) -> np.ndarray:
+    """The position in ``cubes``, one level's cubes, of each atom's cube."""
+    owner = np.empty(size, dtype=int)
+    for j, q in enumerate(cubes):
+        owner[q.members] = j
+    return owner
 
 
 @dataclass(frozen=True)

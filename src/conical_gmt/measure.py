@@ -6,26 +6,33 @@ measure: N atoms in R^d with positive weights and a density exponent n
 so boundary atoms never count; this keeps every query deterministic and
 lets the spatial index be checked bit-for-bit against brute force.
 
-``DiscreteMeasure.ball_indices`` is the package's one open-ball query over
-the atoms: a KD-tree prefilter with a slightly inflated radius, then the
-strict test |y - x| < r on ``np.linalg.norm(..., axis=1)``.  Masses,
-densities, the lattice's nets and B(Q), the corona's 2B_Q and the
-graph cover all ask it, so an atom on a sphere is outside everywhere alike.
-The KD-tree is built on the first ball query and kept; scipy loads with it,
-so a pipeline that asks no ball, such as the p = 1 energy sweep, never
-loads scipy.
+``DiscreteMeasure.balls`` is the package's one open-ball query over the
+atoms: a KD-tree prefilter with a slightly inflated radius, then the strict
+test |y - x| < r, with |y - x| the bits of ``np.linalg.norm(..., axis=1)``.
+It is asked of a family of balls at once: one ``query_ball_point`` call and
+one vectorised filter per block of centres whose prefiltered answers hold
+about ``geometry.PAIR_BLOCK`` indices (counted first when the family could
+hold more).  ``ball_indices`` is its one-ball case.  Masses, densities, the
+lattice's nets, B(Q) and 100 B(Q) (one call per level), the corona's 2B_Q
+(one call per expanded cube's children) and the graph cover's balls all ask
+it, so an atom on a sphere is outside everywhere alike.  The KD-tree is built
+on the first ball query and kept; scipy loads with it, so a pipeline that
+asks no ball, such as the p = 1 energy sweep, never loads scipy.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
-from .geometry import Cone, cone_mask, row_blocks
+from . import geometry
+from .geometry import Cone, cone_mask, count_blocks, row_blocks
 
 # relative inflation of KD-tree query radii; strict filtering happens afterwards
 _QUERY_SLACK = 1e-9
@@ -99,17 +106,58 @@ class DiscreteMeasure:
         return float(d[:, 1].min())
 
     def ball_indices(self, x, r: float) -> np.ndarray:
-        """Sorted indices of atoms with |y - x| < r (strict); the one open-ball
-        query (see the module docstring)."""
+        """Sorted indices of atoms with |y - x| < r (strict): the one-ball
+        case of ``balls``."""
         x = self._check_point(x)
-        if not r > 0:
+        return next(self.balls(x[None, :], r))
+
+    def balls(self, centers, radii) -> Iterator[np.ndarray]:
+        """The open balls B(c_i, r_i) of a family, in order, each as the
+        sorted indices of its atoms; ``radii`` is one radius or one per
+        centre (see the module docstring).  The answers come block by block,
+        so the scratch holds about ``PAIR_BLOCK`` indices whatever the
+        family's size.  A non-finite centre or a radius that is not positive
+        raises ``InvalidRange`` here, before any ball is answered."""
+        c = np.asarray(centers, dtype=float)
+        if c.ndim != 2 or c.shape[1] != self.ambient_dim:
+            raise DimensionMismatch(f"ball centres must live in R^{self.ambient_dim}")
+        r = np.asarray(radii, dtype=float)
+        if r.ndim > 1 or r.size not in (1, len(c)):
+            raise DimensionMismatch("need one radius or one radius per centre")
+        r = np.broadcast_to(r, len(c))
+        if not np.all(np.isfinite(c)):
+            raise InvalidRange("ball centres must be finite")
+        if not np.all(r > 0):
             raise InvalidRange("radius must be positive")
-        if np.isinf(r):
-            return np.arange(self.size)
-        idx = np.asarray(self._tree.query_ball_point(x, r * (1.0 + _QUERY_SLACK),
-                                                     return_sorted=True), dtype=int)
-        d = np.linalg.norm(self.points[idx] - x[None, :], axis=1)
-        return idx[d < r]
+        return self._ball_answers(c, r)
+
+    def _ball_answers(self, c: np.ndarray, r: np.ndarray) -> Iterator[np.ndarray]:
+        reach = r * (1.0 + _QUERY_SLACK)
+        if len(c) * self.size > geometry.PAIR_BLOCK:
+            blocks = count_blocks(self._tree.query_ball_point(c, reach, return_length=True))
+        else:
+            blocks = [slice(0, len(c))] if len(c) else []
+        for b in blocks:
+            yield from self._ball_block(c[b], r[b], reach[b])
+
+    def _ball_block(self, c: np.ndarray, r: np.ndarray, reach: np.ndarray) -> list[np.ndarray]:
+        """One KD-tree call and one strict filter for a block of balls."""
+        found = self._tree.query_ball_point(c, reach, return_sorted=True)
+        counts = np.fromiter(map(len, found), dtype=int, count=len(found))
+        idx = np.fromiter(chain.from_iterable(found), dtype=int, count=int(counts.sum()))
+        del found
+        # the squares of y - x summed by np.add.reduce per row, then the root:
+        # the arithmetic of np.linalg.norm(..., axis=1), in place
+        sq = self.points[idx]
+        sq -= np.repeat(c, counts, axis=0)
+        sq *= sq
+        dist = np.sqrt(np.add.reduce(sq, axis=1))
+        del sq
+        inside = dist < np.repeat(r, counts)
+        # kept[ends[i - 1]:ends[i]] is ball i's answer
+        kept = idx[inside]
+        ends = np.concatenate(([0], np.cumsum(inside)))[np.cumsum(counts)]
+        return np.split(kept, ends[:-1])
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -252,6 +253,24 @@ def _sweep_cases():
 
 SWEEP_CASES = _sweep_cases()
 PROFILE_CLOUDS = _profile_clouds()
+
+
+@pytest.fixture
+def asked_balls(monkeypatch) -> Counter:
+    """Counts each (centre, radius) that the open-ball query is asked while
+    the test runs: every ball of every ``DiscreteMeasure.balls`` family,
+    ``ball_indices``' one-ball families included."""
+    calls = Counter()
+    query = DiscreteMeasure.balls
+
+    def counted(self, centers, radii):
+        c = np.asarray(centers, dtype=float)
+        r = np.broadcast_to(np.asarray(radii, dtype=float), len(c))
+        calls.update((tuple(x.tolist()), float(s)) for x, s in zip(c, r))
+        return query(self, centers, radii)
+
+    monkeypatch.setattr(DiscreteMeasure, "balls", counted)
+    return calls
 
 
 @pytest.fixture

@@ -319,6 +319,43 @@ def test_scan_bpbe_rejects_invalid_cone_parameters(tmp_path, capsys, option, val
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[[[NaN, 0.5], 0.3]]", "[[[Infinity, 0.5], 0.3]]", "[[0.5, 0.5]]",
+    '[[0.5, 0.5], "x"]', '{"a": 1}', '[[[0.5, 0.5], 0.3], [[0.5, 0.5], "x"]]',
+    "[[[0.5, 0.5], 0]]", "[[[0.5, 0.5], Infinity]]", "[[[0.5], 0.3]]",
+    "[[[0.5, true], 0.3]]", "[[0.5, 0.5], 0.3", "[[[0.5, 0.5], 1e999]]"],
+    ids=["nan-centre", "inf-centre", "no-radius", "string-entry", "object",
+         "string-radius", "zero-radius", "inf-radius", "short-centre",
+         "bool-coordinate", "not-json", "overflow-radius"])
+def test_scan_bpbe_rejects_a_bad_balls_file(tmp_path, capsys, text):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "40", "--out", str(pts)])
+    balls = tmp_path / "balls.json"
+    balls.write_text(text)
+    rep = tmp_path / "scan.json"
+    code = run(["scan-bpbe", "--points", str(pts), "--n", "1", "--alpha", "0.8",
+                "--M0", "0.5", "--kappa", "0.9", "--direction-samples", "2",
+                "--seed", "3", "--balls", str(balls), "--out", str(rep)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {balls}: ") and err.count("\n") == 1
+    assert not rep.exists()
+
+
+def test_scan_bpbe_reads_a_balls_file(tmp_path):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "40", "--out", str(pts)])
+    balls = tmp_path / "balls.json"
+    balls.write_text("[[[0.5, 0], 0.3], [[0, 0], 2]]")
+    rep = tmp_path / "scan.json"
+    assert run(["scan-bpbe", "--points", str(pts), "--n", "1", "--alpha", "0.8",
+                "--M0", "0.5", "--kappa", "0.9", "--direction-samples", "2",
+                "--seed", "3", "--balls", str(balls), "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert [(b["center"], b["radius"]) for b in data["balls"]] == [([0.5, 0.0], 0.3),
+                                                                   ([0.0, 0.0], 2.0)]
+
+
 def _fresh_python(args, cwd):
     """Run ``python args`` in a new interpreter that imports this conical_gmt."""
     src = os.path.dirname(os.path.dirname(conical_gmt.__file__))

@@ -5,7 +5,8 @@ from scipy.spatial.distance import pdist
 from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
                       maximal_function_candidates, random_cloud)
 
-from conical_gmt.errors import InputError, InvalidParams, InvalidRange
+from conical_gmt import geometry
+from conical_gmt.errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import Cone, make_plane
 from conical_gmt.measure import (DiscreteMeasure, ball_mass, cone_mass,
@@ -216,6 +217,71 @@ def test_index_equals_brute_force_bitwise():
         x = rng.random(2)
         r = rng.random() * 0.5 + 1e-3
         assert ball_mass(big, x, r) == brute_ball_mass(big, x, r)
+
+
+def _ball_families():
+    """(measure, centres, radii) families of open balls: Cantor atoms exactly
+    on the spheres r = 2^-k, duplicate atoms, a cloud offset by 1e6, r = inf,
+    empty balls, per-centre radii in R^3 and R^9 (where numpy's norm sums
+    pairwise), and a single centre."""
+    cantor, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 5}))
+    # each centre is an atom moved by (2^-k, 0), so that atom is exactly on
+    # the sphere of radius 2^-k
+    r = np.tile(2.0 ** -np.arange(1, 7), 64)
+    on_sphere = (np.repeat(cantor.points[::16], 6, axis=0) + np.stack([r, 0 * r], axis=1), r)
+    dup = random_cloud(71, 300)
+    pts = dup.points.copy()
+    pts[:100] = pts[100:200]
+    dup = DiscreteMeasure(pts, dup.weights, 1)
+    far = random_cloud(72, 300)
+    far = DiscreteMeasure(far.points + 1e6, far.weights, 1)
+    rng = np.random.default_rng(73)
+    spread = []
+    for d in (3, 9):
+        m = random_cloud(74 + d, 400, d)
+        centers = rng.random((60, d))
+        # each radius is numpy's norm of the distance to some atom, which
+        # then sits exactly on the sphere in that arithmetic
+        gaps = m.points[rng.integers(0, m.size, 60)] - centers
+        spread.append((m, centers, np.linalg.norm(gaps, axis=1)))
+    return [
+        pytest.param(cantor, *on_sphere, id="cantor-on-sphere"),
+        pytest.param(dup, dup.points[:150], rng.random(150) * 0.2, id="duplicates"),
+        pytest.param(far, far.points[::3] + 1e-3, rng.random(100) * 0.3, id="offset-1e6"),
+        pytest.param(dup, dup.points[:20], np.inf, id="r-inf"),
+        pytest.param(dup, np.full((5, 2), 9.0), 0.5, id="empty"),
+        *(pytest.param(m, c, r, id=f"per-centre-d{m.ambient_dim}") for m, c, r in spread),
+        pytest.param(cantor, cantor.points[7:8], 0.25, id="single-centre"),
+    ]
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["block", "tiny-block"])
+@pytest.mark.parametrize("m, centers, radii", _ball_families())
+def test_ball_family_equals_brute_force_bitwise(monkeypatch, tiny, m, centers, radii):
+    if tiny:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", 7)
+    radii = np.broadcast_to(radii, len(centers))
+    got = list(m.balls(centers, radii))
+    assert len(got) == len(centers)
+    for idx, x, r in zip(got, centers, radii):
+        want = np.flatnonzero(np.linalg.norm(m.points - x[None, :], axis=1) < r)
+        assert idx.dtype == want.dtype and np.array_equal(idx, want)
+        assert np.array_equal(m.ball_indices(x, r), want)
+
+
+def test_ball_family_checks_its_input_when_asked():
+    m = random_cloud(75, 50)
+    x = m.points[:3]
+    for centers, radii in ((np.array([[np.nan, 0.5]]), 0.3), (np.array([[np.inf, 0.5]]), 0.3),
+                           (x, np.nan), (x, 0.0), (x, [0.1, -0.1, 0.1])):
+        with pytest.raises(InvalidRange):
+            m.balls(centers, radii)
+    for centers, radii in ((x[:, :1], 0.3), (x[0], 0.3), (x, [0.1, 0.2])):
+        with pytest.raises(DimensionMismatch):
+            m.balls(centers, radii)
+    with pytest.raises(InvalidRange):
+        m.ball_indices([np.nan, 0.5], 0.3)
+    assert list(m.balls(np.empty((0, 2)), 0.3)) == []
 
 
 def test_cone_mass_equals_brute_force(rng):

@@ -2,6 +2,8 @@
 whatever ``geometry.PAIR_BLOCK`` is, and its scratch does not grow with the
 cloud."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist  # loaded before any traced call
@@ -9,14 +11,15 @@ from scipy.spatial.distance import cdist  # loaded before any traced call
 from conftest import mixture_cloud, random_cloud, traced_peak
 
 from conical_gmt import geometry
-from conical_gmt.corona import _set_distance
+from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
 from conical_gmt.diagnostics import theta_m_property
-from conical_gmt.energy import EnergySpec, _direction_energies, pointwise_energies
+from conical_gmt.energy import (EnergySpec, _direction_energies, pointwise_energies,
+                                window_energies)
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import (cone_pairs, make_plane, pair_distances, row_blocks,
                                   sample_grassmannian)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
-from conical_gmt.lattice import build_lattice
+from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure
 from conical_gmt.sio import TruncationGrid, _interaction_stack, builtin_kernels
 
@@ -104,9 +107,42 @@ def lattice_cubes():
     out = []
     for lat in (build_lattice(m, 2.0, 8.0, 5),
                 build_lattice(DiscreteMeasure(mix.points, mix.weights, 1), 2.0, 4.0, 5)):
-        out.append(np.array([(q.center_idx, q.parent if q.parent is not None else -1)
-                             for q in lat.cubes]))
+        out.append(np.array([(q.center_idx, q.parent if q.parent is not None else -1,
+                              q.doubling, q.inner_contained) for q in lat.cubes]))
+        out.append(np.array([q.mass for q in lat.cubes]))
+        out.append(np.array(list(lat.containment_report().values())))
         out.extend(q.members for q in lat.cubes)
+    return tuple(out)
+
+
+def corona_ledgers():
+    """Every tree's density and chain-energy ledger, the packing ledger and
+    the verification report of two corona runs, one on Cantor ties."""
+    out = []
+    for gen, plane in ((GeneratorSpec("segment", {"count": 300, "jitter": 0.05}, 3), [[0.0, 1.0]]),
+                       (GeneratorSpec("four_corner_cantor", {"generation": 4}), [[0.0, 1.0]])):
+        m, _ = generate(gen)
+        res = build_top(build_lattice(m, 2.0, 8.0, natural_depth(m) + 1),
+                        CoronaParams(plane=make_plane(plane), aperture=0.8))
+        for t in res.trees:
+            out.append(np.array([(cid, t.theta_ledger[cid], t.chain_energy[cid])
+                                 for cid in t.tree_ids]))
+        out.append(np.array(json.dumps(res.ledger, sort_keys=True)))
+        out.append(np.array(json.dumps(verify_corona(res), sort_keys=True)))
+    return tuple(out)
+
+
+def window_tables():
+    """Window-energy tables over every atom and a ball's atoms, with windows
+    that cut the profiles, on Cantor ties and a jittered segment."""
+    out = []
+    segment, _ = generate(GeneratorSpec("segment", {"count": 300, "jitter": 0.05}, 3))
+    for m, plane in ((sweep_clouds()[0], V_AXIS), (segment, make_plane([[1.0, 0.0]]))):
+        spec = EnergySpec(plane, 0.8, 2.0)
+        windows = [(0.0, 0.05), (0.01, 0.3), (0.1, np.inf)]
+        out.append(window_energies(m, np.arange(m.size), spec, windows))
+        out.append(window_energies(m, m.ball_indices(m.points[5], 0.2), spec, windows[:1]))
+    assert all(np.count_nonzero(t) for t in out)
     return tuple(out)
 
 
@@ -165,6 +201,7 @@ def shell_counts():
 
 BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
                "lip-measured": lipschitz_constants, "lattice": lattice_cubes,
+               "corona": corona_ledgers, "window-energies": window_tables,
                "direction-energies": direction_energies,
                "interaction-stack": interaction_stacks, "set-distance": set_distances,
                "sweep-energies": sweep_energies, "separation": separation_pairs,
@@ -197,6 +234,14 @@ def test_diameter_scratch_does_not_grow_with_the_cloud():
     diam, peak = traced_peak(m.diameter)
     assert diam == max(cdist(m.points[lo:lo + 512], m.points).max()
                        for lo in range(0, m.size, 512))
+    assert peak < SCRATCH_LIMIT
+
+
+def test_ball_family_scratch_does_not_grow_with_the_cloud():
+    m = random_cloud(10, 10_000)
+    m.ball_indices(m.points[0], 0.1)        # the KD-tree is built before tracing
+    sizes, peak = traced_peak(lambda: [len(b) for b in m.balls(m.points[:64], 2.0)])
+    assert sizes == [m.size] * 64
     assert peak < SCRATCH_LIMIT
 
 
