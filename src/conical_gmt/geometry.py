@@ -6,13 +6,13 @@ optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
 Tie rule: ``_cone_test`` is the package's one vectorized cone arithmetic;
-``cone_rows`` applies it to points seen from row blocks of vertices,
-``cone_dist`` (its one-vertex case) to points seen from one vertex,
-``cone_pairs`` to strips of pairs, and ``cone_mask`` returns ``cone_dist``'s
-mask.  It compares |P_{V^perp}(y-x)| < alpha |y-x| in floating point, which
-keeps exact boundary points outside: on a dyadic grid at alpha = 0.8 the
-3-4-5 pairs are not in the cone.  Both lengths are square roots of sums of
-squares taken in coordinate order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
+``cone_dist`` applies it to points seen from one vertex, ``cone_rows`` to
+points seen from row blocks of vertices, ``cone_pairs`` to strips of pairs,
+and ``cone_mask`` returns ``cone_dist``'s mask.  It compares
+|P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact boundary
+points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are not in the
+cone.  Both lengths are square roots of sums of squares taken in coordinate
+order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
 ``np.linalg.norm(..., axis=1)`` bit for bit, while for d >= 8 numpy's pairwise
 summation groups the terms differently, so a distance can differ from it in
 the last place.  The plane coordinates of the differences are one BLAS
@@ -320,11 +320,14 @@ def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
               outer_radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized strict cone membership for an (N, d) array of points, with
     the distance |y - x| of every point; boundary ties stay outside (see the
-    module docstring).  The one-vertex case of ``cone_rows``."""
+    module docstring).  ``cone_rows`` gives the same rows for many vertices."""
+    pts = np.asarray(points, dtype=float)
     x = np.asarray(vertex, dtype=float)
-    _, mask, dist = next(cone_rows(points, x[None], direction, aperture,
-                                   inner_radius, outer_radius))
-    return mask[0], dist[0]
+    if pts.shape[1] != x.shape[0] or x.shape[0] != direction.ambient_dim:
+        raise DimensionMismatch("points/vertex/plane dimensions differ")
+    work = _ConeWork(len(pts), len(x), direction.dim)
+    np.subtract(pts.T, x[:, None], out=work.diff)
+    return _cone_test(work, (len(pts),), direction, aperture, inner_radius, outer_radius)
 
 
 def cone_rows(points: np.ndarray, vertices: np.ndarray, direction: Plane,

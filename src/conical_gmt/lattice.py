@@ -20,9 +20,9 @@ partition, nesting, radius, and 5B-disjointness properties.
 
 Each cube's own quantities are computed once, on the cube: mu(Q), the
 doubling flag, whether the atoms of B(Q) (asked once, by the doubling test)
-all lie in Q, and the radii of B_Q and 2B_Q.  Balls are asked as families
-(``DiscreteMeasure.balls``): the nets' balls per block of candidates, and
-each level's B(Q) and 100 B(Q) in one call each.
+all lie in Q, and the radii of B_Q and 2B_Q.  Balls known up front are asked
+as families (``DiscreteMeasure.balls``): each level's B(Q) and 100 B(Q) in
+one call each, and the net's priority balls in one call.
 """
 
 from __future__ import annotations
@@ -221,31 +221,22 @@ def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list
 
     Priority indices are processed first (they are mutually separated by
     construction), then all points in index order; each chosen point blocks
-    its open ball of radius sep.  The balls are asked in families, the
-    priority points' in one call and then, per row block of the atoms, the
-    points still unblocked when the block starts; the greedy then runs over
-    the answers in order, so the choice is the one-point-at-a-time choice.
-    A block is ``PAIR_BLOCK // s**2`` atoms, s the priority balls' mean size,
-    so its balls hold about ``PAIR_BLOCK / s`` atoms: the larger the balls,
-    the more of a block's candidates an earlier one blocks, and the fewer a
-    block asks.
+    its open ball of radius sep.  Being separated, every priority point is
+    chosen, so their balls are asked as one family; after them each chosen
+    point asks its own ball, so no ball is asked for a point that is not
+    chosen.
     """
     blocked = np.zeros(m.size, dtype=bool)
     chosen = []
-
-    def take(candidates):
-        for i, ball in zip(candidates, m.balls(m.points[candidates], sep)):
-            if not blocked[i]:
-                chosen.append(int(i))
-                blocked[ball] = True
-
-    take(np.asarray(priority, dtype=int))
-    # the priority balls are disjoint, so this is their mean size
-    size = max(1, np.count_nonzero(blocked) // max(1, len(priority)))
-    for rows in row_blocks(m.size, size * size):
-        candidates = rows.start + np.flatnonzero(~blocked[rows])
-        if len(candidates):
-            take(candidates)
+    priority = np.asarray(priority, dtype=int)
+    for i, ball in zip(priority, m.balls(m.points[priority], sep)):
+        if not blocked[i]:
+            chosen.append(int(i))
+            blocked[ball] = True
+    for i in range(m.size):
+        if not blocked[i]:
+            chosen.append(i)
+            blocked[m.ball_indices(m.points[i], sep)] = True
     return chosen
 
 

@@ -13,9 +13,9 @@ It is asked of a family of balls at once: one ``query_ball_point`` call and
 one vectorised filter per block of centres whose prefiltered answers hold
 about ``geometry.PAIR_BLOCK`` indices (counted first when the family could
 hold more).  ``ball_indices`` is its one-ball case.  Masses, densities, the
-lattice's nets, B(Q) and 100 B(Q) (one call per level), the corona's 2B_Q
-(one call per expanded cube's children) and the graph cover's balls all ask
-it, so an atom on a sphere is outside everywhere alike.  The KD-tree is built
+lattice's nets (the priority centres in one call, then each chosen point),
+B(Q) and 100 B(Q) (one call per level), the corona's 2B_Q (one call per
+expanded cube's children) and the graph cover's balls all ask it, so an atom on a sphere is outside everywhere alike.  The KD-tree is built
 on the first ball query and kept; scipy loads with it, so a pipeline that
 asks no ball, such as the p = 1 energy sweep, never loads scipy.
 """

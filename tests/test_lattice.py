@@ -165,6 +165,19 @@ def test_lattice_asks_each_inner_ball_once(asked_balls):
     assert [built[tuple(q.center.tolist()), q.radius] for q in lat.cubes] == [1] * len(lat.cubes)
 
 
+def test_net_asks_the_balls_of_its_chosen_points_only(asked_balls):
+    # a sparse background around a dense cluster: the greedy asks one ball of
+    # radius 10 r_k per chosen centre, never one of a point it does not choose
+    rng = np.random.default_rng(23)
+    pts = np.vstack([rng.random((40, 2)), 0.5 + 1e-3 * rng.random((400, 2))])
+    m = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), 1)
+    lat = build_lattice(m, 2.0, 8.0, 5)
+    for ids in lat.levels[1:]:
+        sep = 10.0 * lat.cubes[ids[0]].radius
+        asked = Counter({ball: n for ball, n in asked_balls.items() if ball[1] == sep})
+        assert asked == Counter((tuple(lat.cubes[i].center.tolist()), sep) for i in ids)
+
+
 def test_doubling_flags_definition():
     m, lat = cantor_lattice()
     nm = lat.measure

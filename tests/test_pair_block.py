@@ -16,8 +16,8 @@ from conical_gmt.diagnostics import theta_m_property
 from conical_gmt.energy import (EnergySpec, _direction_energies, pointwise_energies,
                                 window_energies)
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (cone_pairs, make_plane, pair_distances, row_blocks,
-                                  sample_grassmannian)
+from conical_gmt.geometry import (cone_dist, cone_pairs, cone_rows, make_plane,
+                                  pair_distances, row_blocks, sample_grassmannian)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure
@@ -243,6 +243,29 @@ def test_ball_family_scratch_does_not_grow_with_the_cloud():
     sizes, peak = traced_peak(lambda: [len(b) for b in m.balls(m.points[:64], 2.0)])
     assert sizes == [m.size] * 64
     assert peak < SCRATCH_LIMIT
+
+
+@pytest.mark.parametrize("block", [None, TINY_BLOCK])
+def test_cone_rows_are_cone_dist_bitwise(monkeypatch, block):
+    # cone_dist subtracts one vertex itself; each of cone_rows' rows must
+    # keep the bits of that call, the padded one-point cloud included
+    if block:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(17)
+    for d in range(2, 5):
+        for k in range(1, d):
+            v = sample_grassmannian(d, k, 1, seed=d + k)[0]
+            for n in (1, 2, 9):
+                pts = rng.standard_normal((n, d)) + 1e3
+                xs = np.vstack([pts, rng.standard_normal((2, d)) + 1e3])
+                seen = []
+                for rows, mask, dist in cone_rows(pts, xs, v, 0.6, 0.5, 3.0):
+                    for i, mrow, drow in zip(range(rows.start, rows.stop), mask, dist):
+                        want_mask, want_dist = cone_dist(pts, xs[i], v, 0.6, 0.5, 3.0)
+                        assert mrow.tolist() == want_mask.tolist(), (d, k, n, i)
+                        assert drow.tolist() == want_dist.tolist(), (d, k, n, i)
+                        seen.append(i)
+                assert seen == list(range(len(xs)))
 
 
 def test_tiny_block_strips_are_rows_ending_in_one_pair(monkeypatch):
