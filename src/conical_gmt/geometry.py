@@ -32,8 +32,12 @@ Pair blocks: a kernel that compares rows with ``width`` columns pair by pair
 (the diameter, graph evaluation and slopes, nearest-centre assignment, set
 distance and direction table) takes ``row_blocks``' slices of
 ``PAIR_BLOCK // width`` rows, and the SIO operator square tiles of
-``PAIR_BLOCK`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs whatever
-the cloud's size; ``pair_distances`` gives a row block's distances.  A family
+``PAIR_BLOCK // 4`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs
+whatever the cloud's size; ``pair_distances`` gives a row block's distances.
+The diameter and the SIO tiles take the squared lengths of their pairs from
+``square_lengths``, one coordinate plane at a time, summed in coordinate order
+like ``_cone_test``'s and scipy's ``cdist``'s, so ``distance_extremes`` has
+cdist's bits.  A family
 of open balls is answered in ``count_blocks``: consecutive balls holding about
 ``PAIR_BLOCK`` atoms together.  Per-pair values do not depend on the block,
 and each kernel reduces them by max, min or argmin or writes them in place,
@@ -238,6 +242,42 @@ def count_blocks(counts) -> Iterator[slice]:
         hi = max(lo + 1, int(np.searchsorted(cum, base + PAIR_BLOCK, side="right")))
         yield slice(lo, hi)
         lo = hi
+
+
+def square_lengths(coords: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """|z_j - z_i|^2 for the pairs (i in rows, j in cols) as a (rows, cols)
+    array, from ``coords``, the (d, N) transpose of the points: one
+    coordinate plane c[None, cols] - c[rows, None] at a time, squared and
+    summed in coordinate order, in place."""
+    first = coords[0]
+    sq = first[None, cols] - first[rows, None]
+    sq *= sq
+    if len(coords) > 1:
+        plane = np.empty_like(sq)
+        for c in coords[1:]:
+            np.subtract(c[None, cols], c[rows, None], out=plane)
+            plane *= plane
+            sq += plane
+    return sq
+
+
+def distance_extremes(pts: np.ndarray) -> tuple[float, float]:
+    """The smallest positive and the largest distance between the rows of
+    ``pts``: (inf, 0.0) when all rows coincide.
+
+    One pass over the pairs i <= j in ``row_blocks`` keeps the smallest
+    positive and the largest square, and takes one root of each at the end;
+    the root is monotone, so these are the bits of the extreme distances.
+    """
+    n = len(pts)
+    coords = np.ascontiguousarray(pts.T)
+    lo, hi = np.inf, 0.0
+    for rows in row_blocks(n, n):
+        sq = square_lengths(coords, rows, slice(rows.start, n))
+        hi = max(hi, float(sq.max()))
+        sq[sq == 0] = np.inf
+        lo = min(lo, float(sq.min()))
+    return math.sqrt(lo), math.sqrt(hi)
 
 
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

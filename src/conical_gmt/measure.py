@@ -15,9 +15,12 @@ about ``geometry.PAIR_BLOCK`` indices (counted first when the family could
 hold more).  ``ball_indices`` is its one-ball case.  Masses, densities, the
 lattice's nets (the priority centres in one call, then each chosen point),
 B(Q) and 100 B(Q) (one call per level), the corona's 2B_Q (one call per
-expanded cube's children) and the graph cover's balls all ask it, so an atom on a sphere is outside everywhere alike.  The KD-tree is built
-on the first ball query and kept; scipy loads with it, so a pipeline that
-asks no ball, such as the p = 1 energy sweep, never loads scipy.
+expanded cube's children) and the graph cover's balls all ask it, so an
+atom on a sphere is outside everywhere alike.  The KD-tree is built on the
+first ball query and kept; ``scipy.spatial`` loads with it and nowhere else,
+so a pipeline that asks no ball, such as the p = 1 energy sweep or the SIO
+profile, never loads it.  The diameter comes from a numpy pass,
+``geometry.distance_extremes``, which ``sio``'s automatic grid also reads.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
 from . import geometry
-from .geometry import Cone, cone_mask, count_blocks, row_blocks
+from .geometry import Cone, cone_mask, count_blocks
 
 # relative inflation of KD-tree query radii; strict filtering happens afterwards
 _QUERY_SLACK = 1e-9
@@ -81,22 +84,16 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
     def diameter(self) -> float:
-        """Exact max pairwise distance, computed in blocks of at most
-        ``geometry.PAIR_BLOCK`` pairs, so the scratch does not grow with N.
+        """Exact max pairwise distance, from ``geometry.distance_extremes``:
+        row blocks of at most ``geometry.PAIR_BLOCK`` pairs, so the scratch
+        does not grow with N, and the bits of scipy's ``cdist``.
 
         Distances come from coordinate differences, not the Gram identity
         |a|^2 + |b|^2 - 2 a.b, which cancels for clouds far from the origin.
-        ``cdist``'s distance is symmetric bit for bit, so each row block is
-        compared only with the atoms from its first row on.  Computed on the
-        first call and kept.
+        Computed on the first call and kept.
         """
         if self._diameter is None:
-            from scipy.spatial.distance import cdist
-            pts = self.points
-            best = 0.0
-            for rows in row_blocks(len(pts), len(pts)):
-                best = max(best, float(cdist(pts[rows], pts[rows.start:]).max()))
-            self._diameter = best
+            self._diameter = geometry.distance_extremes(self.points)[1]
         return self._diameter
 
     def min_interpoint_distance(self) -> float:

@@ -163,8 +163,11 @@ class TruncationGrid:
 
     def __post_init__(self):
         e = np.asarray(self.eps, dtype=float)
-        if e.ndim != 1 or len(e) == 0 or e[0] <= 0 or np.any(np.diff(e) <= 0):
-            raise InvalidParams("grid must be strictly increasing and positive")
+        # each comparison fails on NaN; inf passes once, as its norm of 0 is
+        # exact
+        if e.ndim != 1 or len(e) == 0 or not e[0] > 0 or not np.all(e[1:] > e[:-1]):
+            raise InvalidParams("grid must be strictly increasing and positive, "
+                                "without NaN")
         object.__setattr__(self, "eps", e)
 
     @staticmethod
@@ -183,16 +186,13 @@ class TruncationGrid:
     @staticmethod
     def log_spaced(m: DiscreteMeasure, count: int = 64) -> "TruncationGrid":
         """``count`` geometric radii from the smallest distance between
-        distinct atom locations to the diameter; ``[1.]`` when every atom
-        sits at one point."""
-        locations = np.unique(m.points, axis=0)
-        if len(locations) < 2:
-            return TruncationGrid(np.array([1.0]))
-        from scipy.spatial import cKDTree
-        d, _ = cKDTree(locations).query(locations, k=2)
-        lo = float(d[:, 1].min())
-        hi = m.diameter()
-        if hi <= lo:
+        distinct atom locations to the diameter, both from one pass of
+        ``geometry.distance_extremes``; ``[1.]`` when the two are equal or
+        every atom sits at one point."""
+        if count < 1:
+            raise InvalidParams("a log-spaced grid needs at least one radius")
+        lo, hi = geometry.distance_extremes(m.points)
+        if not lo < hi:
             return TruncationGrid(np.array([1.0]))
         return TruncationGrid(np.geomspace(lo, hi, count))
 
@@ -224,31 +224,38 @@ def _components(kernel: Kernel) -> int:
 
 def _tiles(n: int):
     """Square tiles (rows, cols) of the pair table that cover its upper
-    triangle, each of at most ``geometry.PAIR_BLOCK`` pairs (256 x 256)."""
-    side = isqrt(geometry.PAIR_BLOCK)
+    triangle, each of at most ``geometry.PAIR_BLOCK // 4`` pairs (128 x 128),
+    the cone sweeps' budget."""
+    side = isqrt(geometry.PAIR_BLOCK // 4)
     for r0 in range(0, n, side):
         for c0 in range(r0, n, side):
             yield slice(r0, min(n, r0 + side)), slice(c0, min(n, c0 + side))
 
 
-def _tile_offsets(pts: np.ndarray, rows: slice, cols: slice):
-    """Offsets z_j - z_i over a tile, their lengths, and the mask of the pairs
-    whose kernel value the tile owns: i < j at distinct locations."""
-    diffs = pts[None, cols] - pts[rows, None]
-    dist = np.linalg.norm(diffs, axis=2)
+def _tile_offsets(coords: np.ndarray, rows: slice, cols: slice):
+    """The owned offsets z_j - z_i of a tile as an (M, d) array, the tile's
+    distances, and the mask of the owned pairs: i < j at distinct locations.
+    ``coords`` is the (d, N) transpose of the points; each coordinate plane
+    c[None, cols] - c[rows, None] is formed again to gather its owned
+    entries, which is cheaper than gathering rows of the points."""
+    dist = geometry.square_lengths(coords, rows, cols)
+    np.sqrt(dist, out=dist)
     own = dist > 0
     if rows.start == cols.start:
         own = np.triu(own, 1)
-    return diffs, dist, own
+    offsets = np.empty((np.count_nonzero(own), len(coords)))
+    for k, c in enumerate(coords):
+        offsets[:, k] = (c[None, cols] - c[rows, None])[own]
+    return offsets, dist, own
 
 
 def _check_odd(kernel: Kernel, pts: np.ndarray) -> None:
-    """Refuse a kernel unless k(-x) == -k(x) bit for bit on the first tile's
-    offsets: the packed operator stores one value per pair and negates it for
-    the pair's other end."""
-    rows, cols = next(_tiles(len(pts)))
-    diffs, _, own = _tile_offsets(pts, rows, cols)
-    x = diffs[own]
+    """Refuse a kernel unless k(-x) == -k(x) bit for bit on the offsets of
+    the first ``isqrt(geometry.PAIR_BLOCK)`` atoms (256 x 256 pairs): the
+    packed operator stores one value per pair and negates it for the pair's
+    other end."""
+    first = slice(0, min(len(pts), isqrt(geometry.PAIR_BLOCK)))
+    x, _, _ = _tile_offsets(np.ascontiguousarray(pts[first].T), first, first)
     if len(x) and not np.array_equal(kernel(-x), -kernel(x)):
         raise InvalidParams(f"kernel {kernel.name} is not odd: k(-x) != -k(x) "
                             "at some offset of the cloud")
@@ -262,26 +269,29 @@ def _interaction_stack(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid)
     K_2p in its strict upper triangle and K_2p+1 in its strict lower triangle
     over a zero diagonal; with an odd component count the last lower triangle
     stays zero.  The kernel is evaluated once per pair i < j, at z_j - z_i, in
-    square tiles: sw_i k_c sw_j is K_c[i, j], and its exact negation is
-    K_c[j, i].  ``idx[i, j]`` is the first grid position whose truncation
-    drops the pair (|z_j - z_i| <= eps), in the smallest unsigned dtype that
-    holds ``len(grid.eps)``; coincident atoms and the diagonal read 0.
+    the square tiles of ``_tiles``, whose distances come from coordinate
+    planes: sw_i k_c sw_j is K_c[i, j], and its exact negation is K_c[j, i].
+    ``idx[i, j]`` is the first grid position whose truncation drops the pair
+    (|z_j - z_i| <= eps), in the smallest unsigned dtype that holds
+    ``len(grid.eps)``; coincident atoms and the diagonal read 0.
     """
-    pts = m.points
+    coords = np.ascontiguousarray(m.points.T)
     n = m.size
     comps = _components(kernel)
     packed = [np.zeros((n, n), order="F") for _ in range((comps + 1) // 2)]
     idx = np.empty((n, n), dtype=np.min_scalar_type(len(grid.eps)), order="F")
     sw = np.sqrt(m.weights)
     for rows, cols in _tiles(n):
-        diffs, dist, own = _tile_offsets(pts, rows, cols)
+        offsets, dist, own = _tile_offsets(coords, rows, cols)
         first = np.searchsorted(grid.eps, dist, side="left")
         idx[rows, cols] = first
         idx[cols, rows] = first.T
-        vals = np.zeros(dist.shape + (comps,))
-        vals[own] = kernel(diffs[own])
+        vals = kernel(offsets)
         for comp in range(comps):
-            blk = sw[rows, None] * vals[:, :, comp] * sw[None, cols]
+            blk = np.zeros(dist.shape)
+            blk[own] = vals[:, comp]
+            blk *= sw[rows, None]
+            blk *= sw[None, cols]
             # On a diagonal tile both writes cover one square, and each
             # leaves the other's triangle at zero, so they add.
             if comp % 2 == 0:
@@ -383,11 +393,14 @@ def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGr
     the residual certifies an eigenvalue, and the random part makes it the top
     one with high probability.  Once every pair is dropped the norm is 0
     without a solve.  Raises ``TooLarge`` before allocating when the operator
-    would exceed ``OPERATOR_BYTE_BUDGET``, and ``InvalidParams`` when the
-    kernel is not odd bit for bit on the cloud's first tile of offsets.
+    would exceed ``OPERATOR_BYTE_BUDGET``, and ``InvalidParams`` when ``tol``
+    is not finite and positive or the kernel is not odd bit for bit on the
+    offsets ``_check_odd`` tests.
     """
     if max_iter < 1:
         raise InvalidParams("max_iter must be at least 1")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidParams("tol must be finite and positive")
     n = m.size
     comps = _components(kernel)
     index_bytes = np.min_scalar_type(len(grid.eps)).itemsize

@@ -162,6 +162,36 @@ def test_sio_norm_stall_exit_3(tmp_path):
     assert any(r["flag"] == "stalled" for r in rows)
 
 
+def test_sio_norm_rejects_nan_truncations(tmp_path):
+    pts = tmp_path / "c3.csv"
+    run(["gen", "--type", "four_corner_cantor", "--generation", "3",
+         "--out", str(pts)])
+    out = tmp_path / "norms.csv"
+    base = ["sio-norm", "--points", str(pts), "--kernel", "cauchy", "--n", "1",
+            "--out", str(out), "--eps-grid"]
+    for grid in ("nan", "nan,0.01", "0.01,nan", "inf,inf"):
+        assert run(base + [grid]) == 2, grid
+        assert not out.exists()
+    # every pair is dropped at eps = inf, so its norm of 0 is exact
+    assert run(base + ["0.01,inf"]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["eps"] for r in rows] == ["0.01", "inf"]
+    assert float(rows[0]["norm"]) > 0 and float(rows[1]["norm"]) == 0.0
+
+
+def test_sio_norm_rejects_a_tolerance_that_is_not_positive(tmp_path):
+    pts = tmp_path / "c3.csv"
+    run(["gen", "--type", "four_corner_cantor", "--generation", "3",
+         "--out", str(pts)])
+    out = tmp_path / "norms.csv"
+    for tol in ("0", "-1e-6", "nan", "inf"):
+        assert run(["sio-norm", "--points", str(pts), "--kernel", "cauchy",
+                    "--n", "1", "--grid-size", "4", "--tol", tol,
+                    "--out", str(out)]) == 2, tol
+        assert not out.exists()
+
+
 def test_beta_subcommand(tmp_path):
     pts = tmp_path / "c3.csv"
     run(["gen", "--type", "four_corner_cantor", "--generation", "3",
@@ -406,6 +436,21 @@ def test_gen_and_p1_energy_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "e.json").read_text())["total_energy"] > 0
+
+
+def test_gen_and_sio_norm_load_no_scipy_spatial(tmp_path):
+    gen = ["gen", "--type", "lipschitz_graph", "--count", "128", "--lipschitz",
+           "0.5", "--out", "g.csv"]
+    norms = ["sio-norm", "--points", "g.csv", "--kernel", "cauchy", "--n", "1",
+             "--grid-size", "4", "--out", "s.csv"]
+    code = ("import sys; from conical_gmt import cli; "
+            f"assert cli.run({gen!r}) == 0 and cli.run({norms!r}) == 0; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.spatial')))")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    with open(tmp_path / "s.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 4
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

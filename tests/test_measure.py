@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist, pdist
 
 from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
                       maximal_function_candidates, random_cloud)
@@ -12,6 +13,7 @@ from conical_gmt.geometry import Cone, make_plane
 from conical_gmt.measure import (DiscreteMeasure, ball_mass, cone_mass,
                                  density_profile, growth_constant, load_csv,
                                  maximal_function, save_csv, theta)
+from conical_gmt.sio import TruncationGrid
 
 
 def single_atom(where=(0.0, 0.0), w=1.0) -> DiscreteMeasure:
@@ -24,6 +26,40 @@ def test_diameter_exact_far_from_origin(offset):
     pts = offset + 1e-3 * rng.random((500, 2))
     m = DiscreteMeasure(pts, np.ones(500), 1)
     assert m.diameter() == pytest.approx(pdist(pts).max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+def test_distance_extremes_have_the_bits_of_cdist_and_the_kd_tree(d, offset):
+    rng = np.random.default_rng(d)
+    pts = rng.random((300, d)) + offset
+    pts[7] = pts[3]
+    pts[100:104] = pts[50]
+    full = cdist(pts, pts)
+    lo, hi = geometry.distance_extremes(pts)
+    assert hi == full.max()
+    assert lo == full[full > 0].min()
+    locations = np.unique(pts, axis=0)
+    near = cKDTree(locations).query(locations, k=2)[0][:, 1].min()
+    if d <= 7:
+        assert lo == near
+    else:
+        # the KD-tree sums the squares of 8 or more coordinates in four
+        # interleaved partial sums, so it may differ from cdist in the last place
+        assert abs(lo - near) <= 2 * np.spacing(near)
+    if d > 1:
+        m = DiscreteMeasure(pts, np.ones(len(pts)), d - 1)
+        assert m.diameter() == hi
+        eps = TruncationGrid.log_spaced(m, 5).eps
+        assert eps[0] == lo and eps[-1] == hi
+
+
+def test_distance_extremes_of_one_location():
+    assert geometry.distance_extremes(np.zeros((1, 1))) == (np.inf, 0.0)
+    for pts in (np.full((5, 3), 2.5), np.array([[1e6, -1e6]])):
+        m = DiscreteMeasure(pts, np.ones(len(pts)), 1)
+        assert m.diameter() == 0.0
+        assert np.array_equal(TruncationGrid.log_spaced(m, 8).eps, [1.0])
 
 
 def test_tree_and_diameter_are_built_on_first_use():

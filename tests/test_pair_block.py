@@ -25,7 +25,7 @@ from conical_gmt.sio import TruncationGrid, _interaction_stack, builtin_kernels
 
 V_AXIS = make_plane([[0.0, 1.0]])
 # a block far smaller than any kernel's width, so every kernel runs one row
-# (or a 2 x 2 SIO tile) at a time, and every cone-pair strip is one row, the
+# (or a 1 x 1 SIO tile) at a time, and every cone-pair strip is one row, the
 # last one a single pair
 TINY_BLOCK = 7
 SCRATCH_LIMIT = 4 * 2 ** 20
@@ -235,6 +235,14 @@ def test_diameter_scratch_does_not_grow_with_the_cloud():
     assert diam == max(cdist(m.points[lo:lo + 512], m.points).max()
                        for lo in range(0, m.size, 512))
     assert peak < SCRATCH_LIMIT
+
+
+def test_interaction_stack_scratch_does_not_grow_with_the_cloud():
+    m = random_cloud(12, 2048)
+    grid = TruncationGrid.log_spaced(m, 16)
+    (packed, idx), peak = traced_peak(_interaction_stack, m, builtin_kernels()["cauchy"], grid)
+    assert len(packed) == 1 and idx.shape == (2048, 2048)
+    assert peak - sum(P.nbytes for P in packed) - idx.nbytes < SCRATCH_LIMIT
 
 
 def test_ball_family_scratch_does_not_grow_with_the_cloud():

@@ -133,10 +133,26 @@ def test_maximal_transform_exact_beyond_ten_thousand_atoms():
 
 
 def test_truncation_grid_validation():
-    with pytest.raises(InvalidParams):
-        TruncationGrid(np.array([0.5, 0.5]))
-    with pytest.raises(InvalidParams):
-        TruncationGrid(np.array([-1.0, 1.0]))
+    for bad in ([0.5, 0.5], [-1.0, 1.0], [np.nan], [np.nan, 0.01], [0.01, np.nan],
+                [0.01, np.nan, 0.02], [np.inf, np.inf], []):
+        with pytest.raises(InvalidParams):
+            TruncationGrid(np.array(bad))
+    assert np.array_equal(TruncationGrid(np.array([0.01, np.inf])).eps, [0.01, np.inf])
+    m = random_cloud(3, 20)
+    for count in (0, -1):
+        with pytest.raises(InvalidParams):
+            TruncationGrid.log_spaced(m, count)
+
+
+def test_profile_rejects_a_bad_tolerance_before_building(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the operator was built")
+    monkeypatch.setattr(sio, "_interaction_stack", unreachable)
+    m = random_cloud(3, 20)
+    grid = TruncationGrid(np.array([0.1]))
+    for tol in (0.0, -1e-6, np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParams):
+            operator_norm_profile(m, CAUCHY, grid, tol=tol)
 
 
 def test_operator_norm_single_atom():
@@ -198,7 +214,7 @@ def test_packed_product_matches_dense_oracle():
     pts = cloud.points.copy()
     central = np.argsort(np.linalg.norm(pts - 0.5, axis=1))[:10]
     pts[central[5:]] = pts[central[:5]]
-    # 600 atoms span three row tiles, so off-diagonal and partial tiles too
+    # 600 atoms span five row tiles, so off-diagonal and partial tiles too
     cases = [(random_cloud(5, 600), CAUCHY),
              (DiscreteMeasure(pts, cloud.weights, 1), CAUCHY),
              (random_cloud(9, 25, d=3), RIESZ23)]
@@ -261,6 +277,25 @@ def test_odd_kernel_guard():
         operator_norm(m, Kernel("even", 1, 2, even, 1.0), 0.1)
     for cloud, kernel in ((m, CAUCHY), (m, RIESZ12), (random_cloud(4, 20, d=3), RIESZ23)):
         assert operator_norm(cloud, kernel, 0.1).norm > 0
+
+
+def test_odd_kernel_guard_reads_the_first_256_atoms():
+    # odd on every offset shorter than 50 only: the cloud's first 128 atoms,
+    # one 128 x 128 tile, sit in the unit square and the next 128 at 100, so
+    # only pairs beyond the first tile can show the kernel is not odd
+    def odd_when_near(x):
+        far = np.linalg.norm(x, axis=1) > 50
+        return CAUCHY.components(x) + far[:, None]
+    kernel = Kernel("odd-near", 1, 2, odd_when_near, 1.0)
+    cloud = random_cloud(12, 300)
+    pts = cloud.points.copy()
+    pts[128:] += 100.0
+    with pytest.raises(InvalidParams):
+        sio._check_odd(kernel, pts)
+    sio._check_odd(kernel, pts[:128])
+    # the atoms from 256 on are not read
+    pts[:256] = cloud.points[:256]
+    sio._check_odd(kernel, pts)
 
 
 def test_operator_guard():

@@ -1,12 +1,16 @@
-"""Dead-name scan of the package source, with the standard library's ``ast``.
+"""Scans of the package source, with the standard library's ``ast``.
 
-Fails on a function-local name that is bound and never read, on a
-parameter that is never read, and on an assignment whose value is never read
-because a later statement of the same block assigns the name again with no
-read in between.  Names starting with ``_`` are exempt, as are ``self`` and
-``cls``.  A read anywhere inside the function counts, nested functions and
-comprehensions included, so a closure's use of an outer local counts for the
-outer function.
+The dead-name scan fails on a function-local name that is bound and never
+read, on a parameter that is never read, and on an assignment whose value is
+never read because a later statement of the same block assigns the name again
+with no read in between.  Names starting with ``_`` are exempt, as are
+``self`` and ``cls``.  A read anywhere inside the function counts, nested
+functions and comprehensions included, so a closure's use of an outer local
+counts for the outer function.
+
+The import scan fails on an import of scipy that runs when a module is
+imported: scipy loads only inside the functions that use it, so ``gen``, the
+p = 1 ``energy`` sweep and ``sio-norm`` stay light.
 """
 
 import ast
@@ -134,4 +138,53 @@ def test_package_has_no_unread_locals_or_parameters():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += dead_names(path.read_text(), path.name)
+    assert found == []
+
+
+def import_time_scipy(source: str, filename: str = "<source>") -> list[str]:
+    """Imports of scipy that run on import of the module: at module level,
+    in a class body, or under a module-level ``if`` or ``try``, but not
+    inside a function."""
+    found = []
+    stack = list(ast.parse(source, filename).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        for name in names:
+            if name == "scipy" or name.startswith("scipy."):
+                found.append(f"{filename}:{node.lineno}: import of {name} at import time")
+        if not isinstance(node, (*_FUNCS, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_scan_finds_import_time_scipy():
+    src = ("import numpy as np\n"
+           "import scipy\n"
+           "from . import scipy_like\n"
+           "try:\n"
+           "    from scipy.spatial import cKDTree\n"
+           "except ImportError:\n"
+           "    pass\n"
+           "class A:\n"
+           "    import scipy.linalg as la\n"
+           "    def f(self):\n"
+           "        from scipy.linalg import eigh\n"
+           "        return eigh\n"
+           "def g():\n"
+           "    import scipy.spatial\n")
+    assert sorted(s.split(": ", 1)[1] for s in import_time_scipy(src)) == [
+        "import of scipy at import time", "import of scipy.linalg at import time",
+        "import of scipy.spatial at import time"]
+
+
+def test_package_loads_scipy_only_on_first_use():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += import_time_scipy(path.read_text(), path.name)
     assert found == []
