@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import EnergySpec, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
-from .geometry import Plane, cone_mask, pair_distances, row_blocks
+from .geometry import Plane, SortedIndex, cone_mask
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import growth_constant
@@ -244,15 +244,9 @@ def key_cone_exclusion(lattice: Lattice, q, p, params: CoronaParams) -> bool:
 
 
 def _set_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min |a_i - b_j|: up to 250,000 pairs from the differences in
-    ``row_blocks`` of a, past that by a KD-tree on b."""
-    if len(a) * len(b) <= 250_000:
-        return min(float(pair_distances(a[rows], b).min())
-                   for rows in row_blocks(len(a), len(b)))
-    from scipy.spatial import cKDTree
-    tree = cKDTree(b)
-    d, _ = tree.query(a, k=1)
-    return float(d.min())
+    """min |a_i - b_j|: the nearest distances of a's rows in a
+    ``SortedIndex`` of b."""
+    return float(SortedIndex(b).nearest(a).min())
 
 
 def _t_neighbours(q: Cube, p: Cube, t: float, pts: np.ndarray) -> bool:
@@ -389,7 +383,6 @@ def verify_corona(result: CoronaResult) -> dict:
     cubes, exact tree partition of the lattice.  Soft quantities (density ratio maxima,
     graph proximity fractions, LD mass fractions) are reported.
     """
-    from scipy.spatial import cKDTree
     lattice, params = result.lattice, result.params
     failures: list[str] = []
     tree_reports = []
@@ -420,7 +413,7 @@ def verify_corona(result: CoronaResult) -> dict:
         anchors = tree.graph.ambient_anchors() if tree.graph is not None else None
         if anchors is not None and len(anchors):
             cubes = [lattice.cubes[cid] for cid in tree.tree_ids]
-            gap, _ = cKDTree(anchors).query(np.array([q.center for q in cubes]), k=1)
+            gap = SortedIndex(anchors).nearest(np.array([q.center for q in cubes]))
             reach = params.prox_const * np.array([q.ball_radius for q in cubes])
             prox_hits = int(np.count_nonzero(gap < reach))
         bce_threshold = params.energy_stop * theta_r ** params.exponent

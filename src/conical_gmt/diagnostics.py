@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
-from .geometry import Plane, _row_norms, cone_mask, cone_pairs
+from .geometry import Plane, SortedIndex, _row_norms, cone_mask, cone_pairs
 from .graphs import LipschitzGraph
-from .measure import _QUERY_SLACK, DiscreteMeasure, sorted_mass
+from .measure import DiscreteMeasure, sorted_mass
 
 DEGENERATE_GAP = 1e-12
+# relative widening of the cover's candidate balls: the cone test measures
+# |y - x| in its own arithmetic, which may differ in the last place
+_QUERY_SLACK = 1e-9
 _CIRCLE_SAMPLES = 2048
 
 
@@ -360,10 +363,9 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         if lip > 0:
             candidates.append(1.0 / (4.0 * lip))
         aperture = min(candidates)
-    from scipy.spatial import cKDTree
     samples = graph.ambient_anchors()
-    sample_tree = cKDTree(samples)
-    gdist, _ = sample_tree.query(m.points, k=1)
+    sample_index = SortedIndex(samples)
+    gdist = sample_index.nearest(m.points)
     off = np.nonzero(gdist > 0)[0]
     radii = 0.01 * gdist[off]
 
@@ -383,18 +385,20 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
         for a in range(k - 1))
 
     # the 5-dilates are asked in one family call: each flags the atoms it
-    # covers and lists the atoms whose cone below rc must miss the samples;
-    # only samples the KD prefilter puts within rc can be in that cone
+    # covers and lists the atoms y whose cone below rc must miss the samples;
+    # only samples in B(y, rc) can be in that cone, and those balls, slightly
+    # widened against the cone test's own rounding, are one family too
     covered = np.zeros(m.size, dtype=bool)
+    near = list(m.balls(centers, 5 * ch_radii))
+    owner = np.repeat(np.arange(k), [len(idx) for idx in near])
+    near = np.concatenate(near) if near else np.empty(0, dtype=int)
+    covered[near] = True
     cone_violations = []
-    for j, (rc, near) in enumerate(zip(ch_radii, m.balls(centers, 5 * ch_radii))):
-        covered[near] = True
-        for y_idx in near:
-            y = m.points[y_idx]
-            cand = sample_tree.query_ball_point(y, rc * (1.0 + _QUERY_SLACK))
-            if cand and np.any(cone_mask(samples[cand], y, graph.normal, aperture,
-                                         outer_radius=rc)):
-                cone_violations.append((j, int(y_idx)))
+    reach = ch_radii * (1.0 + _QUERY_SLACK)
+    for j, y_idx, cand in zip(owner, near, sample_index.balls(m.points[near], reach[owner])):
+        if len(cand) and np.any(cone_mask(samples[cand], m.points[y_idx], graph.normal,
+                                          aperture, outer_radius=ch_radii[j])):
+            cone_violations.append((int(j), int(y_idx)))
 
     n = m.dim_param
     sum_rn = float(np.sum(ch_radii ** n))

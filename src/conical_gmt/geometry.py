@@ -36,12 +36,12 @@ distance and direction table) takes ``row_blocks``' slices of
 whatever the cloud's size; ``pair_distances`` gives a row block's distances.
 The diameter and the SIO tiles take the squared lengths of their pairs from
 ``square_lengths``, one coordinate plane at a time, summed in coordinate order
-like ``_cone_test``'s and scipy's ``cdist``'s, so ``distance_extremes`` has
-cdist's bits.  A family
-of open balls is answered in ``count_blocks``: consecutive balls holding about
-``PAIR_BLOCK`` atoms together.  Per-pair values do not depend on the block,
-and each kernel reduces them by max, min or argmin or writes them in place,
-so its output does not either.
+like ``_cone_test``'s and scipy's ``cdist``'s, so ``pair_extremes`` and
+``distance_extremes`` have cdist's bits.  ``SortedIndex`` answers a family of
+open balls, or of nearest-distance queries, in ``count_blocks``: consecutive
+queries whose candidate runs hold about ``PAIR_BLOCK`` rows together.
+Per-pair values do not depend on the block, and each kernel reduces them by
+max, min or argmin or writes them in place, so its output does not either.
 
 The whole-cloud sweep ``cone_pairs`` works in row strips: rows [i0, i1)
 against the columns (i0, N), with ``max(1, (PAIR_BLOCK // 4) // (N - 1 - i0))``
@@ -261,6 +261,28 @@ def square_lengths(coords: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     return sq
 
 
+def pair_extremes(pts: np.ndarray) -> tuple[float, float, float]:
+    """``distance_extremes`` with the smallest distance between two rows in
+    front: 0.0 when two rows coincide, else the smallest positive distance.
+
+    In the pass's blocks each pair i < j appears as (i, j) and, when both
+    rows are in the block, as (j, i), with the same bits; the pairs i = i
+    give one zero per row, so a further zero means two rows coincide.
+    """
+    n = len(pts)
+    coords = np.ascontiguousarray(pts.T)
+    lo, hi, tied = np.inf, 0.0, False
+    for rows in row_blocks(n, n):
+        sq = square_lengths(coords, rows, slice(rows.start, n))
+        hi = max(hi, float(sq.max()))
+        zero = sq == 0
+        tied = tied or np.count_nonzero(zero) > rows.stop - rows.start
+        sq[zero] = np.inf
+        lo = min(lo, float(sq.min()))
+    lo = math.sqrt(lo)
+    return 0.0 if tied else lo, lo, math.sqrt(hi)
+
+
 def distance_extremes(pts: np.ndarray) -> tuple[float, float]:
     """The smallest positive and the largest distance between the rows of
     ``pts``: (inf, 0.0) when all rows coincide.
@@ -269,15 +291,108 @@ def distance_extremes(pts: np.ndarray) -> tuple[float, float]:
     positive and the largest square, and takes one root of each at the end;
     the root is monotone, so these are the bits of the extreme distances.
     """
-    n = len(pts)
-    coords = np.ascontiguousarray(pts.T)
-    lo, hi = np.inf, 0.0
-    for rows in row_blocks(n, n):
-        sq = square_lengths(coords, rows, slice(rows.start, n))
-        hi = max(hi, float(sq.max()))
-        sq[sq == 0] = np.inf
-        lo = min(lo, float(sq.min()))
-    return math.sqrt(lo), math.sqrt(hi)
+    return pair_extremes(pts)[1:]
+
+
+# half-width of a run's widening, relative to max(|x|, r): a few ulps
+_RUN_SLACK = 8 * np.finfo(float).eps
+
+
+class SortedIndex:
+    """Exact open-ball and nearest-distance queries over the rows of
+    ``points``, from one stable sort of the rows along their coordinate of
+    widest spread (the first such coordinate).
+
+    A query at x with radius r reads one run of that order: the rows whose
+    sort coordinate lies within r of x's, found by two ``searchsorted``
+    calls.  The run's ends are widened by ``_RUN_SLACK`` max(|x|, r), a few
+    ulps, so it holds every row that the exact test can accept whatever the
+    rounding of x -+ r, also where that rounds at the scale of |x|, and an
+    infinite r gives every row.  Each candidate is then tested exactly:
+    |y - x| is the root of the squares of y - x summed by
+    ``np.add.reduce(..., axis=1)``, the bits of ``np.linalg.norm(...,
+    axis=1)``.  A family of queries is answered in ``count_blocks`` of its
+    run lengths, known before anything is gathered, so the scratch holds
+    about ``PAIR_BLOCK`` candidates whatever the family's size.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = np.asarray(points, dtype=float)
+        self.axis = int(np.argmax(np.ptp(self.points, axis=0)))
+        self.order = np.argsort(self.points[:, self.axis], kind="stable")
+        self.keys = self.points[self.order, self.axis]
+
+    def _runs(self, x: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ends [lo, hi) in the sort order of the widened runs of the
+        queries x with radii r."""
+        at = x[:, self.axis]
+        reach = r + _RUN_SLACK * np.maximum(np.abs(at), r)
+        return (self.keys.searchsorted(at - reach, side="left"),
+                self.keys.searchsorted(at + reach, side="right"))
+
+    def _lengths(self, rows: np.ndarray, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """|points[rows[k]] - x[owner[k]]| for every k, one coordinate of
+        the queries gathered at a time."""
+        sq = self.points[rows]
+        for k, col in enumerate(x.T):
+            sq[:, k] -= col[owner]
+        sq *= sq
+        out = np.add.reduce(sq, axis=1)
+        return np.sqrt(out, out=out)
+
+    def _candidates(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """The rows of the runs [lo, hi) of the queries x, run after run,
+        with the query each belongs to and its distance from that query."""
+        counts = hi - lo
+        owner = np.arange(len(x)).repeat(counts)
+        pos = np.arange(owner.size)
+        pos += (lo - (counts.cumsum() - counts))[owner]
+        rows = self.order[pos]
+        del pos
+        return rows, owner, self._lengths(rows, x, owner)
+
+    def balls(self, centers: np.ndarray, radii: np.ndarray) -> Iterator[np.ndarray]:
+        """The open balls B(c_i, r_i), in order, each as the ascending
+        indices of its rows; ``radii`` holds one radius per centre."""
+        lo, hi = self._runs(centers, radii)
+        n = len(self.points)
+        for b in count_blocks(hi - lo):
+            rows, owner, dist = self._candidates(centers[b], lo[b], hi[b])
+            inside = dist < radii[b][owner]
+            del dist
+            owner = owner[inside]
+            # one integer sort orders each ball's rows by index: a run's
+            # owner is constant, so owner * n + row sorts run by run
+            kept = owner * n
+            kept += rows[inside]
+            kept.sort()
+            kept -= owner * n
+            ends = np.bincount(owner, minlength=b.stop - b.start).cumsum().tolist()
+            del rows, owner, inside
+            start = 0
+            for end in ends:
+                yield kept[start:end]
+                start = end
+
+    def nearest(self, queries: np.ndarray) -> np.ndarray:
+        """min_j |q_i - y_j| over the rows y_j, for every query row q_i, in
+        ``balls``' arithmetic.  The nearer of the two rows beside a query's
+        place in the sort order bounds its distance; the exact minimum is
+        then taken over the run of that bound."""
+        q = np.asarray(queries, dtype=float)
+        place = self.keys.searchsorted(q[:, self.axis])
+        last, each = len(self.keys) - 1, np.arange(len(q))
+        bound = np.minimum(
+            self._lengths(self.order[np.maximum(place - 1, 0)], q, each),
+            self._lengths(self.order[np.minimum(place, last)], q, each))
+        lo, hi = self._runs(q, bound)
+        out = np.empty(len(q))
+        for b in count_blocks(hi - lo):
+            counts = hi[b] - lo[b]
+            # each run holds the row that gave its bound, so none is empty
+            out[b] = np.minimum.reduceat(self._candidates(q[b], lo[b], hi[b])[2],
+                                         counts.cumsum() - counts)
+        return out
 
 
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,20 +7,20 @@ so boundary atoms never count; this keeps every query deterministic and
 lets the spatial index be checked bit-for-bit against brute force.
 
 ``DiscreteMeasure.balls`` is the package's one open-ball query over the
-atoms: a KD-tree prefilter with a slightly inflated radius, then the strict
-test |y - x| < r, with |y - x| the bits of ``np.linalg.norm(..., axis=1)``.
-It is asked of a family of balls at once: one ``query_ball_point`` call and
-one vectorised filter per block of centres whose prefiltered answers hold
-about ``geometry.PAIR_BLOCK`` indices (counted first when the family could
-hold more).  ``ball_indices`` is its one-ball case.  Masses, densities, the
-lattice's nets (the priority centres in one call, then each chosen point),
-B(Q) and 100 B(Q) (one call per level), the corona's 2B_Q (one call per
-expanded cube's children) and the graph cover's balls all ask it, so an
-atom on a sphere is outside everywhere alike.  The KD-tree is built on the
-first ball query and kept; ``scipy.spatial`` loads with it and nowhere else,
-so a pipeline that asks no ball, such as the p = 1 energy sweep or the SIO
-profile, never loads it.  The diameter comes from a numpy pass,
-``geometry.distance_extremes``, which ``sio``'s automatic grid also reads.
+atoms: a ``geometry.SortedIndex`` over the atoms gives each ball's candidates
+as one run of the atoms sorted along their coordinate of widest spread, and
+the strict test |y - x| < r keeps those inside, with |y - x| the bits of
+``np.linalg.norm(..., axis=1)``.  It is asked of a family of balls at once:
+one vectorised test per block of centres whose runs hold about
+``geometry.PAIR_BLOCK`` candidates.  ``ball_indices`` is its one-ball case.
+Masses, densities, the lattice's nets (the priority centres in one call,
+then each chosen point), B(Q) and 100 B(Q) (one call per level), the
+corona's 2B_Q (one call per expanded cube's children) and the graph cover's
+balls all ask it, so an atom on a sphere is outside everywhere alike.  The
+index is built on the first ball query and kept; it is numpy alone, so no
+ball query loads scipy.  The diameter and the smallest interpoint distance
+come from one numpy pass, ``geometry.pair_extremes``, whose positive end
+``sio``'s automatic grid also reads.
 """
 
 from __future__ import annotations
@@ -29,21 +29,18 @@ import csv
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
 from . import geometry
-from .geometry import Cone, cone_mask, count_blocks
-
-# relative inflation of KD-tree query radii; strict filtering happens afterwards
-_QUERY_SLACK = 1e-9
+from .geometry import Cone, SortedIndex, cone_mask
 
 
 class DiscreteMeasure:
-    """Immutable weighted point cloud with a KD-tree index built on the first
-    ball query and kept, as is the diameter once computed."""
+    """Immutable weighted point cloud with a ``SortedIndex`` built on the
+    first ball query and kept, as are the diameter and the smallest
+    interpoint distance once computed."""
 
     def __init__(self, points, weights, dim_param: int):
         pts = np.ascontiguousarray(np.asarray(points, dtype=float))
@@ -65,11 +62,11 @@ class DiscreteMeasure:
         self.weights = w
         self.dim_param = n
         self._diameter: float | None = None
+        self._min_distance: float | None = None
 
     @cached_property
-    def _tree(self):
-        from scipy.spatial import cKDTree
-        return cKDTree(self.points)
+    def _index(self) -> SortedIndex:
+        return SortedIndex(self.points)
 
     @property
     def ambient_dim(self) -> int:
@@ -84,23 +81,23 @@ class DiscreteMeasure:
         return float(np.sum(self.weights))
 
     def diameter(self) -> float:
-        """Exact max pairwise distance, from ``geometry.distance_extremes``:
-        row blocks of at most ``geometry.PAIR_BLOCK`` pairs, so the scratch
-        does not grow with N, and the bits of scipy's ``cdist``.
+        """Exact max pairwise distance, from ``geometry.pair_extremes``: row
+        blocks of at most ``geometry.PAIR_BLOCK`` pairs, so the scratch does
+        not grow with N, and the bits of scipy's ``cdist``.
 
         Distances come from coordinate differences, not the Gram identity
         |a|^2 + |b|^2 - 2 a.b, which cancels for clouds far from the origin.
-        Computed on the first call and kept.
+        Computed on the first call and kept, with the smallest distance.
         """
         if self._diameter is None:
-            self._diameter = geometry.distance_extremes(self.points)[1]
+            self._min_distance, _, self._diameter = geometry.pair_extremes(self.points)
         return self._diameter
 
     def min_interpoint_distance(self) -> float:
-        if self.size < 2:
-            return 0.0
-        d, _ = self._tree.query(self.points, k=2)
-        return float(d[:, 1].min())
+        """The smallest distance between two atoms, 0.0 when two coincide or
+        the cloud has one atom: read off the diameter's pass."""
+        self.diameter()
+        return self._min_distance if self.size > 1 else 0.0
 
     def ball_indices(self, x, r: float) -> np.ndarray:
         """Sorted indices of atoms with |y - x| < r (strict): the one-ball
@@ -112,7 +109,7 @@ class DiscreteMeasure:
         """The open balls B(c_i, r_i) of a family, in order, each as the
         sorted indices of its atoms; ``radii`` is one radius or one per
         centre (see the module docstring).  The answers come block by block,
-        so the scratch holds about ``PAIR_BLOCK`` indices whatever the
+        so the scratch holds about ``PAIR_BLOCK`` candidates whatever the
         family's size.  A non-finite centre or a radius that is not positive
         raises ``InvalidRange`` here, before any ball is answered."""
         c = np.asarray(centers, dtype=float)
@@ -126,35 +123,7 @@ class DiscreteMeasure:
             raise InvalidRange("ball centres must be finite")
         if not np.all(r > 0):
             raise InvalidRange("radius must be positive")
-        return self._ball_answers(c, r)
-
-    def _ball_answers(self, c: np.ndarray, r: np.ndarray) -> Iterator[np.ndarray]:
-        reach = r * (1.0 + _QUERY_SLACK)
-        if len(c) * self.size > geometry.PAIR_BLOCK:
-            blocks = count_blocks(self._tree.query_ball_point(c, reach, return_length=True))
-        else:
-            blocks = [slice(0, len(c))] if len(c) else []
-        for b in blocks:
-            yield from self._ball_block(c[b], r[b], reach[b])
-
-    def _ball_block(self, c: np.ndarray, r: np.ndarray, reach: np.ndarray) -> list[np.ndarray]:
-        """One KD-tree call and one strict filter for a block of balls."""
-        found = self._tree.query_ball_point(c, reach, return_sorted=True)
-        counts = np.fromiter(map(len, found), dtype=int, count=len(found))
-        idx = np.fromiter(chain.from_iterable(found), dtype=int, count=int(counts.sum()))
-        del found
-        # the squares of y - x summed by np.add.reduce per row, then the root:
-        # the arithmetic of np.linalg.norm(..., axis=1), in place
-        sq = self.points[idx]
-        sq -= np.repeat(c, counts, axis=0)
-        sq *= sq
-        dist = np.sqrt(np.add.reduce(sq, axis=1))
-        del sq
-        inside = dist < np.repeat(r, counts)
-        # kept[ends[i - 1]:ends[i]] is ball i's answer
-        kept = idx[inside]
-        ends = np.concatenate(([0], np.cumsum(inside)))[np.cumsum(counts)]
-        return np.split(kept, ends[:-1])
+        return self._index.balls(c, r)
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -438,6 +438,38 @@ def test_gen_and_p1_energy_load_no_scipy(tmp_path):
     assert json.loads((tmp_path / "e.json").read_text())["total_energy"] > 0
 
 
+def test_ball_query_pipelines_load_no_scipy(tmp_path):
+    # balls, nearest distances and the smallest interpoint distance are
+    # numpy alone: the lattice, the corona and its verification, the scan,
+    # the graph cover, the density checks and the beta profile load no scipy
+    xs = np.linspace(0.0, 1.0, 21).tolist()
+    (tmp_path / "graph.json").write_text(json.dumps(
+        {"base_plane": [[1.0, 0.0]], "anchors": [[[x], [0.25 * x]] for x in xs], "L": 0.25}))
+    (tmp_path / "corona.json").write_text(json.dumps(
+        {"alpha": 0.8, "p": 1, "plane": "0,1", "n": 1, "max_depth": 5, "seed": 0}))
+    pts = ["--points", "s.csv", "--n", "1"]
+    bplg = [*pts, "--graph", "graph.json", "--check"]
+    calls = [["gen", "--type", "segment", "--count", "150", "--jitter", "0.05",
+              "--seed", "1", "--out", "s.csv"],
+             ["corona", "--points", "s.csv", "--config", "corona.json", "--out", "c.json"],
+             ["scan-bpbe", *pts, "--alpha", "0.8", "--M0", "0.5", "--kappa", "0.9",
+              "--direction-samples", "2", "--seed", "3", "--balls", "all",
+              "--out", "scan.json"],
+             ["bplg", *bplg, "cover", "--out", "cover.json"],
+             ["bplg", *bplg, "thetaM", "--out", "thetam.json"],
+             ["bplg", *bplg, "feps", "--eps", "0.1", "--out", "feps.json"],
+             ["beta", *pts, "--center", "idx:0", "--scales", "dyadic:4", "--out", "b.csv"]]
+    code = ("import sys; from conical_gmt import cli; "
+            f"assert all(cli.run(argv) == 0 for argv in {calls!r}); "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    proc = _fresh_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    report = json.loads((tmp_path / "c.json").read_text())
+    assert report["verification"]["passed"]
+    assert json.loads((tmp_path / "cover.json").read_text())["chosen_balls"] > 0
+
+
 def test_gen_and_sio_norm_load_no_scipy_spatial(tmp_path):
     gen = ["gen", "--type", "lipschitz_graph", "--count", "128", "--lipschitz",
            "0.5", "--out", "g.csv"]

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
+from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass, mixture_cloud,
                       maximal_function_candidates, random_cloud)
 
 from conical_gmt import geometry
@@ -52,6 +52,12 @@ def test_distance_extremes_have_the_bits_of_cdist_and_the_kd_tree(d, offset):
         assert m.diameter() == hi
         eps = TruncationGrid.log_spaced(m, 5).eps
         assert eps[0] == lo and eps[-1] == hi
+        # the duplicates give 0, as the KD-tree's k = 2 query does; without
+        # them the smallest interpoint distance is lo; no index is built
+        assert m.min_interpoint_distance() == cKDTree(pts).query(pts, k=2)[0][:, 1].min() == 0.0
+        apart = DiscreteMeasure(locations, np.ones(len(locations)), d - 1)
+        assert apart.min_interpoint_distance() == lo
+        assert "_index" not in vars(m) and "_index" not in vars(apart)
 
 
 def test_distance_extremes_of_one_location():
@@ -64,15 +70,15 @@ def test_distance_extremes_of_one_location():
 
 def test_tree_and_diameter_are_built_on_first_use():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 3}))
-    assert "_tree" not in vars(m) and m._diameter is None
+    assert "_index" not in vars(m) and m._diameter is None
     x = m.points[5]
     d = np.linalg.norm(m.points - x[None, :], axis=1)
     # dyadic atoms: every radius below is some atom's exact distance
     for r in np.unique(d)[1:]:
         assert np.array_equal(m.ball_indices(x, r), np.nonzero(d < r)[0])
-    tree = vars(m)["_tree"]
+    index = vars(m)["_index"]
     m.ball_indices(m.points[0], 0.5)
-    assert vars(m)["_tree"] is tree
+    assert vars(m)["_index"] is index
     assert m.diameter() == pdist(m.points).max() == m._diameter
 
 
@@ -318,6 +324,82 @@ def test_ball_family_checks_its_input_when_asked():
     with pytest.raises(InvalidRange):
         m.ball_indices([np.nan, 0.5], 0.3)
     assert list(m.balls(np.empty((0, 2)), 0.3)) == []
+
+
+def _brute_balls(pts, centers, radii):
+    return [np.flatnonzero(np.linalg.norm(pts - x[None, :], axis=1) < r)
+            for x, r in zip(centers, np.broadcast_to(radii, len(centers)))]
+
+
+def _brute_nearest(pts, queries):
+    return np.array([np.linalg.norm(pts - q[None, :], axis=1).min() for q in queries])
+
+
+def _assert_index_is_brute_force(pts, centers, radii):
+    index = geometry.SortedIndex(pts)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), len(centers))
+    got = list(index.balls(centers, radii))
+    want = _brute_balls(pts, centers, radii)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal(index.nearest(centers), _brute_nearest(pts, centers))
+    return index
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-9])
+def test_index_runs_hold_their_balls_at_offset_1e6(r):
+    # at 1e6 an ulp is 1.2e-10, so c -+ r rounds at the scale of |c|; atoms
+    # sit a few ulps inside and outside c -+ r on the sort axis, and on it
+    rng = np.random.default_rng(81)
+    centers = 1e6 + rng.random((40, 2)) * 1e-6
+    ulps = np.arange(-4, 5)[:, None] * np.spacing(1e6)
+    rims = [c + np.stack([s * r + ulps[:, 0], 0 * ulps[:, 0]], axis=1)
+            for c in centers for s in (-1.0, 1.0)]
+    pts = np.concatenate([1e6 + rng.random((200, 2)) * 1e-6, *rims])
+    index = _assert_index_is_brute_force(pts, centers, r)
+    assert min(len(b) for b in index.balls(centers, np.full(len(centers), r))) > 0
+
+
+def test_index_sorts_along_the_axis_of_widest_spread():
+    rng = np.random.default_rng(82)
+    pts = np.stack([0.3 + 1e-3 * rng.random(400), rng.random(400), 0.01 * rng.random(400)],
+                   axis=1)
+    index = _assert_index_is_brute_force(pts, pts[::7] + 1e-4, rng.random(58) * 0.2)
+    assert index.axis == 1
+    assert np.array_equal(index.keys, np.sort(pts[:, 1]))
+
+
+def test_index_of_one_location_one_atom_and_no_queries():
+    one_place = np.full((30, 3), 2.5)
+    _assert_index_is_brute_force(one_place, np.array([[2.5, 2.5, 2.5], [2.5, 2.5, 3.0]]),
+                                 [1e-12, 0.5])
+    one_atom = np.array([[1.0, -2.0]])
+    index = _assert_index_is_brute_force(one_atom, np.array([[1.0, -2.0], [0.0, 0.0]]),
+                                         [0.1, 3.0])
+    assert list(index.balls(np.empty((0, 2)), np.empty(0))) == []
+    assert index.nearest(np.empty((0, 2))).shape == (0,)
+    pts = random_cloud(83, 300).points
+    for got in geometry.SortedIndex(pts).balls(pts[:9], np.full(9, np.inf)):
+        assert np.array_equal(got, np.arange(300))
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["block", "tiny-block"])
+def test_nearest_outside_the_hull_is_the_kd_tree_distance(monkeypatch, tiny):
+    # the mixture's Cantor atoms lie to the right of its graph's x-range
+    if tiny:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", 7)
+    pts = mixture_cloud().points
+    graph, cantor = pts[:744], pts[744:]
+    assert cantor[:, 0].min() > graph[:, 0].max()
+    got = geometry.SortedIndex(graph).nearest(cantor)
+    assert np.array_equal(got, cKDTree(graph).query(cantor)[0])
+    assert np.array_equal(got, _brute_nearest(graph, cantor))
+    for d in (3, 9):
+        cloud = random_cloud(84 + d, 300, d).points + 1e6
+        queries = 1e6 + np.random.default_rng(d).random((50, d)) * 3 - 1
+        assert np.array_equal(geometry.SortedIndex(cloud).nearest(queries),
+                              _brute_nearest(cloud, queries))
 
 
 def test_cone_mass_equals_brute_force(rng):

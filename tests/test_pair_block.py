@@ -247,7 +247,7 @@ def test_interaction_stack_scratch_does_not_grow_with_the_cloud():
 
 def test_ball_family_scratch_does_not_grow_with_the_cloud():
     m = random_cloud(10, 10_000)
-    m.ball_indices(m.points[0], 0.1)        # the KD-tree is built before tracing
+    m.ball_indices(m.points[0], 0.1)        # the index is built before tracing
     sizes, peak = traced_peak(lambda: [len(b) for b in m.balls(m.points[:64], 2.0)])
     assert sizes == [m.size] * 64
     assert peak < SCRATCH_LIMIT

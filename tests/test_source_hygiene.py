@@ -10,7 +10,9 @@ counts for the outer function.
 
 The import scan fails on an import of scipy that runs when a module is
 imported: scipy loads only inside the functions that use it, so ``gen``, the
-p = 1 ``energy`` sweep and ``sio-norm`` stay light.
+p = 1 ``energy`` sweep and ``sio-norm`` stay light.  A second scan fails on
+any import of ``scipy.spatial``, in a function body too: balls and nearest
+distances have one index, ``geometry.SortedIndex``, and no KD-tree beside it.
 """
 
 import ast
@@ -183,8 +185,49 @@ def test_scan_finds_import_time_scipy():
         "import of scipy.spatial at import time"]
 
 
+def scipy_spatial_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Every import statement that loads ``scipy.spatial`` or a module under
+    it, wherever it sits, function bodies included; ``from m import a``
+    loads m and, when a is a submodule, m.a."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        hits = [n for n in names if n == "scipy.spatial" or n.startswith("scipy.spatial.")]
+        if hits:
+            found.append(f"{filename}:{node.lineno}: import of {hits[0]}")
+    return found
+
+
+def test_scan_finds_scipy_spatial_anywhere():
+    src = ("import scipy\n"
+           "import scipy.linalg\n"
+           "from scipy import linalg, spatial\n"
+           "def f():\n"
+           "    from scipy.spatial import cKDTree\n"
+           "    return cKDTree\n"
+           "class A:\n"
+           "    def g(self):\n"
+           "        import scipy.spatial.distance as ssd\n"
+           "        return ssd\n")
+    assert [s.split(": ", 1)[1] for s in scipy_spatial_imports(src)] == [
+        "import of scipy.spatial", "import of scipy.spatial",
+        "import of scipy.spatial.distance"]
+
+
 def test_package_loads_scipy_only_on_first_use():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += import_time_scipy(path.read_text(), path.name)
+    assert found == []
+
+
+def test_package_imports_no_scipy_spatial():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += scipy_spatial_imports(path.read_text(), path.name)
     assert found == []
