@@ -52,6 +52,29 @@ def _jsonable(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
+def _read_json(path: str, what: str, kind: type):
+    """The JSON object (``kind`` dict) or list in the file ``path``; any other
+    file is an ``InputError`` naming ``what``."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:       # not JSON, or bytes that are not text
+            raise InputError(f"{path}: {what} is not JSON ({exc})") from exc
+    if not isinstance(data, kind):
+        raise InputError(f"{path}: {what} is not a JSON {'object' if kind is dict else 'list'}")
+    return data
+
+
+def _config_number(cfg: dict, path: str, key: str, default=None, kind=float):
+    """``kind(cfg[key])`` for a finite JSON number, ``default`` when the key
+    is absent or null; any other value is an ``InputError`` naming ``path``."""
+    if cfg.get(key) is None:
+        return default
+    if not _finite(cfg[key]):
+        raise InputError(f"{path}: {key} must be a finite number, not {cfg[key]!r}")
+    return kind(cfg[key])
+
+
 def _load_points(path: str, n: int | None):
     if not os.path.exists(path):
         raise InputError(f"points file not found: {path}")
@@ -90,8 +113,10 @@ def _cmd_gen(args) -> int:
     if args.ratios:
         params["ratios"] = [float(r) for r in args.ratios.split(",")]
     if args.mixture_config:
-        with open(args.mixture_config) as fh:
-            params["components"] = json.load(fh)["components"]
+        cfg = _read_json(args.mixture_config, "mixture config", dict)
+        if "components" not in cfg:
+            raise InputError(f"{args.mixture_config}: mixture config has no \"components\"")
+        params["components"] = cfg["components"]
     stochastic = bool(args.jitter)
     if stochastic and args.seed is None:
         raise InputError("this generator draws random numbers: --seed is required")
@@ -136,14 +161,8 @@ def _parse_balls(kind: str, m: DiscreteMeasure, c0: float, a0: float, depth: int
         balls = [(q.center, q.double_ball_radius) for q in lat.cubes if q.doubling]
         return balls, f"2B balls of doubling lattice cubes (depth {depth})"
     if os.path.exists(kind):
-        with open(kind) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{kind}: not JSON ({exc.msg})") from exc
+        data = _read_json(kind, "ball family", list)
         d = m.ambient_dim
-        if not isinstance(data, list):
-            raise InputError(f"{kind}: expected a list of [centre, radius] balls")
         for i, b in enumerate(data):
             if not (isinstance(b, list) and len(b) == 2 and isinstance(b[0], list)
                     and len(b[0]) == d and all(map(_finite, b[0]))
@@ -179,24 +198,22 @@ def _cmd_scan_bpbe(args) -> int:
 
 
 def _cmd_corona(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    m = _load_points(args.points, cfg.get("n"))
+    cfg = _read_json(args.config, "corona config", dict)
+    if not (isinstance(cfg.get("plane"), str) and cfg.get("alpha") is not None):
+        raise InputError(f"{args.config}: corona config needs a \"plane\" string and \"alpha\"")
+    num = functools.partial(_config_number, cfg, args.config)
+    m = _load_points(args.points, num("n", kind=int))
     plane = parse_plane(cfg["plane"])
     params = corona_mod.CoronaParams(
-        plane=plane, aperture=float(cfg["alpha"]),
-        exponent=float(cfg.get("p", 1.0)),
-        density_high=float(cfg.get("A", 10.0)),
-        density_low=float(cfg.get("tau", 0.01)),
-        energy_stop=float(cfg.get("epsilon", 0.1)),
-        eta=float(cfg.get("eta", 0.1)),
-        key_const=cfg.get("M"), sep_const=cfg.get("t"),
-        prox_const=cfg.get("Lambda"))
-    a0 = float(cfg.get("A0", 8.0))
-    depth = cfg.get("max_depth")
-    lat = build_lattice(m, float(cfg.get("C0", 2.0)), a0,
-                        natural_depth(m, a0) if depth is None else int(depth))
-    result = corona_mod.build_top(lat, params, c1_seed=int(cfg.get("seed", 0)))
+        plane=plane, aperture=num("alpha"), exponent=num("p", 1.0),
+        density_high=num("A", 10.0), density_low=num("tau", 0.01),
+        energy_stop=num("epsilon", 0.1), eta=num("eta", 0.1),
+        key_const=num("M"), sep_const=num("t"), prox_const=num("Lambda"))
+    a0 = num("A0", 8.0)
+    depth = num("max_depth", kind=int)
+    lat = build_lattice(m, num("C0", 2.0), a0,
+                        natural_depth(m, a0) if depth is None else depth)
+    result = corona_mod.build_top(lat, params, c1_seed=num("seed", 0, int))
     verification = corona_mod.verify_corona(result)
     rep = _report_base("corona", args, args.points)
     rep.update(corona_params=params.describe(),
@@ -290,8 +307,7 @@ def _cmd_beta(args) -> int:
 
 def _cmd_bplg(args) -> int:
     m = _load_points(args.points, args.n)
-    with open(args.graph) as fh:
-        graph = LipschitzGraph.from_json(json.load(fh))
+    graph = LipschitzGraph.from_json(_read_json(args.graph, "graph", dict))
     rep = _report_base("bplg", args, args.points)
     if args.check == "cover":
         result = diagnostics.necessary_bplg_cover(m, graph, args.alpha)
@@ -328,8 +344,7 @@ def _cmd_report(args) -> int:
     for path in args.inputs:
         if not os.path.exists(path):
             raise InputError(f"input report not found: {path}")
-        with open(path) as fh:
-            runs.append(json.load(fh))
+        runs.append(_read_json(path, "input report", dict))
     hashes = {r.get("points_sha256") for r in runs if "points_sha256" in r}
     if len(hashes) > 1:
         raise SchemaMismatch(f"inputs reference different point clouds: {sorted(hashes)}")

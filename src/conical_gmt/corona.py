@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import EnergySpec, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
-from .geometry import Plane, SortedIndex, cone_mask
+from .geometry import Plane, SortedIndex, cone_mask, lengths
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import growth_constant
@@ -235,7 +235,7 @@ def key_cone_exclusion(lattice: Lattice, q, p, params: CoronaParams) -> bool:
     dmin = _set_distance(qp, pp)
     if dmin < mm * p.radius:
         return False
-    far = np.linalg.norm(pp - q.center[None, :], axis=1) >= mm * q.ball_radius
+    far = lengths(pp - q.center) >= mm * q.ball_radius
     if not np.any(far):
         return False
     target = pp[far]
@@ -273,14 +273,14 @@ def separated_families(stop_cubes: list[Cube], t: float, m_const: float,
     star_ids = []
     for q in sep:
         rad_q = 2.0 * m_const * q.ball_radius
-        if np.any(np.linalg.norm(good_points - q.center[None, :], axis=1) < rad_q):
+        if np.any(lengths(good_points - q.center) < rad_q):
             continue
         swallowed_other = False
         for p in sep:
             if p.id == q.id:
                 continue
             rad_p = 2.0 * m_const * p.ball_radius
-            if np.linalg.norm(p.center - q.center) + rad_p <= rad_q:
+            if lengths(p.center - q.center) + rad_p <= rad_q:
                 swallowed_other = True
                 break
         if not swallowed_other:

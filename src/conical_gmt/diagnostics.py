@@ -16,14 +16,11 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
                      InvalidEta, InvalidParams, UnsupportedDimension)
-from .geometry import Plane, SortedIndex, _row_norms, cone_mask, cone_pairs
+from .geometry import Plane, SortedIndex, cone_mask, cone_pairs, lengths
 from .graphs import LipschitzGraph
 from .measure import DiscreteMeasure, sorted_mass
 
 DEGENERATE_GAP = 1e-12
-# relative widening of the cover's candidate balls: the cone test measures
-# |y - x| in its own arithmetic, which may differ in the last place
-_QUERY_SLACK = 1e-9
 _CIRCLE_SAMPLES = 2048
 
 
@@ -93,7 +90,7 @@ def _plane_ball_cap(base: np.ndarray, plane: Plane, center: np.ndarray, r: float
     rel = center - base
     par = (rel @ plane.basis.T) @ plane.basis
     foot = base + par
-    h = float(np.linalg.norm(center - foot))
+    h = float(lengths(center - foot))
     if h > r:
         return None
     return foot, math.sqrt(max(r * r - h * h, 0.0))
@@ -103,20 +100,20 @@ def _dist_point_segment(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0:
-        return float(np.linalg.norm(q - a))
+        return float(lengths(q - a))
     t = float((q - a) @ ab) / denom
     t = min(max(t, 0.0), 1.0)
-    return float(np.linalg.norm(q - (a + t * ab)))
+    return float(lengths(q - (a + t * ab)))
 
 
 def _dist_points_disk(qs: np.ndarray, foot: np.ndarray, plane: Plane, rho: float) -> np.ndarray:
     rel = qs - foot[None, :]
     coords = rel @ plane.basis.T
-    radial = np.linalg.norm(coords, axis=1)
+    radial = lengths(coords)
     clamp = np.minimum(1.0, np.divide(rho, radial, out=np.ones_like(radial),
                                       where=radial > 0))
     closest = foot[None, :] + (coords * clamp[:, None]) @ plane.basis
-    return np.linalg.norm(qs - closest, axis=1)
+    return lengths(qs - closest)
 
 
 def hausdorff_plane_sections(base_a, plane_a: Plane, base_b, plane_b: Plane,
@@ -247,7 +244,7 @@ def cone_outside_tube_check(x, r: float, tangent: Plane, tube_base, tube_plane: 
                                        + np.sqrt(1 - s ** 2)[:, None] * e_nor)
     rel = pts - np.asarray(tube_base, float)[None, :]
     par = (rel @ tube_plane.basis.T) @ tube_plane.basis
-    dist_tube = np.linalg.norm(rel - par, axis=1)
+    dist_tube = lengths(rel - par)
     bad = np.nonzero(dist_tube < eta * r)[0]
     return {
         "hypothesis_ok": True,
@@ -375,27 +372,26 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
     k = 0
     for t in order:
         c, rc = m.points[off[t]], radii[t]
-        if np.all(_row_norms(c - centers[:k]) >= rc + ch_radii[:k]):
+        if np.all(lengths(c - centers[:k]) >= rc + ch_radii[:k]):
             centers[k], ch_radii[k] = c, rc
             k += 1
     centers, ch_radii = centers[:k], ch_radii[:k]
 
     disjoint = not any(
-        np.any(_row_norms(centers[a] - centers[a + 1:]) < ch_radii[a] + ch_radii[a + 1:])
+        np.any(lengths(centers[a] - centers[a + 1:]) < ch_radii[a] + ch_radii[a + 1:])
         for a in range(k - 1))
 
     # the 5-dilates are asked in one family call: each flags the atoms it
     # covers and lists the atoms y whose cone below rc must miss the samples;
-    # only samples in B(y, rc) can be in that cone, and those balls, slightly
-    # widened against the cone test's own rounding, are one family too
+    # only samples in B(y, rc) can be in that cone, and the ball and the cone
+    # measure |s - y| alike, so those balls are one family too
     covered = np.zeros(m.size, dtype=bool)
     near = list(m.balls(centers, 5 * ch_radii))
     owner = np.repeat(np.arange(k), [len(idx) for idx in near])
     near = np.concatenate(near) if near else np.empty(0, dtype=int)
     covered[near] = True
     cone_violations = []
-    reach = ch_radii * (1.0 + _QUERY_SLACK)
-    for j, y_idx, cand in zip(owner, near, sample_index.balls(m.points[near], reach[owner])):
+    for j, y_idx, cand in zip(owner, near, sample_index.balls(m.points[near], ch_radii[owner])):
         if len(cand) and np.any(cone_mask(samples[cand], m.points[y_idx], graph.normal,
                                           aperture, outer_radius=ch_radii[j])):
             cone_violations.append((int(j), int(y_idx)))

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, MissingDirection
-from .geometry import (Plane, _row_norms, cone_dist, cone_mask, cone_pairs,
-                       cone_rows, plane_metric, row_blocks, sample_grassmannian)
+from .geometry import (Plane, cone_dist, cone_mask, cone_pairs, cone_rows, lengths,
+                       plane_metric, row_blocks, sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
 
 
@@ -191,7 +191,7 @@ def riesz_cone_sum(m: DiscreteMeasure, x, direction: Plane, aperture: float) -> 
     mask = cone_mask(m.points, x, direction, aperture)
     if not np.any(mask):
         return 0.0
-    d = np.linalg.norm(m.points[mask] - x[None, :], axis=1)
+    d = lengths(m.points[mask] - x)
     n = m.dim_param
     return float(np.sum(m.weights[mask] * d ** (-n)) / n)
 
@@ -255,7 +255,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
     np_exp = n * p
     for row, i in enumerate(vertex_idx):
         diff = m.points - m.points[i]
-        dist = _row_norms(diff)
+        dist = lengths(diff)
         near = np.flatnonzero((dist > 0) & (dist < radius))
         k = len(near)
         if k == 0:
@@ -271,8 +271,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
             par = np.empty((len(chunk), k, m.ambient_dim))
             for j, v in enumerate(chunk):
                 par[j] = ((operand @ v.basis.T) @ v.basis)[:k]
-            perp = _row_norms((diff - par).reshape(-1, m.ambient_dim))
-            mask = perp.reshape(len(chunk), k) < aperture * d
+            mask = lengths(diff - par) < aperture * d
             # cumulative in-cone mass; adding the 0.0 of an out-of-cone atom
             # is exact, so in-cone positions match the compressed cumsum
             cum = np.cumsum(np.where(mask, w, 0.0), axis=1)

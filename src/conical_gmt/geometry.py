@@ -5,23 +5,18 @@ a ``Cone`` is the open set K(x, V, alpha) = {y : dist(y, V+x) < alpha |x-y|},
 optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
-Tie rule: ``_cone_test`` is the package's one vectorized cone arithmetic;
-``cone_dist`` applies it to points seen from one vertex, ``cone_rows`` to
-points seen from row blocks of vertices, ``cone_pairs`` to strips of pairs,
-and ``cone_mask`` returns ``cone_dist``'s mask.  It compares
-|P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact boundary
-points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are not in the
-cone.  Both lengths are square roots of sums of squares taken in coordinate
-order, c0*c0 + c1*c1 + ...; for d <= 7 this equals
-``np.linalg.norm(..., axis=1)`` bit for bit, while for d >= 8 numpy's pairwise
-summation groups the terms differently, so a distance can differ from it in
-the last place.  The plane coordinates of the differences are one BLAS
-product of their (M, d) block with the basis; elementwise arithmetic would
-round the d-term sums differently.  Mapping them back is a product with one
-term per entry when V is a line, one rounding in BLAS and elementwise alike,
-so it is taken elementwise there.  A one-row block is padded to two rows,
-since a one-row product takes another BLAS path: a row's bit does not depend
-on the batch it came in.  ``cone_contains`` is the scalar test oracle.
+Tie rule: every length |y - x| in the package is the root of the squares of
+the coordinates of y - x summed in coordinate order (``lengths``,
+``square_lengths``, and ``_cone_test`` in its scratch), so every query
+decides a pair on a sphere or a cone boundary alike.  The cone test compares
+|P_{V^perp}(y-x)| < alpha |y-x| in floating point, which keeps exact
+boundary points outside: on a dyadic grid at alpha = 0.8 the 3-4-5 pairs are
+not in the cone.  The plane coordinates of the differences are one BLAS
+product of their (M, d) block with the basis; when V is a line, mapping them
+back has one term per entry, one rounding in BLAS and elementwise alike, so
+it is taken elementwise.  A one-row block is padded to two rows, since a
+one-row product takes another BLAS path: a row's bit does not depend on the
+batch it came in.  ``cone_contains`` is the scalar test oracle.
 
 The relation is symmetric bit for bit: both lengths are even in y - x, and
 negating a difference is exact, so seen from y the pair gets the same mask bit
@@ -33,15 +28,12 @@ Pair blocks: a kernel that compares rows with ``width`` columns pair by pair
 distance and direction table) takes ``row_blocks``' slices of
 ``PAIR_BLOCK // width`` rows, and the SIO operator square tiles of
 ``PAIR_BLOCK // 4`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs
-whatever the cloud's size; ``pair_distances`` gives a row block's distances.
-The diameter and the SIO tiles take the squared lengths of their pairs from
-``square_lengths``, one coordinate plane at a time, summed in coordinate order
-like ``_cone_test``'s and scipy's ``cdist``'s, so ``pair_extremes`` and
-``distance_extremes`` have cdist's bits.  ``SortedIndex`` answers a family of
-open balls, or of nearest-distance queries, in ``count_blocks``: consecutive
-queries whose candidate runs hold about ``PAIR_BLOCK`` rows together.
-Per-pair values do not depend on the block, and each kernel reduces them by
-max, min or argmin or writes them in place, so its output does not either.
+whatever the cloud's size; ``pair_extremes`` and ``distance_extremes`` have
+scipy ``cdist``'s bits.  ``SortedIndex`` answers a family of open balls, or of
+nearest-distance queries, in ``count_blocks``: consecutive queries whose
+candidate runs hold about ``PAIR_BLOCK`` rows together.  Per-pair values do
+not depend on the block, and each kernel reduces them by max, min or argmin
+or writes them in place, so its output does not either.
 
 The whole-cloud sweep ``cone_pairs`` works in row strips: rows [i0, i1)
 against the columns (i0, N), with ``max(1, (PAIR_BLOCK // 4) // (N - 1 - i0))``
@@ -155,7 +147,7 @@ def dist_to_affine_plane(y, plane: Plane, through) -> float:
     if y.shape != x.shape or y.shape[-1] != plane.ambient_dim:
         raise DimensionMismatch("point/plane ambient dimensions differ")
     _, perp = project(y - x, plane)
-    return float(np.linalg.norm(perp))
+    return float(lengths(perp))
 
 
 def plane_metric(v: Plane, w: Plane) -> float:
@@ -216,11 +208,11 @@ def cone_contains(cone: Cone, y) -> bool:
     if y.shape != cone.vertex.shape:
         raise DimensionMismatch("point and cone vertex dimensions differ")
     diff = y - cone.vertex
-    dist = float(np.linalg.norm(diff))
+    dist = float(lengths(diff))
     if not (cone.inner_radius < dist < cone.outer_radius):
         return False
     _, perp = project(diff, cone.direction)
-    return float(np.linalg.norm(perp)) < cone.aperture * dist
+    return float(lengths(perp)) < cone.aperture * dist
 
 
 def row_blocks(rows: int, width: int) -> Iterator[slice]:
@@ -244,18 +236,26 @@ def count_blocks(counts) -> Iterator[slice]:
         lo = hi
 
 
-def square_lengths(coords: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """|z_j - z_i|^2 for the pairs (i in rows, j in cols) as a (rows, cols)
-    array, from ``coords``, the (d, N) transpose of the points: one
-    coordinate plane c[None, cols] - c[rows, None] at a time, squared and
-    summed in coordinate order, in place."""
-    first = coords[0]
-    sq = first[None, cols] - first[rows, None]
+def lengths(a) -> np.ndarray:
+    """|a| along the last axis, a scalar for one vector: the squares of the
+    coordinates summed in coordinate order, then one root (the tie rule)."""
+    a = np.asarray(a, dtype=float)
+    sq = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        sq += a[..., k] * a[..., k]
+    return np.sqrt(sq, out=sq) if a.ndim > 1 else np.sqrt(sq)
+
+
+def square_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|b_j - a_i|^2 as an (R, C) array for the coordinate-major (d, R) and
+    (d, C) operands: one coordinate plane b_k[None, :] - a_k[:, None] at a
+    time, squared and summed in place in ``lengths``' order."""
+    sq = np.subtract(b[0][None, :], a[0][:, None])
     sq *= sq
-    if len(coords) > 1:
+    if len(a) > 1:
         plane = np.empty_like(sq)
-        for c in coords[1:]:
-            np.subtract(c[None, cols], c[rows, None], out=plane)
+        for ak, bk in zip(a[1:], b[1:]):
+            np.subtract(bk[None, :], ak[:, None], out=plane)
             plane *= plane
             sq += plane
     return sq
@@ -273,7 +273,7 @@ def pair_extremes(pts: np.ndarray) -> tuple[float, float, float]:
     coords = np.ascontiguousarray(pts.T)
     lo, hi, tied = np.inf, 0.0, False
     for rows in row_blocks(n, n):
-        sq = square_lengths(coords, rows, slice(rows.start, n))
+        sq = square_lengths(coords[:, rows], coords[:, rows.start:])
         hi = max(hi, float(sq.max()))
         zero = sq == 0
         tied = tied or np.count_nonzero(zero) > rows.stop - rows.start
@@ -308,11 +308,10 @@ class SortedIndex:
     calls.  The run's ends are widened by ``_RUN_SLACK`` max(|x|, r), a few
     ulps, so it holds every row that the exact test can accept whatever the
     rounding of x -+ r, also where that rounds at the scale of |x|, and an
-    infinite r gives every row.  Each candidate is then tested exactly:
-    |y - x| is the root of the squares of y - x summed by
-    ``np.add.reduce(..., axis=1)``, the bits of ``np.linalg.norm(...,
-    axis=1)``.  A family of queries is answered in ``count_blocks`` of its
-    run lengths, known before anything is gathered, so the scratch holds
+    infinite r gives every row.  Each candidate is then tested exactly, with
+    |y - x| from ``lengths``.  A family of queries is answered in
+    ``count_blocks`` of its run lengths, known before anything is gathered,
+    so the scratch holds
     about ``PAIR_BLOCK`` candidates whatever the family's size.
     """
 
@@ -333,12 +332,10 @@ class SortedIndex:
     def _lengths(self, rows: np.ndarray, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """|points[rows[k]] - x[owner[k]]| for every k, one coordinate of
         the queries gathered at a time."""
-        sq = self.points[rows]
+        diff = self.points[rows]
         for k, col in enumerate(x.T):
-            sq[:, k] -= col[owner]
-        sq *= sq
-        out = np.add.reduce(sq, axis=1)
-        return np.sqrt(out, out=out)
+            diff[:, k] -= col[owner]
+        return lengths(diff)
 
     def _candidates(self, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """The rows of the runs [lo, hi) of the queries x, run after run,
@@ -395,24 +392,6 @@ class SortedIndex:
         return out
 
 
-def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j| for every row i of ``a`` and j of ``b``, an (len(a), len(b))
-    array: the bits of ``np.linalg.norm(a[:, None] - b[None], axis=2)`` with
-    one temporary instead of three.  Callers pass ``row_blocks`` of ``a``."""
-    sq = a[:, None, :] - b[None, :, :]
-    sq *= sq
-    out = sq.sum(axis=2)
-    return np.sqrt(out, out=out)
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, squares summed in coordinate order."""
-    s = a[:, 0] * a[:, 0]
-    for k in range(1, a.shape[1]):
-        s += a[:, k] * a[:, k]
-    return np.sqrt(s)
-
-
 class _ConeWork:
     """Scratch of the strict cone test for up to ``size`` differences in R^d
     against an m-plane: the differences coordinate by coordinate, their
@@ -434,8 +413,8 @@ def _cone_test(work: _ConeWork, shape: tuple, direction: Plane, aperture: float,
                outer_radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The one cone arithmetic of ``cone_dist`` and ``cone_pairs``: the mask
     and the distances, of ``shape``, for the differences y - x held in
-    ``work.diff``, coordinate by coordinate.  The results are views of
-    ``work``."""
+    ``work.diff``, coordinate by coordinate, both lengths in ``lengths``'
+    arithmetic.  The results are views of ``work``."""
     size = math.prod(shape)
     flat = work.diff[:, :size]
     diff = flat.reshape(-1, *shape)

@@ -17,12 +17,13 @@ constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConeViolation, DimensionMismatch, InvalidParams
-from .geometry import Plane, cone_pairs, pair_distances, row_blocks
+from .geometry import Plane, cone_pairs, lengths, row_blocks, square_lengths
 
 
 def cone_separation_violations(points: np.ndarray, direction: Plane,
@@ -71,7 +72,7 @@ class LipschitzGraph:
         z = np.atleast_2d(np.asarray(zcoords, dtype=float))
         vals = np.empty((len(z), self.anchors_value.shape[1]))
         for rows in row_blocks(len(z), self.anchor_count):
-            d = pair_distances(z[rows], self.anchors_base)[:, :, None]
+            d = np.sqrt(square_lengths(z[rows].T, self.anchors_base.T))[:, :, None]
             d *= self.extension_constant
             upper = np.min(self.anchors_value[None, :, :] + d, axis=1)
             lower = np.max(self.anchors_value[None, :, :] - d, axis=1)
@@ -92,7 +93,7 @@ class LipschitzGraph:
             raise DimensionMismatch("points and graph ambient dimensions differ")
         z = self.base.coords(pts)
         v = self.normal.coords(pts)
-        dev = np.linalg.norm(v - np.atleast_2d(self.evaluate(z)), axis=1)
+        dev = lengths(v - np.atleast_2d(self.evaluate(z)))
         return dev if np.asarray(points).ndim > 1 else dev[0]
 
     def to_json(self) -> dict:
@@ -106,17 +107,26 @@ class LipschitzGraph:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "LipschitzGraph":
-        base = Plane(np.asarray(data["base_plane"], dtype=float))
-        if "normal_plane" in data:
-            normal = Plane(np.asarray(data["normal_plane"], dtype=float))
-        else:
-            normal = base.complement()
-        anchors = data["anchors"]
-        zs = np.asarray([a[0] for a in anchors], dtype=float)
-        vs = np.asarray([a[1] for a in anchors], dtype=float)
-        lip = float(data.get("L", 0.0))
-        ext = float(data.get("extension_constant", max(lip, 1.0)))
+    def from_json(data) -> "LipschitzGraph":
+        """The graph of a ``to_json`` document; any other document raises
+        ``InvalidParams``."""
+        try:
+            base = Plane(np.asarray(data["base_plane"], dtype=float))
+            normal = (Plane(np.asarray(data["normal_plane"], dtype=float))
+                      if "normal_plane" in data else base.complement())
+            zs = np.asarray([a[0] for a in data["anchors"]], dtype=float)
+            vs = np.asarray([a[1] for a in data["anchors"]], dtype=float)
+            lip = float(data.get("L", 0.0))
+            ext = float(data.get("extension_constant", max(lip, 1.0)))
+        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            raise InvalidParams(f"not a graph document ({exc!r})") from exc
+        k, d = len(zs), base.ambient_dim
+        if not (k and zs.shape == (k, base.dim) and vs.shape == (k, normal.dim)
+                and normal.ambient_dim == d and base.dim + normal.dim == d
+                and np.all(np.isfinite(zs)) and np.all(np.isfinite(vs))
+                and math.isfinite(lip) and math.isfinite(ext) and min(lip, ext) >= 0):
+            raise InvalidParams("a graph needs complementary planes, anchors [base "
+                                "coords, normal coords] and finite constants >= 0")
         return LipschitzGraph(base, normal, zs, vs, lip, ext)
 
 
@@ -156,8 +166,8 @@ def _graph_through(pts: np.ndarray, direction: Plane, aperture: float) -> Lipsch
     lip = 0.0
     for rows in row_blocks(k - 1, k):
         lo = rows.start
-        dz = pair_distances(z[rows], z[lo + 1:])
-        slopes = pair_distances(vals[rows], vals[lo + 1:])
+        dz = np.sqrt(square_lengths(z[rows].T, z[lo + 1:].T))
+        slopes = np.sqrt(square_lengths(vals[rows].T, vals[lo + 1:].T))
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes /= dz
         slopes[dz == 0] = np.inf

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (CubeNotFound, IntermediateDoubling, InvalidParams,
                      NotNested)
-from .geometry import pair_distances, row_blocks
+from .geometry import lengths, row_blocks, square_lengths
 from .measure import DiscreteMeasure, ball_mass
 
 # the root radius is the diameter divided by this, only so that the open root
@@ -117,15 +117,14 @@ class Lattice:
             owner = _level_owner(m.size, cubes)
             centers = np.array([q.center for q in cubes])
             # one distance pass per level: every atom against its own centre
-            d = np.linalg.norm(m.points - centers[owner], axis=1)
+            d = lengths(m.points - centers[owner])
             outer_ok += len(cubes) - len(np.unique(owner[d > cubes[0].ball_radius]))
         for q in self.cubes:
             inner_ok += q.inner_contained
             if q.parent is not None:
                 p = self.cubes[q.parent]
                 nest_total += 1
-                if (np.linalg.norm(q.center - p.center) + q.ball_radius
-                        <= p.ball_radius):
+                if lengths(q.center - p.center) + q.ball_radius <= p.ball_radius:
                     nest_ok += 1
         total = len(self.cubes)
         return {"cubes": total,
@@ -200,8 +199,8 @@ def build_lattice(m: DiscreteMeasure, c0: float = 2.0, a0: float = 8.0,
             # nearest in-parent center, ties to the lowest point index
             owner = np.empty_like(members)
             for rows in row_blocks(len(members), len(local_centers)):
-                d = pair_distances(pts[members[rows]], pts[local_centers])
-                owner[rows] = local_centers[np.argmin(d, axis=1)]
+                d = square_lengths(pts[members[rows]].T, pts[local_centers].T)
+                owner[rows] = local_centers[np.argmin(np.sqrt(d, out=d), axis=1)]
             for c in local_centers:
                 mem = members[owner == c]
                 q = Cube(id=len(cubes), level=k, center_idx=int(c), radius=val,
@@ -309,7 +308,7 @@ def delta_mu(lattice: Lattice, q, s) -> float:
         raise NotNested(f"cube {q.id} is not contained in cube {s.id}")
     m = lattice.measure
     idx = m.ball_indices(s.center, s.double_ball_radius)
-    r = np.linalg.norm(m.points[idx] - q.center[None, :], axis=1)
+    r = lengths(m.points[idx] - q.center)
     out = r >= q.double_ball_radius
     return float(np.sum(m.weights[idx[out]] * r[out] ** (-m.dim_param)))
 

@@ -9,10 +9,11 @@ lets the spatial index be checked bit-for-bit against brute force.
 ``DiscreteMeasure.balls`` is the package's one open-ball query over the
 atoms: a ``geometry.SortedIndex`` over the atoms gives each ball's candidates
 as one run of the atoms sorted along their coordinate of widest spread, and
-the strict test |y - x| < r keeps those inside, with |y - x| the bits of
-``np.linalg.norm(..., axis=1)``.  It is asked of a family of balls at once:
-one vectorised test per block of centres whose runs hold about
-``geometry.PAIR_BLOCK`` candidates.  ``ball_indices`` is its one-ball case.
+the strict test |y - x| < r keeps those inside, with |y - x| from
+``geometry.lengths`` like every distance in the package.  It is asked of a
+family of balls at once: one vectorised test per block of centres whose runs
+hold about ``geometry.PAIR_BLOCK`` candidates.  ``ball_indices`` is its
+one-ball case.
 Masses, densities, the lattice's nets (the priority centres in one call,
 then each chosen point), B(Q) and 100 B(Q) (one call per level), the
 corona's 2B_Q (one call per expanded cube's children) and the graph cover's
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
 from . import geometry
-from .geometry import Cone, SortedIndex, cone_mask
+from .geometry import Cone, SortedIndex, cone_mask, lengths
 
 
 class DiscreteMeasure:
@@ -132,8 +133,8 @@ class DiscreteMeasure:
         return x
 
     def distances_from(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        return np.linalg.norm(self.points - x[None, :], axis=1)
+        """|y - x| for every atom y, in ``geometry.lengths``' arithmetic."""
+        return lengths(self.points - self._check_point(x))
 
 
 def ball_mass(m: DiscreteMeasure, x, r: float) -> float:

@@ -238,7 +238,7 @@ def _tile_offsets(coords: np.ndarray, rows: slice, cols: slice):
     ``coords`` is the (d, N) transpose of the points; each coordinate plane
     c[None, cols] - c[rows, None] is formed again to gather its owned
     entries, which is cheaper than gathering rows of the points."""
-    dist = geometry.square_lengths(coords, rows, cols)
+    dist = geometry.square_lengths(coords[:, rows], coords[:, cols])
     np.sqrt(dist, out=dist)
     own = dist > 0
     if rows.start == cols.start:

@@ -506,3 +506,75 @@ def test_lattice_balls_sit_on_the_input_cloud():
     for center, radius in balls:
         assert np.any(np.all(cloud.points == center, axis=1))
         assert radius > 2 * 28 * cloud.diameter() * 8.0 ** -4
+
+
+def _assert_one_line_error(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{", "[1]", '{"kinds": []}'],
+                         ids=["not-json", "not-object", "no-components"])
+def test_gen_rejects_a_malformed_mixture_config(tmp_path, capsys, text):
+    cfg = tmp_path / "mix.json"
+    cfg.write_text(text)
+    code = run(["gen", "--type", "mixture", "--mixture-config", str(cfg), "--seed", "1",
+                "--out", str(tmp_path / "mix.csv")])
+    _assert_one_line_error(code, capsys)
+    assert not (tmp_path / "mix.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "alpha: 0.8", "[1]", '{"alpha": 0.8}', '{"plane": "0,1"}', '{"plane": 5, "alpha": 0.8}',
+    '{"plane": "0,1", "alpha": "x"}', '{"plane": "0,1", "alpha": 0.8, "p": "x"}',
+    '{"plane": "0,1", "alpha": 0.8, "max_depth": "x"}',
+    '{"plane": "0,1", "alpha": 0.8, "M": [4]}', '{"plane": "0,1", "alpha": 0.8, "n": true}'],
+    ids=["not-json", "not-object", "no-plane", "no-alpha", "plane-not-string",
+         "alpha-string", "p-string", "depth-string", "M-list", "n-bool"])
+def test_corona_rejects_a_malformed_config(tmp_path, capsys, text):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "40", "--out", str(pts)])
+    cfg = tmp_path / "corona.json"
+    cfg.write_text(text)
+    rep = tmp_path / "rep.json"
+    code = run(["corona", "--points", str(pts), "--config", str(cfg), "--out", str(rep)])
+    _assert_one_line_error(code, capsys)
+    assert not rep.exists()
+
+
+GRAPH = {"base_plane": [[1.0, 0.0]], "anchors": [[[0.0], [0.0]], [[1.0], [0.5]]], "L": 0.5}
+
+
+@pytest.mark.parametrize("check", ["cover", "thetaM"])
+@pytest.mark.parametrize("text", [
+    "{", "[1]", json.dumps({**GRAPH, "anchors": []}),
+    json.dumps({k: v for k, v in GRAPH.items() if k != "anchors"}),
+    json.dumps({k: v for k, v in GRAPH.items() if k != "base_plane"}),
+    json.dumps({**GRAPH, "anchors": [[[0.0, 1.0], [0.0]]]}),
+    json.dumps({**GRAPH, "anchors": [[[0.0], [0.0, 1.0]]]}),
+    json.dumps({**GRAPH, "anchors": [[[0.0]]]}), json.dumps({**GRAPH, "anchors": [5]}),
+    json.dumps({**GRAPH, "L": "x"}), json.dumps({**GRAPH, "base_plane": "x"}),
+    json.dumps({**GRAPH, "normal_plane": [[1.0, 0.0, 0.0]]})],
+    ids=["not-json", "not-object", "empty-anchors", "no-anchors", "no-base-plane",
+         "wide-base-coordinates", "wide-normal-coordinates", "anchor-without-value",
+         "anchor-not-pair", "L-string", "plane-string", "normal-plane-mismatch"])
+def test_bplg_rejects_a_malformed_graph(tmp_path, capsys, text, check):
+    pts = tmp_path / "seg.csv"
+    run(["gen", "--type", "segment", "--count", "20", "--out", str(pts)])
+    graph = tmp_path / "graph.json"
+    graph.write_text(text)
+    rep = tmp_path / "rep.json"
+    code = run(["bplg", "--points", str(pts), "--n", "1", "--graph", str(graph),
+                "--check", check, "--out", str(rep)])
+    _assert_one_line_error(code, capsys)
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("text", ["{", "[1]"], ids=["not-json", "not-object"])
+def test_report_rejects_a_malformed_input_report(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "merged.json"
+    _assert_one_line_error(run(["report", "--inputs", str(bad), "--out", str(out)]), capsys)
+    assert not out.exists()

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEEP_CASES
+from conftest import SWEEP_CASES, coordinate_order_lengths
 
+from conical_gmt.corona import _set_distance
 from conical_gmt.errors import DimensionMismatch, InvalidParams, RankDeficient
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (Cone, Plane, cone_contains, cone_dist, cone_mask,
-                                  cone_pairs, dist_to_affine_plane, format_plane,
-                                  make_plane, parse_plane, plane_metric,
+from conical_gmt.geometry import (Cone, Plane, SortedIndex, cone_contains, cone_dist,
+                                  cone_mask, cone_pairs, dist_to_affine_plane,
+                                  format_plane, make_plane, parse_plane, plane_metric,
                                   project, sample_grassmannian)
+from conical_gmt.lattice import build_lattice
+from conical_gmt.measure import DiscreteMeasure
 
 
 def line(angle: float) -> Plane:
@@ -318,3 +321,71 @@ def test_plane_serialization_roundtrip():
     q = parse_plane(text)
     assert np.allclose(p.projection_matrix(), q.projection_matrix(), atol=1e-15)
     assert parse_plane("0,1").basis.tolist() == [[0.0, 1.0]]
+
+
+def pairwise_lengths(diff: np.ndarray) -> np.ndarray:
+    """|v| along the last axis with numpy's pairwise sum, which groups eight
+    or more terms differently from coordinate order."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+TIE_CASES = [pytest.param(d, offset, id=f"R{d}-offset{offset:g}")
+             for d in (8, 12) for offset in (0.0, 1e6)]
+
+
+@pytest.mark.parametrize("d, offset", TIE_CASES)
+def test_every_query_puts_a_tied_atom_on_its_sphere(d, offset):
+    """Radii equal to the coordinate-order distances of pairs whose pairwise
+    row sum rounds differently: every ball, distance, nearest distance,
+    extreme distance and cone measures the pair as exactly that radius."""
+    rng = np.random.default_rng(d)
+    pts = offset + rng.random((40, d))
+    m = DiscreteMeasure(pts, np.ones(len(pts)), 1)
+    i, j = np.triu_indices(len(pts), 1)
+    exact = coordinate_order_lengths(pts[j] - pts[i])
+    tied = np.flatnonzero(exact != pairwise_lengths(pts[j] - pts[i]))[:12]
+    assert len(tied) == 12
+    i, j, r = i[tied], j[tied], exact[tied]
+    above = np.nextafter(r, np.inf)
+    balls = zip(m.balls(pts[i], r), m.balls(pts[i], above))
+    for a, b, ra, rb, (on, past) in zip(i, j, r, above, balls):
+        assert b not in on and b in past
+        assert m.distances_from(pts[a])[b] == ra
+        assert _set_distance(pts[[a]], pts[[b]]) == ra == _set_distance(pts[[b]], pts[[a]])
+        pair = DiscreteMeasure(pts[[a, b]], np.ones(2), 1)
+        assert pair.min_interpoint_distance() == ra == pair.diameter()
+        along = make_plane([pts[b] - pts[a]])
+        mask, dist = cone_dist(pts[[b]], pts[a], along, 0.5, outer_radius=rb)
+        assert mask[0] and dist[0] == ra
+        assert not cone_mask(pts[[b]], pts[a], along, 0.5, outer_radius=ra)[0]
+        assert cone_contains(Cone(pts[a], along, 0.5, 0.0, rb), pts[b])
+        assert not cone_contains(Cone(pts[a], along, 0.5, 0.0, ra), pts[b])
+
+
+@pytest.mark.parametrize("d, offset", TIE_CASES)
+def test_nearest_centre_assignment_breaks_a_tie_to_the_lower_index(d, offset):
+    """An atom y at one coordinate-order distance r from two level-1 centres
+    c1 < c2, where the pairwise row sum puts c2 nearer: the lattice gives y
+    to c1, and the balls and the nearest distance about y see both centres
+    on the sphere of radius r."""
+    rng = np.random.default_rng(d)
+    for _ in range(5000):
+        # y - c1 and y - c2 are multiples of 2^-33 and y - (y - w) is w
+        # again, so the pair's differences are the permuted offsets
+        y = (offset or 2.0) + 0.25 + 0.5 * rng.random(d)
+        w1 = np.round((rng.random(d) - 0.5) * 0.4 * 2 ** 33) / 2 ** 33
+        c1, c2 = y - w1, y - w1[rng.permutation(d)]
+        r, r2, gap = coordinate_order_lengths(np.stack([y - c1, y - c2, c2 - c1]))
+        if r2 == r and gap > 1.1 * r and pairwise_lengths(y - c1) > pairwise_lengths(y - c2):
+            break
+    else:
+        pytest.fail("no tied pair of centres found")
+    m = DiscreteMeasure(np.stack([c1, c2, y]), np.ones(3), 1)
+    # level 1 separates centres by 10 r_1 = 0.95 |c2 - c1| > r: c1 and c2
+    # are its centres and y is not
+    lat = build_lattice(m, 2.0, 10.5, 2)
+    cubes = {lat.cubes[q].center_idx: lat.cubes[q].members.tolist() for q in lat.levels[1]}
+    assert cubes == {0: [0, 2], 1: [1]}
+    assert m.ball_indices(y, r).tolist() == [2]
+    assert m.ball_indices(y, np.nextafter(r, np.inf)).tolist() == [0, 1, 2]
+    assert SortedIndex(m.points[:2]).nearest(y[None])[0] == r

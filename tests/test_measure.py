@@ -3,7 +3,8 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass, mixture_cloud,
+from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
+                      coordinate_order_lengths, mixture_cloud,
                       maximal_function_candidates, random_cloud)
 
 from conical_gmt import geometry
@@ -282,10 +283,10 @@ def _ball_families():
     for d in (3, 9):
         m = random_cloud(74 + d, 400, d)
         centers = rng.random((60, d))
-        # each radius is numpy's norm of the distance to some atom, which
-        # then sits exactly on the sphere in that arithmetic
+        # each radius is the coordinate-order distance to some atom, which
+        # then sits exactly on the sphere in the package's arithmetic
         gaps = m.points[rng.integers(0, m.size, 60)] - centers
-        spread.append((m, centers, np.linalg.norm(gaps, axis=1)))
+        spread.append((m, centers, coordinate_order_lengths(gaps)))
     return [
         pytest.param(cantor, *on_sphere, id="cantor-on-sphere"),
         pytest.param(dup, dup.points[:150], rng.random(150) * 0.2, id="duplicates"),
@@ -306,7 +307,7 @@ def test_ball_family_equals_brute_force_bitwise(monkeypatch, tiny, m, centers, r
     got = list(m.balls(centers, radii))
     assert len(got) == len(centers)
     for idx, x, r in zip(got, centers, radii):
-        want = np.flatnonzero(np.linalg.norm(m.points - x[None, :], axis=1) < r)
+        want = np.flatnonzero(coordinate_order_lengths(m.points - x) < r)
         assert idx.dtype == want.dtype and np.array_equal(idx, want)
         assert np.array_equal(m.ball_indices(x, r), want)
 
@@ -327,12 +328,12 @@ def test_ball_family_checks_its_input_when_asked():
 
 
 def _brute_balls(pts, centers, radii):
-    return [np.flatnonzero(np.linalg.norm(pts - x[None, :], axis=1) < r)
+    return [np.flatnonzero(coordinate_order_lengths(pts - x) < r)
             for x, r in zip(centers, np.broadcast_to(radii, len(centers)))]
 
 
 def _brute_nearest(pts, queries):
-    return np.array([np.linalg.norm(pts - q[None, :], axis=1).min() for q in queries])
+    return np.array([coordinate_order_lengths(pts - q).min() for q in queries])
 
 
 def _assert_index_is_brute_force(pts, centers, radii):

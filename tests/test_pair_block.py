@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist  # loaded before any traced call
 
-from conftest import mixture_cloud, random_cloud, traced_peak
+from conftest import coordinate_order_lengths, mixture_cloud, random_cloud, traced_peak
 
 from conical_gmt import geometry
 from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
@@ -16,8 +16,8 @@ from conical_gmt.diagnostics import theta_m_property
 from conical_gmt.energy import (EnergySpec, _direction_energies, pointwise_energies,
                                 window_energies)
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (cone_dist, cone_pairs, cone_rows, make_plane,
-                                  pair_distances, row_blocks, sample_grassmannian)
+from conical_gmt.geometry import (cone_dist, cone_pairs, cone_rows, lengths, make_plane,
+                                  row_blocks, sample_grassmannian, square_lengths)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure
@@ -44,11 +44,22 @@ def test_row_blocks_cover_the_rows_within_the_budget(monkeypatch, rows, width):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
 def test_pair_distances_are_the_norm_of_the_differences(d):
+    """Every form of |b_j - a_i| has the bits of the root of its squares
+    summed in coordinate order: ``lengths`` of one difference, its row in a
+    batch, the rows x columns tile of ``square_lengths`` and, where R^d has a
+    line, the distances of ``cone_dist``."""
     rng = np.random.default_rng(d)
     a, b = rng.random((30, d)) + 1e4, rng.random((40, d)) + 1e4
     b[:5] = a[:5]
-    assert np.array_equal(pair_distances(a, b),
-                          np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+    diff = b[None, :, :] - a[:, None, :]
+    oracle = coordinate_order_lengths(diff)
+    assert np.array_equal(lengths(diff), oracle)
+    assert all(lengths(diff[i, j]) == oracle[i, j] for i in range(30) for j in range(40))
+    assert np.array_equal(np.sqrt(square_lengths(a.T, b.T)), oracle)
+    if d > 1:
+        line = make_plane([[1.0] + [0.0] * (d - 1)])
+        assert all(np.array_equal(cone_dist(b, x, line, 0.5)[1], oracle[i])
+                   for i, x in enumerate(a))
 
 
 def graph_anchors() -> np.ndarray:

@@ -13,6 +13,10 @@ imported: scipy loads only inside the functions that use it, so ``gen``, the
 p = 1 ``energy`` sweep and ``sio-norm`` stay light.  A second scan fails on
 any import of ``scipy.spatial``, in a function body too: balls and nearest
 distances have one index, ``geometry.SortedIndex``, and no KD-tree beside it.
+
+The distance scan fails on any ``linalg.norm`` call whose argument is a
+subtraction: every |y - x| comes from ``geometry.lengths`` or
+``geometry.square_lengths``, so one arithmetic decides every tie.
 """
 
 import ast
@@ -230,4 +234,39 @@ def test_package_imports_no_scipy_spatial():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += scipy_spatial_imports(path.read_text(), path.name)
+    assert found == []
+
+
+def difference_norms(source: str, filename: str = "<source>") -> list[str]:
+    """Every call of ``linalg.norm`` (``np.linalg.norm``, ``numpy.linalg.norm``
+    or ``linalg.norm``) whose first argument is a subtraction."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm" and node.args):
+            continue
+        owner = node.func.value
+        if not (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                or isinstance(owner, ast.Name) and owner.id == "linalg"):
+            continue
+        if isinstance(node.args[0], ast.BinOp) and isinstance(node.args[0].op, ast.Sub):
+            found.append(f"{filename}:{node.lineno}: norm of a difference")
+    return found
+
+
+def test_scan_finds_norms_of_differences():
+    src = ("import numpy as np\n"
+           "from numpy import linalg\n"
+           "def f(a, b, v):\n"
+           "    d = np.linalg.norm(a - b, axis=1)\n"
+           "    e = linalg.norm(a[0] - b)\n"
+           "    g = np.linalg.norm(v) + np.linalg.norm(a + b)\n"
+           "    return d, e, g\n")
+    assert [s.split(": ", 1)[0] for s in difference_norms(src)] == ["<source>:4", "<source>:5"]
+
+
+def test_package_measures_no_difference_with_linalg_norm():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += difference_norms(path.read_text(), path.name)
     assert found == []
