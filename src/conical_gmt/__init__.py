@@ -3,12 +3,12 @@ weighted point clouds."""
 
 from .corona import CoronaParams, CoronaResult, TreeResult, build_top, verify_corona
 from .diagnostics import BetaResult, beta2, beta_square_function
-from .energy import EnergyBreakdown, EnergySpec, pointwise_energy, riesz_cone_sum
-from .generators import GeneratorSpec, generate, variable_cantor_profile
-from .geometry import Cone, Plane, cone_contains, make_plane, plane_metric, project, sample_grassmannian
-from .graphs import LipschitzGraph, fit_lipschitz_graph
-from .lattice import Cube, Lattice, build_lattice, delta_mu, maximal_doubling
-from .measure import DiscreteMeasure, ball_mass, cone_mass, load_csv, maximal_function, save_csv, theta
-from .sio import Kernel, TruncationGrid, builtin_kernels, maximal_transform, operator_norm, truncated_transform
+from .energy import EnergyBreakdown, EnergySpec, pointwise_energy
+from .generators import GeneratorSpec, generate
+from .geometry import Plane, make_plane, sample_grassmannian
+from .graphs import LipschitzGraph
+from .lattice import Cube, Lattice, build_lattice, maximal_doubling
+from .measure import DiscreteMeasure, ball_mass, load_csv, maximal_function, save_csv, theta
+from .sio import Kernel, TruncationGrid, builtin_kernels, maximal_transform
 
 __version__ = "0.1.0"

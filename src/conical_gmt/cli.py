@@ -22,7 +22,7 @@ import numpy as np
 
 from . import corona as corona_mod
 from . import diagnostics, energy, generators, sio
-from .errors import EmptyBall, InputError, InvalidParams, NumericalError, SchemaMismatch
+from .errors import EmptyBall, InputError, NumericalError, SchemaMismatch
 from .geometry import format_plane, parse_plane
 from .graphs import LipschitzGraph
 from .lattice import build_lattice, natural_depth
@@ -134,10 +134,18 @@ def _cmd_gen(args) -> int:
 def _cmd_energy(args) -> int:
     m = _load_points(args.points, args.n)
     plane = parse_plane(args.plane)
-    outer = float("inf") if args.R in ("inf", "Inf") else float(args.R)
+    try:
+        outer = float(args.R)
+    except ValueError as exc:
+        raise InputError(f"--R must be a number or inf, not {args.R!r}") from exc
     spec = energy.EnergySpec(plane, args.alpha, args.p, outer)
-    energies, counts = energy.pointwise_energies(m, spec)
+    # an overflow shows in the total, which is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies, counts = energy.pointwise_energies(m, spec)
     total = energy.weighted_sum(m.weights, energies)
+    if not math.isfinite(total):
+        raise NumericalError(f"total energy is {total} at p = {args.p:g}: "
+                             "an energy overflowed")
     if args.per_point:
         with open(args.per_point, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy import EnergySpec, weighted_sum, window_energies
 from .errors import InvalidParams, NotDoublingRoot
-from .geometry import Plane, SortedIndex, cone_mask, lengths
+from .geometry import Plane, SortedIndex, lengths
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
 from .measure import growth_constant
@@ -220,27 +220,6 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
         is_increasing_density=hd_mass >= 0.5 * root.mass,
         ld_mass_fraction=ld_mass / root.mass,
     )
-
-
-def key_cone_exclusion(lattice: Lattice, q, p, params: CoronaParams) -> bool:
-    """Atom-level test of the separation premise for cube pairs.
-
-    True iff some atom of P lies in the half-aperture union cone of Q outside
-    M B_Q, and additionally dist(Q, P) >= M r(P).
-    """
-    q, p = lattice.resolve(q), lattice.resolve(p)
-    pts = lattice.measure.points
-    mm = params.key_const
-    qp, pp = pts[q.members], pts[p.members]
-    dmin = _set_distance(qp, pp)
-    if dmin < mm * p.radius:
-        return False
-    far = lengths(pp - q.center) >= mm * q.ball_radius
-    if not np.any(far):
-        return False
-    target = pp[far]
-    half = params.aperture / 2.0
-    return any(np.any(cone_mask(target, x, params.plane, half)) for x in qp)
 
 
 def _set_distance(a: np.ndarray, b: np.ndarray) -> float:

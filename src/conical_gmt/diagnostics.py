@@ -1,5 +1,5 @@
-"""Flatness and tangent diagnostics: best-fit planes, multiscale square
-functions, conical density profiles, shell counts, and the graph-cover check.
+"""Flatness diagnostics: best-fit planes, multiscale square functions, shell
+counts, the low-density set, and the graph-cover check.
 
 The beta number at (x, r) is the scale-normalized weighted L^2 distance of
 the in-ball atoms to the best affine n-plane; weighted PCA around the
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyBall, GraphAmbientMismatch,
-                     InvalidEta, InvalidParams, UnsupportedDimension)
+from .errors import DimensionMismatch, EmptyBall, GraphAmbientMismatch, InvalidParams
 from .geometry import Plane, SortedIndex, cone_mask, cone_pairs, lengths
 from .graphs import LipschitzGraph
 from .measure import DiscreteMeasure, sorted_mass
@@ -83,178 +82,6 @@ def beta_square_sum(scales, betas) -> float:
     scales r_i with their beta numbers: the left-endpoint Riemann sum."""
     scales, betas = np.asarray(scales, dtype=float), np.asarray(betas, dtype=float)
     return float(np.sum(betas[:-1] ** 2 * np.log(scales[:-1] / scales[1:])))
-
-
-def _plane_ball_cap(base: np.ndarray, plane: Plane, center: np.ndarray, r: float):
-    """Center and radius of (affine plane) cap (closed ball), or None."""
-    rel = center - base
-    par = (rel @ plane.basis.T) @ plane.basis
-    foot = base + par
-    h = float(lengths(center - foot))
-    if h > r:
-        return None
-    return foot, math.sqrt(max(r * r - h * h, 0.0))
-
-
-def _dist_point_segment(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0:
-        return float(lengths(q - a))
-    t = float((q - a) @ ab) / denom
-    t = min(max(t, 0.0), 1.0)
-    return float(lengths(q - (a + t * ab)))
-
-
-def _dist_points_disk(qs: np.ndarray, foot: np.ndarray, plane: Plane, rho: float) -> np.ndarray:
-    rel = qs - foot[None, :]
-    coords = rel @ plane.basis.T
-    radial = lengths(coords)
-    clamp = np.minimum(1.0, np.divide(rho, radial, out=np.ones_like(radial),
-                                      where=radial > 0))
-    closest = foot[None, :] + (coords * clamp[:, None]) @ plane.basis
-    return lengths(qs - closest)
-
-
-def hausdorff_plane_sections(base_a, plane_a: Plane, base_b, plane_b: Plane,
-                             center, r: float) -> float:
-    """Hausdorff distance between two affine-plane sections of a closed ball.
-
-    Closed form for lines (segments); dense boundary sampling for 2-planes
-    (sampling error well below 1e-3 r); higher section dimensions are not
-    supported.
-    """
-    n = plane_a.dim
-    if plane_b.dim != n:
-        raise DimensionMismatch("sections have different dimensions")
-    if n > 2:
-        raise UnsupportedDimension("Hausdorff profiles support n <= 2 only")
-    center = np.asarray(center, dtype=float)
-    cap_a = _plane_ball_cap(np.asarray(base_a, float), plane_a, center, r)
-    cap_b = _plane_ball_cap(np.asarray(base_b, float), plane_b, center, r)
-    if cap_a is None and cap_b is None:
-        return 0.0
-    if cap_a is None or cap_b is None:
-        return math.inf
-    (foot_a, rho_a), (foot_b, rho_b) = cap_a, cap_b
-
-    if n == 1:
-        ua = plane_a.basis[0]
-        ub = plane_b.basis[0]
-        a1, a2 = foot_a - rho_a * ua, foot_a + rho_a * ua
-        b1, b2 = foot_b - rho_b * ub, foot_b + rho_b * ub
-        d_ab = max(_dist_point_segment(a1, b1, b2), _dist_point_segment(a2, b1, b2))
-        d_ba = max(_dist_point_segment(b1, a1, a2), _dist_point_segment(b2, a1, a2))
-        return max(d_ab, d_ba)
-
-    theta = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
-    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    bd_a = foot_a[None, :] + (rho_a * ring) @ plane_a.basis
-    bd_b = foot_b[None, :] + (rho_b * ring) @ plane_b.basis
-    d_ab = float(np.max(_dist_points_disk(bd_a, foot_b, plane_b, rho_b)))
-    d_ba = float(np.max(_dist_points_disk(bd_b, foot_a, plane_a, rho_a)))
-    return max(d_ab, d_ba)
-
-
-def tangent_convergence(m: DiscreteMeasure, x, scale_grid) -> dict:
-    """Normalized Hausdorff gap between per-scale minimizers and the
-    finest-scale minimizer (the tangent surrogate, named in the report)."""
-    scales = np.asarray(scale_grid, dtype=float)
-    if scales.ndim != 1 or len(scales) < 3 or np.any(np.diff(scales) >= 0):
-        raise InvalidParams("need a strictly decreasing grid of >= 3 scales")
-    if m.dim_param > 2:
-        raise UnsupportedDimension("tangent profiles support n <= 2 only")
-    x = np.asarray(x, dtype=float)
-    fits = [beta2(m, x, r) for r in scales]
-    finest = fits[-1]
-    values = []
-    for r, fit in zip(scales, fits):
-        gap = hausdorff_plane_sections(fit.base_point, fit.plane,
-                                       finest.base_point, finest.plane, x, r)
-        values.append(gap / r)
-    ratio = values[-1] / values[0] if values[0] > 0 else 0.0
-    return {"scales": scales.tolist(), "values": values,
-            "surrogate_scale": float(scales[-1]), "last_over_first": ratio}
-
-
-def conical_density_profile(m: DiscreteMeasure, x, tangent: Plane, aperture: float,
-                            scale_grid, epsilon_n: float | None = None,
-                            upper_density: float | None = None) -> dict:
-    """mu(K(x, W^perp, alpha, r)) / r^n along a decreasing grid of scales.
-
-    When a dimensional constant ``epsilon_n`` and an upper-density surrogate
-    are supplied, the finest-scale value is also compared against the
-    threshold alpha^n * epsilon_n * upper_density; the constant has no
-    canonical value and is always user input.
-    """
-    if tangent.dim != m.dim_param:
-        raise InvalidParams("tangent plane must have dimension n")
-    scales = np.asarray(scale_grid, dtype=float)
-    if scales.ndim != 1 or len(scales) < 1 or np.any(np.diff(scales) >= 0):
-        raise InvalidParams("need a strictly decreasing grid of scales")
-    from .geometry import Cone
-    from .measure import cone_mass
-    direction = tangent.complement()
-    x = np.asarray(x, dtype=float)
-    vals = []
-    for r in scales:
-        c = Cone(x, direction, aperture, 0.0, float(r))
-        vals.append(cone_mass(m, c) / r ** m.dim_param)
-    ratio = vals[-1] / vals[0] if vals[0] > 0 else 0.0
-    out = {"scales": scales.tolist(), "values": vals, "last_over_first": ratio}
-    if epsilon_n is not None and upper_density is not None:
-        threshold = aperture ** m.dim_param * epsilon_n * upper_density
-        out["threshold"] = threshold
-        out["finest_below_threshold"] = vals[-1] < threshold
-    return out
-
-
-def cone_outside_tube_check(x, r: float, tangent: Plane, tube_base, tube_plane: Plane,
-                            aperture: float, eps: float, samples: int = 1000,
-                            seed: int = 0) -> dict:
-    """Monte-Carlo containment: the truncated cone shell around the tangent's
-    normal must avoid the eta r tube of a nearby plane.
-
-    The hypothesis (section Hausdorff distance <= eps r) is checked first;
-    when it fails the containment test is skipped and reported as such.
-    Requires eta = 1 - alpha - 3 eps > 0.
-    """
-    eta = 1.0 - aperture - 3.0 * eps
-    if not eta > 0:
-        raise InvalidEta("need 1 - alpha - 3 eps > 0")
-    x = np.asarray(x, dtype=float)
-    gap = hausdorff_plane_sections(x, tangent, np.asarray(tube_base, float),
-                                   tube_plane, x, r)
-    if gap > eps * r:
-        return {"hypothesis_ok": False, "eta": eta, "section_gap": gap,
-                "passed": None, "violations": 0, "samples": 0, "witness": None}
-    rng = np.random.default_rng(seed)
-    normal = tangent.complement()
-
-    def unit_in(plane: Plane, count: int) -> np.ndarray:
-        g = rng.standard_normal((count, plane.dim))
-        g /= np.linalg.norm(g, axis=1)[:, None]
-        return g @ plane.basis
-
-    rho = r * (1.0 + rng.random(samples))            # (r, 2r)
-    s = aperture * rng.random(samples)               # in-plane fraction < alpha
-    e_tan = unit_in(tangent, samples)
-    e_nor = unit_in(normal, samples)
-    pts = x[None, :] + rho[:, None] * (s[:, None] * e_tan
-                                       + np.sqrt(1 - s ** 2)[:, None] * e_nor)
-    rel = pts - np.asarray(tube_base, float)[None, :]
-    par = (rel @ tube_plane.basis.T) @ tube_plane.basis
-    dist_tube = lengths(rel - par)
-    bad = np.nonzero(dist_tube < eta * r)[0]
-    return {
-        "hypothesis_ok": True,
-        "eta": eta,
-        "section_gap": gap,
-        "passed": len(bad) == 0,
-        "violations": int(len(bad)),
-        "samples": samples,
-        "witness": pts[bad[0]].tolist() if len(bad) else None,
-    }
 
 
 def _shell_indices(t: np.ndarray) -> np.ndarray:

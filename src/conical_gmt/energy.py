@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, MissingDirection
-from .geometry import (Plane, cone_dist, cone_mask, cone_pairs, cone_rows, lengths,
-                       plane_metric, row_blocks, sample_grassmannian)
+from .errors import DimensionMismatch, InvalidParams, NumericalError
+from .geometry import (Plane, cone_dist, cone_pairs, cone_rows, lengths, row_blocks,
+                       sample_grassmannian)
 from .measure import DiscreteMeasure, sorted_mass
 
 
@@ -58,8 +58,8 @@ def _check_cone(aperture: float, exponent: float) -> None:
     """The rules every cone energy puts on its aperture and exponent."""
     if not 0 < aperture < 1:
         raise InvalidParams("aperture must lie in (0, 1)")
-    if not exponent >= 1:
-        raise InvalidParams("exponent p must be >= 1")
+    if not 1 <= exponent < np.inf:
+        raise InvalidParams("exponent p must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -177,40 +177,6 @@ def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray
         ends = np.cumsum(per_row).tolist()
         energies[i0:i0 + rows] += [np.add.reduce(term[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return energies / n, counts
-
-
-def riesz_cone_sum(m: DiscreteMeasure, x, direction: Plane, aperture: float) -> float:
-    """n^{-1} sum over in-cone atoms of w / |x - y|^n.
-
-    Equals the p = 1, R = infinity energy by the layer-cake identity, but is
-    computed by the direct sum so the two paths cross-check each other.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.ambient_dim,):
-        raise DimensionMismatch(f"vertex must live in R^{m.ambient_dim}")
-    mask = cone_mask(m.points, x, direction, aperture)
-    if not np.any(mask):
-        return 0.0
-    d = lengths(m.points[mask] - x)
-    n = m.dim_param
-    return float(np.sum(m.weights[mask] * d ** (-n)) / n)
-
-
-def ball_energy(m: DiscreteMeasure, center, radius: float, spec: EnergySpec) -> float:
-    """Energy of the ball: sum over atoms x in B of w(x) E_p(x, ..., r(B)).
-
-    The spec's outer scale is overridden by the ball radius.
-    """
-    if not radius > 0:
-        raise InvalidParams("ball radius must be positive")
-    idx = m.ball_indices(center, radius)
-    return weighted_sum(m.weights[idx], window_energies(m, idx, spec, [(0.0, radius)])[:, 0])
-
-
-def total_energy(m: DiscreteMeasure, spec: EnergySpec) -> float:
-    """Whole-space energy: sum over all atoms of w(x) E_p(x, V, alpha, R)."""
-    idx = np.arange(m.size)
-    return weighted_sum(m.weights, window_energies(m, idx, spec, [(0.0, spec.outer_scale)])[:, 0])
 
 
 def window_energies(m: DiscreteMeasure, vertex_idx, spec: EnergySpec,
@@ -334,7 +300,12 @@ def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,
     for center, radius in balls:
         idx = m.ball_indices(center, radius)
         ball_mass_val = float(np.sum(m.weights[idx]))
-        table = _direction_energies(m, idx, directions, aperture, exponent, radius)
+        # an overflow shows in the table, which is checked
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _direction_energies(m, idx, directions, aperture, exponent, radius)
+        if not np.all(np.isfinite(table)):
+            raise NumericalError(f"an energy in the ball of radius {radius:g} is not "
+                                 f"finite at p = {exponent:g}: it overflowed")
         best = None
         for j in range(len(directions)):
             if ball_mass_val == 0:
@@ -391,7 +362,7 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
         for i in idx:
             v = assignment.get(int(i))
             if v is None:
-                raise MissingDirection(f"atom {i} has no assigned direction")
+                raise InvalidParams(f"atom {i} has no assigned direction")
             lhs += m.weights[i] * _direction_energies(m, [i], [v], aperture, exponent,
                                                       radius)[0, 0]
         bmass = float(np.sum(m.weights[idx]))
@@ -409,63 +380,4 @@ def bme_check(m: DiscreteMeasure, balls, aperture: float, exponent: float,
         "energy_bound": energy_bound,
         "balls": results,
         "all_pass": all(r["passes"] for r in results),
-    }
-
-
-def projection_energy_check(m: DiscreteMeasure, base_plane: Plane, aperture: float,
-                            metric_radius_factor: float, direction_samples: int,
-                            bin_width: float, seed: int) -> dict:
-    """Exploratory comparison of the 1-energy with projected L^2 densities.
-
-    The left side is the exact whole-space 1-energy in direction V0^perp; the
-    right side averages histogram-smoothed squared L^2 norms of projections
-    onto planes within plane-metric lambda*alpha of V0.  Atomic projections
-    have no L^2 density, so the histogram resolution is part of the answer
-    and the report is labeled exploratory.
-    """
-    if not bin_width > 0:
-        raise InvalidParams("bin width must be positive")
-    if base_plane.dim != m.dim_param:
-        raise InvalidParams("base plane must have dimension n")
-    v_perp = base_plane.complement()
-    left = weighted_sum(m.weights, pointwise_energies(m, EnergySpec(v_perp, aperture))[0])
-
-    radius = metric_radius_factor * aperture
-    rng = np.random.default_rng(seed)
-    planes = [base_plane]
-    sigma = radius / 2 if radius > 0 else 0.0
-    attempts = 0
-    while len(planes) < max(direction_samples, 1) and attempts < 200 * direction_samples:
-        attempts += 1
-        noise = sigma * rng.standard_normal(base_plane.basis.shape)
-        try:
-            cand_basis = base_plane.basis + noise
-            q, r = np.linalg.qr(cand_basis.T)
-            cand = Plane((q * np.sign(np.diag(r))[None, :]).T)
-        except (np.linalg.LinAlgError, InvalidParams):
-            continue
-        if plane_metric(cand, base_plane) <= radius:
-            planes.append(cand)
-        else:
-            sigma *= 0.7
-
-    norms = []
-    for v in planes:
-        coords = v.coords(m.points)
-        bins = np.floor(coords / bin_width).astype(np.int64)
-        _, inverse = np.unique(bins, axis=0, return_inverse=True)
-        masses = np.bincount(inverse, weights=m.weights)
-        # squared L^2 norm of the piecewise-constant density
-        norms.append(float(np.sum(masses ** 2) / bin_width ** v.dim))
-    right = float(np.mean(norms))
-    ratio = 0.0 if left == 0 else (np.inf if right == 0 else left / right)
-    return {
-        "exploratory": True,
-        "aperture": aperture,
-        "metric_radius": radius,
-        "bin_width": bin_width,
-        "planes_used": len(planes),
-        "left_energy": float(left),
-        "right_mean_sq_l2": right,
-        "ratio": float(ratio),
     }

@@ -37,19 +37,7 @@ class CubeNotFound(InputError):
     pass
 
 
-class NotNested(InputError):
-    pass
-
-
-class IntermediateDoubling(InputError):
-    pass
-
-
 class EmptyBall(InputError):
-    pass
-
-
-class MissingDirection(InputError):
     pass
 
 
@@ -57,30 +45,7 @@ class NotDoublingRoot(InputError):
     pass
 
 
-class ConeViolation(NumericalError):
-    """Anchor set is not half-aperture cone separated.
-
-    Carries the offending pair of anchor indices.
-    """
-
-    def __init__(self, pair, message=""):
-        self.pair = tuple(pair)
-        super().__init__(message or f"anchors {self.pair} violate cone separation")
-
-
 class InvalidSpec(InputError):
-    pass
-
-
-class InvalidExponent(InputError):
-    pass
-
-
-class InvalidEta(InputError):
-    pass
-
-
-class UnsupportedDimension(InputError):
     pass
 
 

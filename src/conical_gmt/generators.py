@@ -12,13 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidExponent, InvalidSpec
+from .errors import InvalidSpec, TooLarge
 from .measure import DiscreteMeasure
 
 KINDS = ("segment", "circle", "lipschitz_graph", "four_corner_cantor",
          "variable_cantor", "mixture")
 
 _CORNERS = np.array([[0.0, 0.0], [0.75, 0.0], [0.0, 0.75], [0.75, 0.75]])
+
+# Largest cloud ``generate`` builds, 2^24 atoms: 256 MiB of coordinates in R^2.
+MAX_ATOMS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -30,11 +33,15 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown generator kind {self.kind!r}")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidSpec(f"seed must be a nonnegative integer, not {self.seed}")
 
 
 def _grid01(count: int, jitter: float, rng) -> np.ndarray:
     if count < 1:
         raise InvalidSpec("need at least one sample")
+    if not 0 <= jitter < np.inf:
+        raise InvalidSpec(f"jitter must be finite and >= 0, not {jitter}")
     z = (np.arange(count) + 0.5) / count
     if jitter > 0:
         if rng is None:
@@ -76,14 +83,32 @@ def _cantor_cells(generation: int, ratios) -> tuple[np.ndarray, float]:
     return corners, side
 
 
+def _atom_count(kind: str, p: dict) -> int:
+    """The number of atoms ``generate`` builds for a kind and its parameters,
+    read off the parameters alone; for Cantor generations past 32 a lower
+    bound, 4^32, which is already over ``MAX_ATOMS``."""
+    if kind == "mixture":
+        return sum(_atom_count(c["spec"]["kind"], c["spec"].get("params", {}))
+                   for c in p.get("components") or [])
+    if kind in ("four_corner_cantor", "variable_cantor"):
+        default = 4 if kind == "four_corner_cantor" else len(p.get("ratios", []))
+        return 4 ** min(max(0, int(p.get("generation", default))), 32)
+    return int(p.get("count", 1000))
+
+
 def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
-    """Build the measure for a spec; deterministic given the seed."""
+    """Build the measure for a spec; deterministic given the seed.  A spec of
+    more than ``MAX_ATOMS`` atoms raises ``TooLarge`` before anything is
+    allocated."""
+    count = _atom_count(spec.kind, spec.params)
+    if count > MAX_ATOMS:
+        raise TooLarge(f"a {spec.kind} cloud of at least {count} atoms is over the "
+                       f"limit of {MAX_ATOMS} atoms")
     rng = np.random.default_rng(spec.seed) if spec.seed is not None else None
     p = dict(spec.params)
     meta = {"kind": spec.kind, "seed": spec.seed}
 
     if spec.kind == "segment":
-        count = int(p.get("count", 1000))
         jitter = float(p.get("jitter", 0.0))
         z = _grid01(count, jitter, rng)
         pts = np.stack([z, np.zeros_like(z)], axis=1)
@@ -91,7 +116,6 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
         return DiscreteMeasure(pts, np.full(count, 1.0 / count), 1), meta
 
     if spec.kind == "circle":
-        count = int(p.get("count", 1000))
         radius = float(p.get("radius", 0.25))
         jitter = float(p.get("jitter", 0.0))
         t = 2 * math.pi * _grid01(count, jitter, rng)
@@ -100,7 +124,6 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
         return DiscreteMeasure(pts, np.full(count, 1.0 / count), 1), meta
 
     if spec.kind == "lipschitz_graph":
-        count = int(p.get("count", 1000))
         lipschitz = float(p.get("lipschitz", 0.5))
         frequency = int(p.get("frequency", 1))
         profile = str(p.get("profile", "sine"))
@@ -160,49 +183,3 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
         return DiscreteMeasure(pts, w, 1), meta
 
     raise InvalidSpec(f"unknown generator kind {spec.kind!r}")
-
-
-def variable_cantor_profile(p: float, length: int = 20) -> dict:
-    """Contraction-ratio suggestion whose per-scale densities are p-summable
-    but not square-summable.
-
-    Densities theta_k = k^(-1/q) with q = (p + 2) / 2 give sum theta^p with a
-    power-law exponent p/q > 1 (convergent) and sum theta^2 with exponent
-    2/q < 1 (divergent); the dichotomy is checked numerically on the
-    truncated sequence by fitting the power-law exponents and comparing
-    tail block sums.
-    """
-    if not p > 2:
-        raise InvalidExponent("profile requires p > 2")
-    q = (p + 2.0) / 2.0
-    k = np.arange(1, length + 1, dtype=float)
-    thetas = k ** (-1.0 / q)
-    prev = np.concatenate(([1.0], thetas[:-1]))
-    ratios = 0.25 * prev / thetas
-
-    def fitted_exponent(values):
-        # slope of log sum-terms vs log k; terms k^-s fit s
-        logs = np.log(values)
-        a = np.vstack([np.log(k), np.ones_like(k)]).T
-        coef, *_ = np.linalg.lstsq(a, logs, rcond=None)
-        return -float(coef[0])
-
-    exp_p = fitted_exponent(thetas ** p)
-    exp_2 = fitted_exponent(thetas ** 2)
-    half = length // 2
-    block_ratio_p = float(np.sum(thetas[half:] ** p) / np.sum(thetas[:half] ** p))
-    block_ratio_2 = float(np.sum(thetas[half:] ** 2) / np.sum(thetas[:half] ** 2))
-    return {
-        "p": p,
-        "q": q,
-        "ratios": ratios.tolist(),
-        "thetas": thetas.tolist(),
-        "exponent_p": exp_p,
-        "exponent_2": exp_2,
-        "p_sum_convergent": exp_p > 1.0,
-        "square_sum_divergent": exp_2 < 1.0,
-        "tail_block_ratio_p": block_ratio_p,
-        "tail_block_ratio_2": block_ratio_2,
-        "partial_sum_p": float(np.sum(thetas ** p)),
-        "partial_sum_2": float(np.sum(thetas ** 2)),
-    }

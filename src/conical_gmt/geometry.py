@@ -1,7 +1,7 @@
-"""Planes, cones, projections, and Grassmannian sampling.
+"""Planes, the strict cone test, pairwise distances, and Grassmannian sampling.
 
-A ``Plane`` is a linear subspace of R^d stored as an orthonormal basis;
-a ``Cone`` is the open set K(x, V, alpha) = {y : dist(y, V+x) < alpha |x-y|},
+A ``Plane`` is a linear subspace of R^d stored as an orthonormal basis.  The
+cone K(x, V, alpha) is the open set {y : dist(y, V+x) < alpha |x-y|},
 optionally truncated to inner/outer radii.  All membership tests use strict
 inequalities, so boundary points and the vertex itself are outside.
 
@@ -16,7 +16,7 @@ product of their (M, d) block with the basis; when V is a line, mapping them
 back has one term per entry, one rounding in BLAS and elementwise alike, so
 it is taken elementwise.  A one-row block is padded to two rows, since a
 one-row product takes another BLAS path: a row's bit does not depend on the
-batch it came in.  ``cone_contains`` is the scalar test oracle.
+batch it came in.
 
 The relation is symmetric bit for bit: both lengths are even in y - x, and
 negating a difference is exact, so seen from y the pair gets the same mask bit
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class Plane:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def projection_matrix(self) -> np.ndarray:
-        return self.basis.T @ self.basis
-
     def complement(self) -> "Plane":
         """Orthonormal basis of the orthogonal complement."""
         # rows of basis span V; null space of the projection gives V^perp
@@ -118,6 +115,8 @@ def make_plane(vectors) -> Plane:
     m, d = v.shape
     if m == 0 or m > d:
         raise InvalidParams(f"need between 1 and {d} spanning vectors in R^{d}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidParams("spanning vectors must be finite")
     _, s, vt = np.linalg.svd(v, full_matrices=False)
     if s[-1] <= RANK_TOL * max(s[0], 1.0):
         raise RankDeficient("input vectors are linearly dependent within 1e-10")
@@ -131,37 +130,6 @@ def make_plane(vectors) -> Plane:
     return Plane(basis)
 
 
-def project(point, plane: Plane):
-    """Split a vector into (component in V, component in V^perp)."""
-    y = np.asarray(point, dtype=float)
-    if y.shape[-1] != plane.ambient_dim:
-        raise DimensionMismatch(f"point in R^{y.shape[-1]}, plane in R^{plane.ambient_dim}")
-    par = (y @ plane.basis.T) @ plane.basis
-    return par, y - par
-
-
-def dist_to_affine_plane(y, plane: Plane, through) -> float:
-    """Distance from y to the affine plane V + x."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(through, dtype=float)
-    if y.shape != x.shape or y.shape[-1] != plane.ambient_dim:
-        raise DimensionMismatch("point/plane ambient dimensions differ")
-    _, perp = project(y - x, plane)
-    return float(lengths(perp))
-
-
-def plane_metric(v: Plane, w: Plane) -> float:
-    """Operator-norm distance ||P_V - P_W|| between projection maps."""
-    if v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatch("planes live in different ambient spaces")
-    if v.dim != w.dim:
-        raise DimensionMismatch("planes have different subspace dimensions")
-    diff = v.projection_matrix() - w.projection_matrix()
-    s = np.linalg.svd(diff, compute_uv=False)
-    val = float(s[0]) if s.size else 0.0
-    return min(max(val, 0.0), 1.0) if val < 1.0 + RANK_TOL else 1.0
-
-
 def sample_grassmannian(d: int, m: int, count: int, seed: int) -> list[Plane]:
     """Draw planes from the rotation-invariant distribution on G(d, m).
 
@@ -171,6 +139,8 @@ def sample_grassmannian(d: int, m: int, count: int, seed: int) -> list[Plane]:
         raise InvalidParams(f"need 0 < m={m} < d={d}")
     if count < 1:
         raise InvalidParams("count must be >= 1")
+    if seed < 0:
+        raise InvalidParams(f"seed must be a nonnegative integer, not {seed}")
     rng = np.random.default_rng(seed)
     planes = []
     for _ in range(count):
@@ -180,39 +150,6 @@ def sample_grassmannian(d: int, m: int, count: int, seed: int) -> list[Plane]:
         q = q * np.sign(np.diag(r))[None, :]
         planes.append(Plane(q.T[:m]))
     return planes
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Open truncated cone K(x, V, alpha, r, R); R may be infinite."""
-
-    vertex: np.ndarray
-    direction: Plane
-    aperture: float
-    inner_radius: float = 0.0
-    outer_radius: float = np.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertex", _readonly(self.vertex))
-        if self.vertex.ndim != 1 or self.vertex.shape[0] != self.direction.ambient_dim:
-            raise DimensionMismatch("vertex and direction plane dimensions differ")
-        if not 0.0 < self.aperture < 1.0:
-            raise InvalidParams("aperture must lie in (0, 1)")
-        if self.inner_radius < 0 or self.inner_radius >= self.outer_radius:
-            raise InvalidParams("need 0 <= inner_radius < outer_radius")
-
-
-def cone_contains(cone: Cone, y) -> bool:
-    """Strict membership: r < |y-x| < R and dist(y, V+x) < alpha |y-x|."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != cone.vertex.shape:
-        raise DimensionMismatch("point and cone vertex dimensions differ")
-    diff = y - cone.vertex
-    dist = float(lengths(diff))
-    if not (cone.inner_radius < dist < cone.outer_radius):
-        return False
-    _, perp = project(diff, cone.direction)
-    return float(lengths(perp)) < cone.aperture * dist
 
 
 def row_blocks(rows: int, width: int) -> Iterator[slice]:

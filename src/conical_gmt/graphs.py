@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolation, DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch, InvalidParams
 from .geometry import Plane, cone_pairs, lengths, row_blocks, square_lengths
 
 
@@ -128,27 +128,6 @@ class LipschitzGraph:
             raise InvalidParams("a graph needs complementary planes, anchors [base "
                                 "coords, normal coords] and finite constants >= 0")
         return LipschitzGraph(base, normal, zs, vs, lip, ext)
-
-
-def fit_lipschitz_graph(anchor_points, direction: Plane, aperture: float) -> LipschitzGraph:
-    """Fit the graph through ambient anchors after validating cone separation.
-
-    ``direction`` is the cone direction V (dimension d - n); the graph lives
-    over V^perp.  Raises ConeViolation with the first offending pair when the
-    anchors are not half-aperture separated (an upstream bug or a parameter
-    regime the separation lemmas do not cover).
-    """
-    pts = np.atleast_2d(np.asarray(anchor_points, dtype=float))
-    if pts.shape[0] == 0:
-        raise InvalidParams("need at least one anchor")
-    if not 0 < aperture < 1:
-        raise InvalidParams("aperture must lie in (0, 1)")
-    pts = np.unique(pts, axis=0)
-    violations = cone_separation_violations(pts, direction, aperture)
-    if violations:
-        raise ConeViolation(violations[0],
-                            f"{len(violations)} anchor pair(s) violate cone separation")
-    return _graph_through(pts, direction, aperture)
 
 
 def _graph_through(pts: np.ndarray, direction: Plane, aperture: float) -> LipschitzGraph:

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CubeNotFound, IntermediateDoubling, InvalidParams,
-                     NotNested)
+from .errors import CubeNotFound, InvalidParams
 from .geometry import lengths, row_blocks, square_lengths
-from .measure import DiscreteMeasure, ball_mass
+from .measure import DiscreteMeasure
 
 # the root radius is the diameter divided by this, only so that the open root
 # ball about any atom strictly contains the whole cloud
@@ -64,9 +63,6 @@ class Cube:
     def double_ball_radius(self) -> float:
         """Radius of 2B_Q = 56 B(Q)."""
         return 2.0 * self.ball_radius
-
-    def is_singleton(self) -> bool:
-        return len(self.members) == 1
 
 
 class Lattice:
@@ -299,56 +295,3 @@ def maximal_doubling(lattice: Lattice, cube) -> MaximalDoubling:
     uncovered = np.setdiff1d(q.members, cov, assume_unique=False)
     frac = float(np.sum(lattice.measure.weights[uncovered]) / q.mass)
     return MaximalDoubling(found, uncovered, frac)
-
-
-def delta_mu(lattice: Lattice, q, s) -> float:
-    """Sum over atoms in 2B_S setminus 2B_Q of w / |y - x_Q|^n."""
-    q, s = lattice.resolve(q), lattice.resolve(s)
-    if not lattice.is_descendant(q, s):
-        raise NotNested(f"cube {q.id} is not contained in cube {s.id}")
-    m = lattice.measure
-    idx = m.ball_indices(s.center, s.double_ball_radius)
-    r = lengths(m.points[idx] - q.center)
-    out = r >= q.double_ball_radius
-    return float(np.sum(m.weights[idx[out]] * r[out] ** (-m.dim_param)))
-
-
-def density_drop_check(lattice: Lattice, q, r) -> dict:
-    """Compare Theta(100 B(Q)) with the geometric density-drop bound along a
-    chain of non-doubling intermediates between Q and R."""
-    q, r = lattice.resolve(q), lattice.resolve(r)
-    if q.id == r.id or not lattice.is_descendant(q, r):
-        raise NotNested(f"cube {q.id} is not a proper descendant of {r.id}")
-    chain = []
-    cur = lattice.cubes[q.parent]
-    while cur.id != r.id:
-        chain.append(cur)
-        cur = lattice.cubes[cur.parent]
-    for s in chain:
-        if s.doubling:
-            raise IntermediateDoubling(f"intermediate cube {s.id} is doubling")
-    m = lattice.measure
-    n = m.dim_param
-    d = m.ambient_dim
-
-    def theta100(c: Cube) -> float:
-        rad = 100.0 * c.radius
-        return ball_mass(m, c.center, rad) / rad ** n
-
-    lhs = theta100(q)
-    rhs_theta = theta100(r)
-    gap = q.level - r.level - 1
-    factor = (lattice.c0 * lattice.a0) ** d * lattice.a0 ** (-9.0 * d * gap)
-    rhs = factor * rhs_theta
-    achieved = None
-    if gap > 0 and lhs > 0 and rhs_theta > 0:
-        base = lhs / ((lattice.c0 * lattice.a0) ** d * rhs_theta)
-        achieved = -float(np.log(base) / (np.log(lattice.a0) * gap))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": lhs <= rhs,
-        "levels_between": gap,
-        "nominal_exponent": 9.0 * d,
-        "achieved_exponent": achieved,
-    }

@@ -33,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBall, InputError, InvalidParams, InvalidRange
+from .errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from . import geometry
-from .geometry import Cone, SortedIndex, cone_mask, lengths
+from .geometry import SortedIndex, lengths
 
 
 class DiscreteMeasure:
@@ -148,15 +148,6 @@ def theta(m: DiscreteMeasure, x, r: float) -> float:
     return ball_mass(m, x, r) / r ** m.dim_param
 
 
-def cone_mass(m: DiscreteMeasure, cone: Cone) -> float:
-    """Mass of a (truncated) open cone."""
-    if cone.vertex.shape[0] != m.ambient_dim:
-        raise DimensionMismatch("cone and measure ambient dimensions differ")
-    mask = cone_mask(m.points, cone.vertex, cone.direction, cone.aperture,
-                     cone.inner_radius, cone.outer_radius)
-    return float(np.sum(m.weights[mask]))
-
-
 def sorted_mass(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances in ascending (stable) order with the cumulative weight
     through each position."""
@@ -182,28 +173,6 @@ def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float
     radii = np.append(r_min, ds[lo:hi])
     mass = np.append(cum[lo - 1] if lo else 0.0, cum[lo:hi])
     return float(np.max(mass / radii ** m.dim_param))
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    """Theta(x, r_k) along a strictly decreasing list of scales."""
-
-    center: np.ndarray
-    scales: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.scales, dtype=float)
-        if s.ndim != 1 or len(s) < 1 or np.any(np.diff(s) >= 0):
-            raise InvalidParams("scales must be strictly decreasing")
-        if np.any(np.asarray(self.values) < 0):
-            raise InvalidParams("density values must be nonnegative")
-
-
-def density_profile(m: DiscreteMeasure, x, scales) -> DensityProfile:
-    s = np.asarray(scales, dtype=float)
-    vals = np.array([theta(m, x, r) for r in s])
-    return DensityProfile(np.asarray(x, dtype=float), s, vals)
 
 
 @dataclass(frozen=True)

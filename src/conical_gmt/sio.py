@@ -81,80 +81,6 @@ def builtin_kernels(n: int = 1, d: int = 2) -> dict[str, Kernel]:
     return kernels
 
 
-def validate_kernel(kernel: Kernel, radii=None, directions: int = 8,
-                    seed: int = 1234, slack: float = 1.05) -> dict:
-    """Check oddness exactly and the decay bounds with finite differences.
-
-    Gradients and Hessians are estimated by central differences with a
-    radius-proportional step on a log-spaced radial grid; the 5% slack
-    absorbs the finite-difference error.
-    """
-    d = kernel.ambient_dim
-    rng = np.random.default_rng(seed)
-    if radii is None:
-        radii = np.geomspace(1e-3, 1e3, 13)
-    dirs = rng.standard_normal((directions, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    odd_gap = float(np.max(np.abs(kernel(pts) + kernel(-pts))))
-
-    worst = {0: 0.0, 1: 0.0, 2: 0.0}
-    n = kernel.dim_param
-    for x in pts:
-        r = np.linalg.norm(x)
-        h = 1e-5 * r
-        vals = kernel(x[None, :])[0]
-        worst[0] = max(worst[0], float(np.max(np.abs(vals))) * r ** n)
-        eye = np.eye(d) * h
-        plus = kernel(x[None, :] + eye)
-        minus = kernel(x[None, :] - eye)
-        grad = (plus - minus) / (2 * h)            # (d, c)
-        worst[1] = max(worst[1], float(np.max(np.linalg.norm(grad, axis=0))) * r ** (n + 1))
-        c = len(vals)
-        hess = np.zeros((c, d, d))
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    hess[:, i, i] = (plus[i] - 2 * vals + minus[i]) / h ** 2
-                else:
-                    pp = kernel((x + eye[i] + eye[j])[None, :])[0]
-                    pm = kernel((x + eye[i] - eye[j])[None, :])[0]
-                    mp = kernel((x - eye[i] + eye[j])[None, :])[0]
-                    mm = kernel((x - eye[i] - eye[j])[None, :])[0]
-                    hess[:, i, j] = (pp - pm - mp + mm) / (4 * h ** 2)
-        # |grad^2 k| as the bilinear-form (operator) norm, per component
-        op = max(float(np.max(np.abs(np.linalg.eigvalsh(hess[k_]))))
-                 for k_ in range(c))
-        worst[2] = max(worst[2], op * r ** (n + 2))
-    bound = kernel.constant * slack
-    ok0, ok1, ok2 = worst[0] <= bound, worst[1] <= bound, worst[2] <= bound
-    return {
-        "name": kernel.name,
-        "odd_gap": odd_gap,
-        "odd": odd_gap <= 1e-12,
-        "decay_suprema": worst,
-        "constant": kernel.constant,
-        "decay_ok": bool(ok0 and ok1 and ok2),
-    }
-
-
-def truncated_transform(m: DiscreteMeasure, kernel: Kernel, eps: float, x) -> np.ndarray:
-    """T_eps at x: strict |x - y| > eps, so the self-atom never contributes."""
-    if not eps > 0:
-        raise InvalidParams("truncation eps must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.ambient_dim,):
-        raise DimensionMismatch(f"point must live in R^{m.ambient_dim}")
-    d = m.distances_from(x)
-    mask = d > eps
-    if not np.any(mask):
-        probe = kernel(np.ones((1, m.ambient_dim)))
-        return np.zeros(probe.shape[1])
-    vals = kernel(m.points[mask] - x[None, :])
-    return np.sum(m.weights[mask][:, None] * vals, axis=0)
-
-
 @dataclass(frozen=True)
 class TruncationGrid:
     """Strictly increasing positive truncation radii."""
@@ -372,15 +298,6 @@ class OperatorNormResult:
     iterations: int
     stalled: bool
     residual: float
-
-
-def operator_norm(m: DiscreteMeasure, kernel: Kernel, eps: float,
-                  tol: float = 1e-6, max_iter: int = 500) -> OperatorNormResult:
-    """Top singular value of the truncated interaction on L^2(mu)."""
-    if not eps > 0:
-        raise InvalidParams("truncation eps must be positive")
-    return operator_norm_profile(m, kernel, TruncationGrid(np.array([eps])),
-                                 tol, max_iter)[0]
 
 
 def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid,

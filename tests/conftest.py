@@ -1,13 +1,16 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conical_gmt.energy import _in_cone_jumps, _step_energy
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
+from conical_gmt.geometry import (Plane, cone_dist, cone_mask, lengths, make_plane,
+                                  sample_grassmannian)
+from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.measure import DiscreteMeasure, sorted_mass
 
 
@@ -102,6 +105,161 @@ def brute_cone_mass(m: DiscreteMeasure, x, basis: np.ndarray, alpha: float,
         perp = np.linalg.norm(diff - par)
         mask[i] = inner < dist < outer and perp < alpha * dist
     return float(np.sum(m.weights[mask]))
+
+
+def project(point, plane: Plane):
+    """Oracle: a vector split into (component in V, component in V^perp)."""
+    y = np.asarray(point, dtype=float)
+    par = (y @ plane.basis.T) @ plane.basis
+    return par, y - par
+
+
+def dist_to_affine_plane(y, plane: Plane, through) -> float:
+    """Oracle: the distance from y to the affine plane V + x."""
+    _, perp = project(np.asarray(y, dtype=float) - np.asarray(through, dtype=float), plane)
+    return float(lengths(perp))
+
+
+@dataclass(frozen=True)
+class Cone:
+    """The open truncated cone K(x, V, alpha, r, R) of the scalar oracle."""
+
+    vertex: np.ndarray
+    direction: Plane
+    aperture: float
+    inner_radius: float = 0.0
+    outer_radius: float = np.inf
+
+
+def cone_contains(cone: Cone, y) -> bool:
+    """Oracle: strict membership, r < |y-x| < R and dist(y, V+x) < alpha |y-x|."""
+    diff = np.asarray(y, dtype=float) - np.asarray(cone.vertex, dtype=float)
+    dist = float(lengths(diff))
+    if not (cone.inner_radius < dist < cone.outer_radius):
+        return False
+    _, perp = project(diff, cone.direction)
+    return float(lengths(perp)) < cone.aperture * dist
+
+
+def plane_metric(v: Plane, w: Plane) -> float:
+    """Oracle: the operator-norm distance ||P_V - P_W|| between projections."""
+    diff = v.basis.T @ v.basis - w.basis.T @ w.basis
+    val = float(np.linalg.svd(diff, compute_uv=False)[0])
+    return min(max(val, 0.0), 1.0)
+
+
+def riesz_cone_sum(m: DiscreteMeasure, x, direction: Plane, aperture: float) -> float:
+    """Oracle: n^{-1} sum over the in-cone atoms of w / |x - y|^n, the p = 1,
+    R = infinity energy by the layer-cake identity, as a direct sum."""
+    x = np.asarray(x, dtype=float)
+    mask = cone_mask(m.points, x, direction, aperture)
+    if not np.any(mask):
+        return 0.0
+    n = m.dim_param
+    return float(np.sum(m.weights[mask] * lengths(m.points[mask] - x) ** (-n)) / n)
+
+
+def truncated_transform(m: DiscreteMeasure, kernel, eps: float, x) -> np.ndarray:
+    """Oracle: T_eps at x, strict |x - y| > eps, so the self-atom never
+    contributes."""
+    x = np.asarray(x, dtype=float)
+    mask = m.distances_from(x) > eps
+    if not np.any(mask):
+        return np.zeros(kernel(np.ones((1, m.ambient_dim))).shape[1])
+    vals = kernel(m.points[mask] - x[None, :])
+    return np.sum(m.weights[mask][:, None] * vals, axis=0)
+
+
+def graph_through(points, direction: Plane, aperture: float) -> LipschitzGraph:
+    """The corona's graph fit: the distinct anchors, checked for half-aperture
+    separation by ``cone_separation_violations``, through ``_graph_through``."""
+    pts = np.unique(np.atleast_2d(np.asarray(points, dtype=float)), axis=0)
+    assert cone_separation_violations(pts, direction, aperture) == []
+    return _graph_through(pts, direction, aperture)
+
+
+def _plane_ball_cap(base: np.ndarray, plane: Plane, center: np.ndarray, r: float):
+    """Center and radius of (affine plane) cap (closed ball), or None."""
+    foot = base + project(center - base, plane)[0]
+    h = float(lengths(center - foot))
+    if h > r:
+        return None
+    return foot, math.sqrt(max(r * r - h * h, 0.0))
+
+
+def _dist_point_segment(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0:
+        return float(lengths(q - a))
+    t = min(max(float((q - a) @ ab) / denom, 0.0), 1.0)
+    return float(lengths(q - (a + t * ab)))
+
+
+def _dist_points_disk(qs: np.ndarray, foot: np.ndarray, plane: Plane, rho: float) -> np.ndarray:
+    coords = (qs - foot[None, :]) @ plane.basis.T
+    radial = lengths(coords)
+    clamp = np.minimum(1.0, np.divide(rho, radial, out=np.ones_like(radial),
+                                      where=radial > 0))
+    return lengths(qs - (foot[None, :] + (coords * clamp[:, None]) @ plane.basis))
+
+
+def hausdorff_plane_sections(base_a, plane_a: Plane, base_b, plane_b: Plane,
+                             center, r: float) -> float:
+    """Hausdorff distance between two affine-plane sections of a closed ball:
+    closed form for lines (segments), 2048 boundary samples for 2-planes
+    (sampling error well below 1e-3 r)."""
+    center = np.asarray(center, dtype=float)
+    cap_a = _plane_ball_cap(np.asarray(base_a, float), plane_a, center, r)
+    cap_b = _plane_ball_cap(np.asarray(base_b, float), plane_b, center, r)
+    if cap_a is None and cap_b is None:
+        return 0.0
+    if cap_a is None or cap_b is None:
+        return math.inf
+    (foot_a, rho_a), (foot_b, rho_b) = cap_a, cap_b
+    if plane_a.dim == 1:
+        a1, a2 = foot_a - rho_a * plane_a.basis[0], foot_a + rho_a * plane_a.basis[0]
+        b1, b2 = foot_b - rho_b * plane_b.basis[0], foot_b + rho_b * plane_b.basis[0]
+        return max(_dist_point_segment(a1, b1, b2), _dist_point_segment(a2, b1, b2),
+                   _dist_point_segment(b1, a1, a2), _dist_point_segment(b2, a1, a2))
+    theta = np.linspace(0.0, 2 * math.pi, 2048, endpoint=False)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    bd_a = foot_a[None, :] + (rho_a * ring) @ plane_a.basis
+    bd_b = foot_b[None, :] + (rho_b * ring) @ plane_b.basis
+    return max(float(np.max(_dist_points_disk(bd_a, foot_b, plane_b, rho_b))),
+               float(np.max(_dist_points_disk(bd_b, foot_a, plane_a, rho_a))))
+
+
+def cone_outside_tube_check(x, r: float, tangent: Plane, tube_base, tube_plane: Plane,
+                            aperture: float, eps: float, samples: int = 1000,
+                            seed: int = 0) -> dict:
+    """Paper check, by Monte Carlo: the truncated cone shell around the
+    tangent's normal avoids the eta r tube of a nearby plane, eta =
+    1 - alpha - 3 eps > 0.  The hypothesis (section Hausdorff distance
+    <= eps r) is checked first; when it fails the containment test is skipped
+    and reported as such."""
+    eta = 1.0 - aperture - 3.0 * eps
+    x = np.asarray(x, dtype=float)
+    gap = hausdorff_plane_sections(x, tangent, np.asarray(tube_base, float),
+                                   tube_plane, x, r)
+    if gap > eps * r:
+        return {"hypothesis_ok": False, "passed": None}
+    rng = np.random.default_rng(seed)
+
+    def unit_in(plane: Plane) -> np.ndarray:
+        g = rng.standard_normal((samples, plane.dim))
+        g /= np.linalg.norm(g, axis=1)[:, None]
+        return g @ plane.basis
+
+    rho = r * (1.0 + rng.random(samples))            # (r, 2r)
+    s = aperture * rng.random(samples)               # in-plane fraction < alpha
+    e_tan = unit_in(tangent)
+    e_nor = unit_in(tangent.complement())
+    pts = x[None, :] + rho[:, None] * (s[:, None] * e_tan
+                                       + np.sqrt(1 - s ** 2)[:, None] * e_nor)
+    _, perp = project(pts - np.asarray(tube_base, float)[None, :], tube_plane)
+    violations = int(np.count_nonzero(lengths(perp) < eta * r))
+    return {"hypothesis_ok": True, "passed": violations == 0, "violations": violations}
 
 
 def greedy_centers_oracle(points: np.ndarray, r0: float, a0: float, depth: int) -> list:

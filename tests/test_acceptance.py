@@ -8,21 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import (cone_outside_tube_check, graph_through, random_cloud,
+                      riesz_cone_sum, truncated_transform)
 
 from conical_gmt.corona import CoronaParams, build_top, verify_corona
-from conical_gmt.diagnostics import (beta2, cone_outside_tube_check,
-                                     f_epsilon_set, necessary_bplg_cover,
+from conical_gmt.diagnostics import (beta2, f_epsilon_set, necessary_bplg_cover,
                                      theta_m_property)
-from conical_gmt.energy import EnergySpec, pointwise_energy, riesz_cone_sum
+from conical_gmt.energy import EnergySpec, pointwise_energy
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane, sample_grassmannian
-from conical_gmt.graphs import fit_lipschitz_graph
 from conical_gmt.lattice import build_lattice, natural_depth
-from conical_gmt.measure import DiscreteMeasure, ball_mass
-from conical_gmt.sio import (TruncationGrid, builtin_kernels,
-                             norm_vs_generation, operator_norm,
-                             truncated_transform)
+from conical_gmt.measure import DiscreteMeasure
+from conical_gmt.sio import (TruncationGrid, builtin_kernels, norm_vs_generation,
+                             operator_norm_profile)
 
 V_AXIS = make_plane([[0.0, 1.0]])
 
@@ -204,7 +202,7 @@ def test_criterion_6_sio_suite():
     # (b) the 2x2 hand case
     two = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),
                           np.array([0.5, 0.5]), 1)
-    nrm = operator_norm(two, cauchy, 0.5).norm
+    nrm = operator_norm_profile(two, cauchy, TruncationGrid(np.array([0.5])))[0].norm
     assert abs(nrm - 0.5) <= 1e-9
 
     # (c) generation trends with breakpoint grids truncated to 64 values
@@ -305,7 +303,7 @@ def test_criterion_9_vitali_cover():
         w = np.concatenate([mg.weights * 0.5,
                             np.full(keep, 0.5 / keep)])
         m = DiscreteMeasure(pts, w, 1)
-        graph = fit_lipschitz_graph(mg.points, V_AXIS, 0.8)
+        graph = graph_through(mg.points, V_AXIS, 0.8)
         rep = necessary_bplg_cover(m, graph)
         assert rep["disjoint"], seed
         assert rep["all_covered"], seed

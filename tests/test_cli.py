@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import graph_through
+
 import conical_gmt
 from conical_gmt import diagnostics
 from conical_gmt.cli import _build_parser, _parse_balls, run
@@ -254,9 +256,8 @@ def test_beta_fits_each_scale_once(tmp_path, monkeypatch):
 def test_bplg_subcommands(tmp_path):
     mg, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 100, "lipschitz": 0.3}))
     pts_file = tmp_path / "mix.csv"
-    from conical_gmt.graphs import fit_lipschitz_graph
     from conical_gmt.geometry import make_plane
-    graph = fit_lipschitz_graph(mg.points, make_plane([[0.0, 1.0]]), 0.8)
+    graph = graph_through(mg.points, make_plane([[0.0, 1.0]]), 0.8)
     pts = np.vstack([mg.points, [[0.5, 0.4]]])
     w = np.full(len(pts), 1.0 / len(pts))
     save_csv(DiscreteMeasure(pts, w, 1), pts_file)
@@ -577,4 +578,61 @@ def test_report_rejects_a_malformed_input_report(tmp_path, capsys, text):
     bad.write_text(text)
     out = tmp_path / "merged.json"
     _assert_one_line_error(run(["report", "--inputs", str(bad), "--out", str(out)]), capsys)
+    assert not out.exists()
+
+
+@pytest.fixture
+def cantor4(tmp_path):
+    """Four-corner Cantor generation 4 (256 atoms) as a points file."""
+    path = tmp_path / "c4.csv"
+    assert run(["gen", "--type", "four_corner_cantor", "--generation", "4",
+                "--out", str(path)]) == 0
+    return str(path)
+
+
+ENERGY = ["energy", "--n", "1", "--alpha", "0.8"]
+SCAN = ["scan-bpbe", "--n", "1", "--alpha", "0.8", "--M0", "1", "--kappa", "0.5",
+        "--direction-samples", "4", "--balls", "all"]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (ENERGY + ["--p", "1", "--plane", "nan,1", "--R", "1"], 2, "error:"),
+    (SCAN + ["--seed", "1", "--pin-plane", "nan,1"], 2, "error:"),
+    (ENERGY + ["--p", "1", "--plane", "0,1", "--R", "abc"], 2, "error:"),
+    (SCAN + ["--seed", "-1"], 2, "error:"),
+    (["gen", "--type", "segment", "--count", "10", "--seed", "-1"], 2, "error:"),
+    (["gen", "--type", "segment", "--count", "10", "--seed", "1", "--jitter", "nan"],
+     2, "error:"),
+    (["gen", "--type", "segment", "--count", "10", "--seed", "1", "--jitter", "-1"],
+     2, "error:"),
+    (ENERGY + ["--p", "inf", "--plane", "0,1", "--R", "1"], 2, "error:"),
+    (SCAN + ["--seed", "1", "--p", "inf"], 2, "error:"),
+    (ENERGY + ["--p", "1e308", "--plane", "0,1", "--R", "1"], 3, "numerical failure:"),
+    (SCAN + ["--seed", "1", "--p", "1e308"], 3, "numerical failure:"),
+], ids=["energy-plane-nan", "scan-pin-plane-nan", "energy-R-text", "scan-seed-negative",
+        "gen-seed-negative", "gen-jitter-nan", "gen-jitter-negative", "energy-p-inf",
+        "scan-p-inf", "energy-p-overflow", "scan-p-overflow"])
+def test_bad_input_exits_with_one_message(tmp_path, cantor4, capsys, argv, code, prefix):
+    # each was a traceback (exit 1), or exit 0 with an unjittered cloud or a
+    # NaN energy and verdict; no output file is written
+    out = tmp_path / "out"
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(out)]
+    else:
+        argv = argv + ["--points", cantor4, "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [["--type", "four_corner_cantor", "--generation", "40"],
+                                    ["--type", "segment", "--count", "100000000000"]],
+                         ids=["cantor-generation-40", "segment-1e11"])
+def test_gen_refuses_oversize_cloud_before_allocating(tmp_path, capsys, params):
+    out = tmp_path / "big.csv"
+    assert run(["gen", *params, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "16777216 atoms" in err[0]
     assert not out.exists()

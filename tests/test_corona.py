@@ -3,16 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CASES, _cone_energy, separation_oracle
+from conftest import SWEEP_CASES, _cone_energy, graph_through, separation_oracle
 
-from conical_gmt.corona import (CoronaParams, _Ctx, build_top,
-                                key_cone_exclusion, separated_families,
-                                stopping_decomposition, verify_corona)
-from conical_gmt.energy import pointwise_energies, total_energy, weighted_sum
-from conical_gmt.errors import ConeViolation, InvalidParams, NotDoublingRoot
+from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
+                                separated_families, stopping_decomposition,
+                                verify_corona)
+from conical_gmt.energy import pointwise_energies, weighted_sum, window_energies
+from conical_gmt.errors import InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import make_plane
-from conical_gmt.graphs import cone_separation_violations, fit_lipschitz_graph
+from conical_gmt.geometry import cone_mask, lengths, make_plane
+from conical_gmt.graphs import cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure, ball_mass
 
@@ -79,7 +79,7 @@ def test_heavy_atom_trips_hd():
     tree = stopping_decomposition(lat, lat.root, params)
     heavy = count
     hd_cubes = [lat.cubes[i] for i in tree.stop_hd]
-    assert any(heavy in q.members and q.is_singleton() for q in hd_cubes)
+    assert any(heavy in q.members and len(q.members) == 1 for q in hd_cubes)
     theta_r = theta2b_direct(lat, lat.root)
     for q in hd_cubes:
         assert q.doubling
@@ -106,6 +106,22 @@ def test_not_doubling_root_rejected():
     assert bad
     with pytest.raises(NotDoublingRoot):
         stopping_decomposition(lat, bad[0], default_params())
+
+
+def key_cone_exclusion(lattice, q, p, params: CoronaParams) -> bool:
+    """Paper check, atom by atom, of the separation premise for cube pairs:
+    True iff dist(Q, P) >= M r(P) and some atom of P lies in the
+    half-aperture union cone of Q outside M B_Q."""
+    pts = lattice.measure.points
+    mm = params.key_const
+    qp, pp = pts[q.members], pts[p.members]
+    if _set_distance(qp, pp) < mm * p.radius:
+        return False
+    target = pp[lengths(pp - q.center) >= mm * q.ball_radius]
+    if len(target) == 0:
+        return False
+    return any(np.any(cone_mask(target, x, params.plane, params.aperture / 2.0))
+               for x in qp)
 
 
 def brute_key_exclusion(lat, q, p, params):
@@ -221,7 +237,7 @@ def test_separated_families_good_set_filter():
 def test_fit_graph_collinear_anchors():
     z = np.linspace(0, 1, 20)
     pts = np.stack([z, np.zeros_like(z)], axis=1)
-    g = fit_lipschitz_graph(pts, V_AXIS, 0.8)
+    g = graph_through(pts, V_AXIS, 0.8)
     assert g.lip_measured == 0.0
     # constant extension off the anchors
     val = g.evaluate(np.array([[2.5]]))
@@ -235,18 +251,16 @@ def test_fit_graph_violation_threshold():
     z = 0.1
     good = np.array([[0.0, 0.0], [z, z * (slope_threshold - 1e-6)]])
     bad = np.array([[0.0, 0.0], [z, z * (slope_threshold + 1e-6)]])
-    g = fit_lipschitz_graph(good, V_AXIS, alpha)
+    g = graph_through(good, V_AXIS, alpha)
     assert g.lip_measured <= 2.0 / alpha
-    with pytest.raises(ConeViolation) as err:
-        fit_lipschitz_graph(bad, V_AXIS, alpha)
-    assert err.value.pair == (0, 1)
+    assert cone_separation_violations(bad, V_AXIS, alpha) == [(0, 1)]
 
 
 def test_fit_graph_from_lipschitz_samples():
     alpha = 0.5
     lip = 1.0 / (2 * alpha)
     m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 200, "lipschitz": lip}))
-    g = fit_lipschitz_graph(m.points, V_AXIS, alpha)
+    g = graph_through(m.points, V_AXIS, alpha)
     assert g.lip_measured <= lip + 1e-12
     # anchors reproduced exactly through the extension
     dev = g.vertical_distance(m.points)
@@ -262,7 +276,7 @@ def test_cone_separation_violations_equal_row_loop(m, direction, aperture):
 def test_graph_evaluate_blocks_match_unblocked():
     alpha = 0.5
     m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 1.0}))
-    g = fit_lipschitz_graph(m.points, V_AXIS, alpha)
+    g = graph_through(m.points, V_AXIS, alpha)
     z = np.random.default_rng(3).uniform(-0.2, 1.2, (1000, 1))
     d = g.extension_constant * np.linalg.norm(
         z[:, None, :] - g.anchors_base[None, :, :], axis=2)[:, :, None]
@@ -404,7 +418,8 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
         nonzero += want > 0
     assert nonzero > 0
     res = build_top(lat, params)
-    assert res.ledger["total_energy"] == total_energy(nm, spec)
+    whole = window_energies(nm, np.arange(nm.size), spec, [(0.0, spec.outer_scale)])
+    assert res.ledger["total_energy"] == weighted_sum(nm.weights, whole[:, 0])
 
 
 def test_corona_queries_each_cube_ball_once(asked_balls):

@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import (SWEEP_CASES, _cone_energy, mixture_cloud,
-                      pointwise_energies_row_loop, random_cloud)
+from conftest import (SWEEP_CASES, _cone_energy, mixture_cloud, plane_metric,
+                      pointwise_energies_row_loop, random_cloud, riesz_cone_sum)
 
 from conical_gmt import energy
 from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
-                                ball_energy,
                                 bme_check, bpbe_scan, cube_energy,
                                 pointwise_energies, pointwise_energy,
-                                projection_energy_check,
-                                riesz_cone_sum, total_energy, window_energies)
-from conical_gmt.errors import InvalidParams, MissingDirection
+                                weighted_sum, window_energies)
+from conical_gmt.errors import InvalidParams
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import cone_dist, cone_mask, make_plane, sample_grassmannian
+from conical_gmt.geometry import (Plane, cone_dist, cone_mask, make_plane,
+                                  sample_grassmannian)
 from conical_gmt.lattice import build_lattice
 from conical_gmt.measure import DiscreteMeasure
 
@@ -154,6 +153,12 @@ def test_exponent_comparison_pointwise(rng):
             continue
         c1 = float(np.max(e1.cumulative_mass / e1.jump_radii ** m.dim_param))
         assert e2.total <= c1 * e1.total * (1 + 1e-12)
+
+
+def ball_energy(m: DiscreteMeasure, center, radius: float, spec: EnergySpec) -> float:
+    """sum over the atoms x of B(center, radius) of w(x) E_p(x, ..., r(B))."""
+    idx = m.ball_indices(center, radius)
+    return weighted_sum(m.weights[idx], window_energies(m, idx, spec, [(0.0, radius)])[:, 0])
 
 
 def test_ball_energy_cases(rng):
@@ -362,11 +367,12 @@ def test_bme_line_constant_normal():
 
 def test_bme_missing_direction():
     m, _ = generate(GeneratorSpec("segment", {"count": 10}))
-    with pytest.raises(MissingDirection):
+    with pytest.raises(InvalidParams):
         bme_check(m, [(np.array([0.5, 0.0]), 1.0)], 0.9, 1.0, 1.0, {0: V_AXIS})
 
 
-@pytest.mark.parametrize("aperture, exponent", [(-0.2, 1.0), (1.5, 1.0), (0.8, 0.5)])
+@pytest.mark.parametrize("aperture, exponent", [(-0.2, 1.0), (1.5, 1.0), (0.8, 0.5),
+                                                (0.8, np.inf)])
 def test_scans_apply_the_energy_spec_rules(aperture, exponent):
     m, _ = generate(GeneratorSpec("segment", {"count": 10}))
     balls = [(np.array([0.5, 0.0]), 1.0)]
@@ -406,13 +412,50 @@ def test_bme_scaling_invariance():
     assert r2 == pytest.approx(r1, rel=1e-9)
 
 
+def projection_energy_check(m: DiscreteMeasure, base_plane: Plane, aperture: float,
+                            metric_radius_factor: float, direction_samples: int,
+                            bin_width: float, seed: int) -> dict:
+    """Paper check, exploratory: the whole-space 1-energy in direction
+    V0^perp against the mean squared L^2 norm of histogram-smoothed
+    projections onto planes within plane-metric lambda alpha of V0.  Atomic
+    projections have no L^2 density, so the bin width is part of the answer."""
+    spec = EnergySpec(base_plane.complement(), aperture)
+    left = weighted_sum(m.weights, pointwise_energies(m, spec)[0])
+    radius = metric_radius_factor * aperture
+    rng = np.random.default_rng(seed)
+    planes = [base_plane]
+    sigma = radius / 2 if radius > 0 else 0.0
+    attempts = 0
+    while len(planes) < max(direction_samples, 1) and attempts < 200 * direction_samples:
+        attempts += 1
+        noise = sigma * rng.standard_normal(base_plane.basis.shape)
+        try:
+            q, r = np.linalg.qr((base_plane.basis + noise).T)
+            cand = Plane((q * np.sign(np.diag(r))[None, :]).T)
+        except (np.linalg.LinAlgError, InvalidParams):
+            continue
+        if plane_metric(cand, base_plane) <= radius:
+            planes.append(cand)
+        else:
+            sigma *= 0.7
+    norms = []
+    for v in planes:
+        bins = np.floor(v.coords(m.points) / bin_width).astype(np.int64)
+        _, inverse = np.unique(bins, axis=0, return_inverse=True)
+        masses = np.bincount(inverse, weights=m.weights)
+        # squared L^2 norm of the piecewise-constant density
+        norms.append(float(np.sum(masses ** 2) / bin_width ** v.dim))
+    right = float(np.mean(norms))
+    ratio = 0.0 if left == 0 else (np.inf if right == 0 else left / right)
+    return {"left_energy": left, "ratio": ratio}
+
+
 def test_projection_check_line_zero():
     m, _ = generate(GeneratorSpec("segment", {"count": 100}))
     base = make_plane([[1.0, 0.0]])
     rep = projection_energy_check(m, base, 0.8, 1.5, 4, 0.05, seed=2)
     assert rep["left_energy"] == 0.0
     assert rep["ratio"] == 0.0
-    assert rep["exploratory"]
 
 
 def test_projection_check_single_atom():
@@ -453,7 +496,8 @@ def test_total_energy_weighted_sum():
     spec = EnergySpec(V_AXIS, 0.7, 1.0, np.inf)
     want = sum(m.weights[i] * pointwise_energy(m, m.points[i], spec).total
                for i in range(m.size))
-    assert total_energy(m, spec) == pytest.approx(want, rel=1e-12)
+    whole = window_energies(m, np.arange(m.size), spec, [(0.0, spec.outer_scale)])
+    assert weighted_sum(m.weights, whole[:, 0]) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from conical_gmt.errors import InvalidExponent, InvalidSpec
-from conical_gmt.generators import (GeneratorSpec, generate,
-                                    variable_cantor_profile)
+from conical_gmt.errors import InvalidSpec
+from conical_gmt.generators import GeneratorSpec, generate
+
+# per-scale densities theta_k = k^(-1/3), p-summable for p = 4 but not
+# square-summable; contraction ratio k is 4^-1 theta_(k-1) / theta_k
+THETAS = np.arange(1, 21, dtype=float) ** (-1.0 / 3.0)
+TUNED_RATIOS = (0.25 * np.append(1.0, THETAS[:-1]) / THETAS).tolist()
 
 
 def test_cantor_generation1_layout():
@@ -78,33 +82,14 @@ def test_unknown_kind_rejected():
 def test_variable_cantor_density_profile():
     # oracle: brute-force per-scale density at the cell scale equals the
     # prescribed theta sequence (mass 4^-k over side s_k with s_k = 4^-k/theta_k)
-    prof = variable_cantor_profile(4.0)
     g = 5
     m, meta = generate(GeneratorSpec(
-        "variable_cantor", {"ratios": prof["ratios"], "generation": g}))
+        "variable_cantor", {"ratios": TUNED_RATIOS, "generation": g}))
     assert m.size == 4 ** g
     sides = np.asarray(meta["cell_sides"])
     densities = np.asarray(meta["scale_densities"])
     assert np.allclose(densities, 4.0 ** -np.arange(1, g + 1) / sides)
-    assert np.allclose(densities, prof["thetas"][:g], rtol=1e-12)
-
-
-def test_variable_cantor_profile_dichotomy():
-    # oracle: fitted power-law exponents of the partial-sum terms
-    prof = variable_cantor_profile(4.0)
-    assert prof["q"] == pytest.approx(3.0)
-    assert np.allclose(prof["thetas"], [k ** (-1.0 / 3) for k in range(1, 21)])
-    assert prof["exponent_p"] == pytest.approx(4.0 / 3.0, abs=1e-9)
-    assert prof["exponent_2"] == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert prof["p_sum_convergent"]
-    assert prof["square_sum_divergent"]
-    # divergent tail blocks stay heavy, convergent ones shrink
-    assert prof["tail_block_ratio_2"] > prof["tail_block_ratio_p"]
-
-
-def test_variable_cantor_profile_rejects_small_p():
-    with pytest.raises(InvalidExponent):
-        variable_cantor_profile(2.0)
+    assert np.allclose(densities, THETAS[:g], rtol=1e-12)
 
 
 def test_variable_cantor_pointwise_energy_uniformity():
@@ -113,9 +98,8 @@ def test_variable_cantor_pointwise_energy_uniformity():
     # at generation 5: corner cells see less cone mass than interior ones)
     from conical_gmt.energy import EnergySpec, pointwise_energy
     from conical_gmt.geometry import make_plane
-    prof = variable_cantor_profile(4.0)
     m, _ = generate(GeneratorSpec(
-        "variable_cantor", {"ratios": prof["ratios"], "generation": 5}))
+        "variable_cantor", {"ratios": TUNED_RATIOS, "generation": 5}))
     spec = EnergySpec(make_plane([[0.0, 1.0]]), 0.95, 4.0, 1.0)
     rng = np.random.default_rng(0)
     idx = rng.choice(m.size, 40, replace=False)
@@ -134,3 +118,11 @@ def test_mixture_combines_components():
     assert m.size == 14
     assert m.total_mass == pytest.approx(1.0)
     assert meta["weights"] == [0.5, 0.5]
+
+
+def test_mixture_counts_every_component_against_the_cap():
+    from conical_gmt.errors import TooLarge
+    from conical_gmt.generators import MAX_ATOMS
+    half = {"spec": {"kind": "segment", "params": {"count": MAX_ATOMS // 2 + 1}}}
+    with pytest.raises(TooLarge):
+        generate(GeneratorSpec("mixture", {"components": [half, half]}))

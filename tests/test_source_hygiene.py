@@ -17,6 +17,12 @@ distances have one index, ``geometry.SortedIndex``, and no KD-tree beside it.
 The distance scan fails on any ``linalg.norm`` call whose argument is a
 subtraction: every |y - x| comes from ``geometry.lengths`` or
 ``geometry.square_lengths``, so one arithmetic decides every tie.
+
+The reachability scan fails on a top-level function or class that no command
+reaches, walking names from ``cli``'s ``_cmd_*`` functions, ``run`` and
+``_build_parser``.  Wrappers are deleted, and oracles and paper checks live
+in ``tests/``; the only exceptions are the definitions in ``KEPT_UNREACHED``,
+each with the open ROADMAP item that needs it.
 """
 
 import ast
@@ -270,3 +276,88 @@ def test_package_measures_no_difference_with_linalg_norm():
     for path in sorted(SRC.glob("*.py")):
         found += difference_norms(path.read_text(), path.name)
     assert found == []
+
+
+# Definitions that no command reaches yet, each with the number of the open
+# ROADMAP item that needs it.
+KEPT_UNREACHED = {
+    "diagnostics.beta_square_function": 9,
+    "energy.bme_check": 6,
+    "sio.maximal_transform": 6,
+    "sio.norm_vs_generation": 6,
+}
+
+
+def _named(node) -> set:
+    """Every name that node or its body reads or stores, and every attribute
+    it names."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def unreached_definitions(sources: dict) -> list[str]:
+    """``module.name`` of every top-level function or class in ``sources``
+    (module name -> source) that no command reaches, sorted.
+
+    The walk starts from ``cli``'s ``_cmd_*`` functions, ``run`` and
+    ``_build_parser``, and from every top-level statement that is neither an
+    import nor a definition, since it runs on import (``__main__``'s call of
+    ``main``).  A reached definition reaches every top-level definition, in
+    any module, that a name or attribute in its body names, class bodies and
+    their methods included.  Names are matched alone, so a local or an
+    attribute of the same name counts as a use: the scan can miss an
+    unreached definition but never reports a reached one.  The re-exports of
+    ``__init__`` are imports, so they reach nothing."""
+    defs, todo = {}, []
+    for module, source in sources.items():
+        for stmt in ast.parse(source, module).body:
+            if isinstance(stmt, (*_FUNCS, ast.ClassDef)):
+                defs[f"{module}.{stmt.name}"] = stmt
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                todo.append(stmt)
+    by_name = {}
+    for key, node in defs.items():
+        by_name.setdefault(node.name, []).append(key)
+    reached = {key for key, node in defs.items() if key.startswith("cli.") and (
+        node.name.startswith("_cmd_") or node.name in ("run", "_build_parser"))}
+    todo += [defs[key] for key in reached]
+    while todo:
+        for name in _named(todo.pop()):
+            for key in by_name.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    todo.append(defs[key])
+    return sorted(set(defs) - reached)
+
+
+def test_scan_finds_unreached_definitions():
+    sources = {
+        "cli": ("from . import lib\n"
+                "def _cmd_go(args):\n"
+                "    return lib.reached(args)\n"
+                "def run(argv=None):\n"
+                "    return _cmd_go(argv)\n"
+                "def main():\n"
+                "    run()\n"
+                "if __name__ == '__main__':\n"
+                "    main()\n"),
+        "lib": ("class Reached:\n"
+                "    def method(self):\n"
+                "        return _helper()\n"
+                "def reached(x):\n"
+                "    return Reached()\n"
+                "def _helper():\n"
+                "    return 1\n"
+                "def wrapper(x):\n"
+                "    return reached(x)\n"
+                "class Planted:\n"
+                "    pass\n"),
+        "__init__": "from .lib import Planted, wrapper\n",
+    }
+    assert unreached_definitions(sources) == ["lib.Planted", "lib.wrapper"]
+
+
+def test_package_ships_only_what_a_command_reaches():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreached_definitions(sources) == sorted(KEPT_UNREACHED)
+
