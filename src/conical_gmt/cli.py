@@ -329,8 +329,8 @@ def _cmd_bplg(args) -> int:
         theta = args.theta
         if theta is None:
             theta = 0.5 / (1.0 + graph.lip_measured ** 2) ** 0.5
-        max_count, counts = diagnostics.theta_m_property(
-            m.points, graph.normal, theta, per_point=True)
+        counts = diagnostics.theta_m_property(m.points, graph.normal, theta)
+        max_count = int(counts.max(initial=0))
         rep.update(theta=theta, max_count=max_count,
                    counts=counts.tolist() if args.per_point else None)
         _write_json(rep, args.out)

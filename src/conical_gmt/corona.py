@@ -50,8 +50,9 @@ class CoronaParams:
     spec: EnergySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "spec", EnergySpec(
-            self.plane, self.aperture, self.exponent, np.inf, self.eta))
+        object.__setattr__(self, "spec", EnergySpec(self.plane, self.aperture, self.exponent))
+        if not 0 < self.eta < 1:
+            raise InvalidParams("eta must lie in (0, 1)")
         if not (0 < self.density_low < 1 < self.density_high):
             raise InvalidParams("need tau < 1 < A")
         if not 0 <= self.energy_stop < 1:
@@ -114,13 +115,12 @@ class _Ctx:
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
         self.lattice = lattice
-        self.spec = params.spec
         self._cube: dict[int, tuple[float, float]] = {}
-        m, eta = lattice.measure, self.spec.inner_eta
+        eta = params.eta
         radii = [lattice.cubes[ids[0]].radius for ids in lattice.levels]
         windows = [(eta * r, r / eta) for r in radii]
-        windows.append((0.0, self.spec.outer_scale))
-        self._table = window_energies(m, np.arange(m.size), self.spec, windows)
+        windows.append((0.0, np.inf))
+        self._table = window_energies(lattice.measure, params.spec, windows)[0]
 
     def ask(self, cubes: list[Cube]) -> None:
         """Density and energy of every cube not asked before, from one query

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyBall, GraphAmbientMismatch, InvalidParams
-from .geometry import Plane, SortedIndex, cone_mask, cone_pairs, lengths
+from .geometry import Plane, SortedIndex, cone_pairs, cone_rows, lengths
 from .graphs import LipschitzGraph
 from .measure import DiscreteMeasure, sorted_mass
 
@@ -91,8 +91,7 @@ def _shell_indices(t: np.ndarray) -> np.ndarray:
     return 1 - np.frexp(t)[1]
 
 
-def theta_m_property(points, direction: Plane, theta: float,
-                     per_point: bool = False):
+def theta_m_property(points, direction: Plane, theta: float) -> np.ndarray:
     """Exact dyadic-shell counts: for each x, the number of integers j such
     that the theta-cone at x restricted to the shell [2^-j, 2^-j+1) meets the
     other points.
@@ -130,10 +129,7 @@ def theta_m_property(points, direction: Plane, theta: float,
             atom *= shells
             atom += j
             table[atom] = True
-    counts = np.count_nonzero(hit, axis=1)
-    if per_point:
-        return int(counts.max(initial=0)), counts
-    return int(counts.max(initial=0))
+    return np.count_nonzero(hit, axis=1)
 
 
 def f_epsilon_set(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
@@ -211,7 +207,8 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
     # the 5-dilates are asked in one family call: each flags the atoms it
     # covers and lists the atoms y whose cone below rc must miss the samples;
     # only samples in B(y, rc) can be in that cone, and the ball and the cone
-    # measure |s - y| alike, so those balls are one family too
+    # measure |s - y| alike, so those balls are one family too, and the cone
+    # test of their samples needs no radius
     covered = np.zeros(m.size, dtype=bool)
     near = list(m.balls(centers, 5 * ch_radii))
     owner = np.repeat(np.arange(k), [len(idx) for idx in near])
@@ -219,8 +216,8 @@ def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,
     covered[near] = True
     cone_violations = []
     for j, y_idx, cand in zip(owner, near, sample_index.balls(m.points[near], ch_radii[owner])):
-        if len(cand) and np.any(cone_mask(samples[cand], m.points[y_idx], graph.normal,
-                                          aperture, outer_radius=ch_radii[j])):
+        if len(cand) and next(cone_rows(samples[cand], m.points[y_idx][None],
+                                        graph.normal, aperture))[1].any():
             cone_violations.append((int(j), int(y_idx)))
 
     n = m.dim_param

@@ -25,16 +25,17 @@ one sum per atom in the last bits only, within 1e-13 relative of an exactly
 rounded sum.
 
 A window energy int_lo^hi only reads the profile below hi, so
-``window_energies`` builds each vertex's profile once and reads every window
-off it.  It tests the vertices against the cloud in ``cone_rows``' row
-blocks, one cone test per block of about ``PAIR_BLOCK // 4`` pairs in one
-reused scratch, and then sorts and integrates each row on its own.  A corona
-run does this once per atom for all lattice levels, whose windows
+``window_energies`` builds each atom's profile once and reads every window
+off it.  It tests the atoms against the cloud in ``cone_rows``' row blocks,
+one cone test per block of about ``PAIR_BLOCK // 4`` pairs in one reused
+scratch, and then sorts and integrates each row on its own.  Other exponents
+than p = 1 take their pointwise energies from it, with the one window
+(0, R).  A corona run takes it once for all lattice levels, whose windows
 (eta r(Q), r(Q)/eta) depend only on the level.
 
 Scans over many directions (``bpbe_scan``, ``bme_check``) go through
 ``_direction_energies``: each vertex sorts the atoms within the radius once,
-and each direction only masks that sorted list with ``cone_dist``'s
+and each direction only masks that sorted list with ``cone_rows``'
 arithmetic.  The directions' cumulative masses are cumsums of the weights
 with out-of-cone atoms set to 0.0, which is exact, so every in-cone position
 holds the single-direction value.  Each entry is then the sum of that
@@ -48,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, NumericalError
-from .geometry import (Plane, cone_dist, cone_pairs, cone_rows, lengths, row_blocks,
-                       sample_grassmannian)
+from .errors import InvalidParams, NumericalError
+from .geometry import Plane, cone_pairs, cone_rows, lengths, row_blocks, sample_grassmannian
 from .measure import DiscreteMeasure, sorted_mass
 
 
@@ -70,39 +70,16 @@ class EnergySpec:
     aperture: float
     exponent: float = 1.0
     outer_scale: float = np.inf
-    inner_eta: float = 0.1
 
     def __post_init__(self):
         _check_cone(self.aperture, self.exponent)
         if not self.outer_scale > 0:
             raise InvalidParams("outer scale R must be positive")
-        if not 0 < self.inner_eta < 1:
-            raise InvalidParams("eta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Jump structure of one pointwise energy evaluation."""
-
-    jump_radii: np.ndarray      # sorted distinct distances of in-cone atoms
-    cumulative_mass: np.ndarray
-    contributions: np.ndarray   # per constancy interval, clipped to the window
-    total: float
-    in_cone_count: int
-
-
-def _in_cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
-                   aperture: float, hi: float = np.inf):
-    """Sorted distinct distances of the in-cone atoms closer than ``hi``, the
-    cumulative mass through each, and the number of such atoms."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != points.shape[1:]:
-        raise DimensionMismatch(f"vertex must live in R^{points.shape[1]}")
-    return _jumps(*cone_dist(points, x, direction, aperture, outer_radius=hi), weights)
 
 
 def _jumps(mask: np.ndarray, dist: np.ndarray, weights: np.ndarray):
-    """``_in_cone_jumps``' answer from a cone test's mask and distances."""
+    """The sorted distinct distances of the atoms in ``mask``, the cumulative
+    mass through each, and the number of such atoms."""
     if not mask.any():
         return np.empty(0), np.empty(0), 0
     d, cum = sorted_mass(dist[mask], weights[mask])
@@ -128,36 +105,22 @@ def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
     return contrib, float(np.sum(contrib))
 
 
-def pointwise_energy(m: DiscreteMeasure, x, spec: EnergySpec) -> EnergyBreakdown:
-    """Exact E_p(x, V, alpha, R) with its interval breakdown.
-
-    ``in_cone_count`` counts every in-cone atom, also those beyond R.
-    """
-    radii, cum, count = _in_cone_jumps(m.points, m.weights, x, spec.direction,
-                                       spec.aperture)
-    contrib, total = _step_energy(radii, cum, m.dim_param, spec.exponent,
-                                  0.0, spec.outer_scale)
-    return EnergyBreakdown(radii, cum, contrib, total, count)
-
-
 def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray, np.ndarray]:
     """E_p(x, V, alpha, R) and the in-cone atom count at every atom x.
 
     For p = 1 each value is the layer-cake sum
     n^{-1} sum_{y in K, |y-x| < R} w_y (|y-x|^{-n} - R^{-n}), with no sort,
     over one ``cone_pairs`` sweep (see the module docstring); other exponents
-    take ``pointwise_energy``'s step integral.  Counts include in-cone atoms
-    beyond R, as in ``pointwise_energy``.
+    take ``window_energies``' step integral over the window (0, R).  Counts
+    include in-cone atoms beyond R.
     """
+    if spec.exponent != 1:
+        table, counts = window_energies(m, spec, [(0.0, spec.outer_scale)])
+        return table[:, 0], counts
     energies = np.zeros(m.size)
     counts = np.zeros(m.size, dtype=int)
-    if spec.exponent != 1:
-        for i in range(m.size):
-            bd = pointwise_energy(m, m.points[i], spec)
-            energies[i], counts[i] = bd.total, bd.in_cone_count
-        return energies, counts
     n, R, w = m.dim_param, spec.outer_scale, m.weights
-    tail = 0.0 if np.isinf(R) else R ** -n
+    tail = np.float64(R) ** -n      # in numpy: past the double range it is inf
     for i0, mask, dist in cone_pairs(m.points, spec.direction, spec.aperture):
         rows, width = mask.shape
         counts[i0:i0 + rows] += np.count_nonzero(mask, axis=1)
@@ -179,30 +142,32 @@ def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray
     return energies / n, counts
 
 
-def window_energies(m: DiscreteMeasure, vertex_idx, spec: EnergySpec,
-                    windows) -> np.ndarray:
-    """int_lo^hi (mass(K(x, r)) / r^n)^p dr/r, exact, with one row per vertex
-    x = m.points[i], i in ``vertex_idx``, and one column per (lo, hi).
+def window_energies(m: DiscreteMeasure, spec: EnergySpec,
+                    windows) -> tuple[np.ndarray, np.ndarray]:
+    """int_lo^hi (mass(K(x, r)) / r^n)^p dr/r, exact, with one row per atom
+    x and one column per (lo, hi), and the number of atoms in the cone at
+    each x, over the whole cloud.
 
-    Each vertex's in-cone profile is built once, out to the largest hi; its
+    Each atom's in-cone profile is built once, out to the largest hi; its
     strict ``< hi`` prefix is exactly the profile that hi alone would give,
-    so every entry equals its single-window value bit for bit.  The vertices
+    so every entry equals its single-window value bit for bit.  The atoms
     are tested against the cloud in ``cone_rows``' blocks, one cone test per
-    block; each row is then sorted and integrated on its own, as
-    ``_in_cone_jumps`` does for one vertex.
+    block; each row is then sorted and integrated on its own.
     """
-    out = np.zeros((len(vertex_idx), len(windows)))
+    out = np.zeros((m.size, len(windows)))
+    counts = np.zeros(m.size, dtype=int)
     top = max(hi for _, hi in windows)
     n, p = m.dim_param, spec.exponent
-    vertices = m.points[np.asarray(vertex_idx, dtype=int)]
-    for rows, mask, dist in cone_rows(m.points, vertices, spec.direction,
-                                      spec.aperture, outer_radius=top):
+    for rows, mask, dist in cone_rows(m.points, m.points, spec.direction, spec.aperture):
+        counts[rows] = np.count_nonzero(mask, axis=1)
+        if top < np.inf:
+            mask &= dist < top
         for row in np.flatnonzero(mask.any(axis=1)):
             radii, cum, _ = _jumps(mask[row], dist[row], m.weights)
             for col, (lo, hi) in enumerate(windows):
                 c = np.searchsorted(radii, hi, side="left")
                 out[rows.start + row, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
-    return out
+    return out, counts
 
 
 def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
@@ -211,7 +176,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
     vertex x = m.points[i], i in ``vertex_idx``, and one column per V.
 
     Each vertex sorts its atoms in 0 < |y - x| < radius once; every direction
-    then only masks that sorted list, with ``cone_dist``'s arithmetic, and the
+    then only masks that sorted list, with ``cone_rows``' arithmetic, and the
     directions' step integrals are evaluated together, in ``row_blocks`` of
     directions as wide as the atom list.  Every entry equals the single-direction
     ``_step_energy`` value bit for bit (see the module docstring).
@@ -228,7 +193,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
             continue
         near = near[np.argsort(dist[near], kind="stable")]
         diff, d, w = diff[near], dist[near], m.weights[near]
-        # a one-row product would take another BLAS path than cone_dist's
+        # a one-row product would take another BLAS path than cone_rows'
         operand = diff if k > 1 else np.vstack((diff, diff))
         ext = np.append(d, radius)
         power = ext ** -np_exp
@@ -260,18 +225,6 @@ def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
     for w, e in zip(weights.tolist(), energies.tolist()):
         total += w * e
     return total
-
-
-def cube_energy(lattice, cube, spec: EnergySpec) -> float:
-    """Window energy of a lattice cube, averaged by the cube's own mass:
-
-        (1 / mu(Q)) sum_{x in 2B_Q} w(x) int_{eta r(Q)}^{r(Q)/eta} (...)
-    """
-    cube, m = lattice.resolve(cube), lattice.measure
-    idx = m.ball_indices(cube.center, cube.double_ball_radius)
-    eta = spec.inner_eta
-    e = window_energies(m, idx, spec, [(eta * cube.radius, cube.radius / eta)])
-    return weighted_sum(m.weights[idx], e[:, 0]) / cube.mass
 
 
 def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,

@@ -147,6 +147,8 @@ def generate(spec: GeneratorSpec) -> tuple[DiscreteMeasure, dict]:
         return DiscreteMeasure(pts, np.full(count, 1.0 / count), 1), meta
 
     if spec.kind == "variable_cantor":
+        if "ratios" not in p:
+            raise InvalidSpec("variable_cantor needs its contraction ratios")
         ratios = [float(r) for r in p["ratios"]]
         generation = int(p.get("generation", len(ratios)))
         if generation > len(ratios):

@@ -1,9 +1,9 @@
 """Planes, the strict cone test, pairwise distances, and Grassmannian sampling.
 
 A ``Plane`` is a linear subspace of R^d stored as an orthonormal basis.  The
-cone K(x, V, alpha) is the open set {y : dist(y, V+x) < alpha |x-y|},
-optionally truncated to inner/outer radii.  All membership tests use strict
-inequalities, so boundary points and the vertex itself are outside.
+cone K(x, V, alpha) is the open set {y : dist(y, V+x) < alpha |x-y|}.  The
+test is strict, so boundary points are outside, and so is the vertex itself:
+|P_{V^perp}(y-x)| >= 0, so a point in the cone has |y - x| > 0.
 
 Tie rule: every length |y - x| in the package is the root of the squares of
 the coordinates of y - x summed in coordinate order (``lengths``,
@@ -28,12 +28,12 @@ Pair blocks: a kernel that compares rows with ``width`` columns pair by pair
 distance and direction table) takes ``row_blocks``' slices of
 ``PAIR_BLOCK // width`` rows, and the SIO operator square tiles of
 ``PAIR_BLOCK // 4`` pairs, so the scratch stays near ``PAIR_BLOCK`` pairs
-whatever the cloud's size; ``pair_extremes`` and ``distance_extremes`` have
-scipy ``cdist``'s bits.  ``SortedIndex`` answers a family of open balls, or of
-nearest-distance queries, in ``count_blocks``: consecutive queries whose
-candidate runs hold about ``PAIR_BLOCK`` rows together.  Per-pair values do
-not depend on the block, and each kernel reduces them by max, min or argmin
-or writes them in place, so its output does not either.
+whatever the cloud's size; ``pair_extremes`` has scipy ``cdist``'s bits.
+``SortedIndex`` answers a family of open balls, or of nearest-distance
+queries, in ``count_blocks``: consecutive queries whose candidate runs hold
+about ``PAIR_BLOCK`` rows together.  Per-pair values do not depend on the
+block, and each kernel reduces them by max, min or argmin or writes them in
+place, so its output does not either.
 
 The whole-cloud sweep ``cone_pairs`` works in row strips: rows [i0, i1)
 against the columns (i0, N), with ``max(1, (PAIR_BLOCK // 4) // (N - 1 - i0))``
@@ -199,12 +199,16 @@ def square_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pair_extremes(pts: np.ndarray) -> tuple[float, float, float]:
-    """``distance_extremes`` with the smallest distance between two rows in
-    front: 0.0 when two rows coincide, else the smallest positive distance.
+    """The smallest distance between two rows of ``pts``, the smallest
+    positive one and the largest one: the first is 0.0 when two rows
+    coincide, and the last two are (inf, 0.0) when all rows do.
 
-    In the pass's blocks each pair i < j appears as (i, j) and, when both
-    rows are in the block, as (j, i), with the same bits; the pairs i = i
-    give one zero per row, so a further zero means two rows coincide.
+    One pass over the pairs in ``row_blocks`` keeps the smallest positive and
+    the largest square, and takes one root of each at the end; the root is
+    monotone, so these are the bits of the extreme distances.  In the pass's
+    blocks each pair i < j appears as (i, j) and, when both rows are in the
+    block, as (j, i), with the same bits; the pairs i = i give one zero per
+    row, so a further zero means two rows coincide.
     """
     n = len(pts)
     coords = np.ascontiguousarray(pts.T)
@@ -218,17 +222,6 @@ def pair_extremes(pts: np.ndarray) -> tuple[float, float, float]:
         lo = min(lo, float(sq.min()))
     lo = math.sqrt(lo)
     return 0.0 if tied else lo, lo, math.sqrt(hi)
-
-
-def distance_extremes(pts: np.ndarray) -> tuple[float, float]:
-    """The smallest positive and the largest distance between the rows of
-    ``pts``: (inf, 0.0) when all rows coincide.
-
-    One pass over the pairs i <= j in ``row_blocks`` keeps the smallest
-    positive and the largest square, and takes one root of each at the end;
-    the root is monotone, so these are the bits of the extreme distances.
-    """
-    return pair_extremes(pts)[1:]
 
 
 # half-width of a run's widening, relative to max(|x|, r): a few ulps
@@ -333,7 +326,7 @@ class _ConeWork:
     """Scratch of the strict cone test for up to ``size`` differences in R^d
     against an m-plane: the differences coordinate by coordinate, their
     stacked (size, d) block and its plane coordinates, the distances, the
-    perpendicular lengths, a temporary and two masks.  A sweep reuses one, so
+    perpendicular lengths, a temporary and the mask.  A sweep reuses one, so
     its strips' cone tests allocate no pair-sized array."""
 
     def __init__(self, size: int, d: int, m: int):
@@ -342,16 +335,16 @@ class _ConeWork:
         self.block = np.empty((max(size, 2), d))
         self.coef = np.empty((max(size, 2), m))
         self.dist, self.perp, self.tmp = np.empty((3, size))
-        self.mask, self.flag = np.empty((2, size), dtype=bool)
+        self.mask = np.empty(size, dtype=bool)
 
 
-def _cone_test(work: _ConeWork, shape: tuple, direction: Plane, aperture: float,
-               inner_radius: float,
-               outer_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one cone arithmetic of ``cone_dist`` and ``cone_pairs``: the mask
-    and the distances, of ``shape``, for the differences y - x held in
-    ``work.diff``, coordinate by coordinate, both lengths in ``lengths``'
-    arithmetic.  The results are views of ``work``."""
+def _cone_test(work: _ConeWork, shape: tuple, direction: Plane,
+               aperture: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one cone arithmetic of ``cone_rows`` and ``cone_pairs``: the mask
+    of |P_{V^perp}(y-x)| < alpha |y-x| and the distances |y-x|, of ``shape``,
+    for the differences y - x held in ``work.diff``, coordinate by
+    coordinate, both lengths in ``lengths``' arithmetic.  The results are
+    views of ``work``."""
     size = math.prod(shape)
     flat = work.diff[:, :size]
     diff = flat.reshape(-1, *shape)
@@ -379,36 +372,19 @@ def _cone_test(work: _ConeWork, shape: tuple, direction: Plane, aperture: float,
         else:
             perp += np.multiply(tmp, tmp, out=tmp)
     np.sqrt(perp, out=perp)
-    mask, flag = (a[:size].reshape(shape) for a in (work.mask, work.flag))
+    mask = work.mask[:size].reshape(shape)
     np.less(perp, np.multiply(dist, aperture, out=tmp), out=mask)
-    mask &= np.greater(dist, inner_radius, out=flag)
-    mask &= np.less(dist, outer_radius, out=flag)
     return mask, dist
 
 
-def cone_dist(points: np.ndarray, vertex: np.ndarray, direction: Plane,
-              aperture: float, inner_radius: float = 0.0,
-              outer_radius: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized strict cone membership for an (N, d) array of points, with
-    the distance |y - x| of every point; boundary ties stay outside (see the
-    module docstring).  ``cone_rows`` gives the same rows for many vertices."""
-    pts = np.asarray(points, dtype=float)
-    x = np.asarray(vertex, dtype=float)
-    if pts.shape[1] != x.shape[0] or x.shape[0] != direction.ambient_dim:
-        raise DimensionMismatch("points/vertex/plane dimensions differ")
-    work = _ConeWork(len(pts), len(x), direction.dim)
-    np.subtract(pts.T, x[:, None], out=work.diff)
-    return _cone_test(work, (len(pts),), direction, aperture, inner_radius, outer_radius)
-
-
 def cone_rows(points: np.ndarray, vertices: np.ndarray, direction: Plane,
-              aperture: float, inner_radius: float = 0.0,
-              outer_radius: float = np.inf
-              ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+              aperture: float) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """The strict cone relation of every vertex with every point, in row
     blocks of about ``PAIR_BLOCK // 4`` pairs: a block ``(rows, mask, dist)``
-    holds ``cone_dist(points, vertices[i], ...)`` in row i - rows.start of
-    its (len, N) arrays, which are scratch that the next block overwrites."""
+    holds, in row i - rows.start of its (len, N) arrays, the mask of the
+    points in the cone at vertices[i] and their distances from it (see the
+    module docstring).  Both arrays are scratch that the next block
+    overwrites."""
     pts = np.asarray(points, dtype=float)
     xs = np.asarray(vertices, dtype=float)
     if pts.ndim != 2 or xs.ndim != 2 or not pts.shape[1] == xs.shape[1] == direction.ambient_dim:
@@ -422,8 +398,7 @@ def cone_rows(points: np.ndarray, vertices: np.ndarray, direction: Plane,
         k = rows.stop - lo
         np.subtract(coords[:, None, :], xs[rows].T[:, :, None],
                     out=work.diff[:, :k * n].reshape(d, k, n))
-        yield (rows, *_cone_test(work, (k, n), direction, aperture, inner_radius,
-                                 outer_radius))
+        yield (rows, *_cone_test(work, (k, n), direction, aperture))
 
 
 def cone_pairs(points: np.ndarray, direction: Plane,
@@ -432,7 +407,7 @@ def cone_pairs(points: np.ndarray, direction: Plane,
     strips (see the module docstring).  A strip ``(i0, mask, dist)`` pairs
     the rows i0 <= i < i0 + len(mask) with the columns j = i0 + 1 + c of
     (i0, N): ``dist[r, c]`` is |x_j - x_i|, and ``mask[r, c]`` is
-    ``cone_dist``'s bit for the pair (i, j) where j > i and False where
+    ``cone_rows``' bit for the pair (i, j) where j > i and False where
     j <= i.  By the tie rule's symmetry that bit is also the pair's seen from
     x_j.  Both arrays are scratch that the next strip overwrites."""
     pts = np.asarray(points, dtype=float)
@@ -449,18 +424,11 @@ def cone_pairs(points: np.ndarray, direction: Plane,
         rows = i1 - i0
         np.subtract(coords[:, None, i0 + 1:], coords[:, i0:i1, None],
                     out=work.diff[:, :rows * width].reshape(d, rows, width))
-        mask, dist = _cone_test(work, (rows, width), direction, aperture, 0.0, np.inf)
+        mask, dist = _cone_test(work, (rows, width), direction, aperture)
         for r in range(1, rows):
             mask[r, :r] = False         # the pairs j <= i
         yield i0, mask, dist
         i0 = i1
-
-
-def cone_mask(points: np.ndarray, vertex: np.ndarray, direction: Plane,
-              aperture: float, inner_radius: float = 0.0,
-              outer_radius: float = np.inf) -> np.ndarray:
-    """The membership mask of ``cone_dist``."""
-    return cone_dist(points, vertex, direction, aperture, inner_radius, outer_radius)[0]
 
 
 def parse_plane(text: str) -> Plane:

@@ -82,10 +82,6 @@ class LipschitzGraph:
     def ambient_anchors(self) -> np.ndarray:
         return self.base.embed(self.anchors_base) + self.normal.embed(self.anchors_value)
 
-    def embed(self, zcoords: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(zcoords, dtype=float))
-        return self.base.embed(z) + self.normal.embed(np.atleast_2d(self.evaluate(z)))
-
     def vertical_distance(self, points: np.ndarray) -> np.ndarray:
         """|pi_V(x) - F(pi_perp(x))| per point; an upper bound on dist(x, graph)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

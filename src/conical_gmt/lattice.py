@@ -239,7 +239,7 @@ def doubling_flags(lattice: Lattice) -> Lattice:
     """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict, its
     mass mu(Q), and whether B(Q)'s atoms all lie in Q.  Each level asks its
     B(Q) in one call and its 100 B(Q) in another; a ball's mass is the sum
-    of its sorted atoms' weights, as ``ball_mass`` takes it."""
+    of its sorted atoms' weights, as ``corona._Ctx.ask`` takes it."""
     m = lattice.measure
     w = m.weights
     for ids in lattice.levels:

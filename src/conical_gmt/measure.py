@@ -137,17 +137,6 @@ class DiscreteMeasure:
         return lengths(self.points - self._check_point(x))
 
 
-def ball_mass(m: DiscreteMeasure, x, r: float) -> float:
-    """Mass of the open ball B(x, r)."""
-    idx = m.ball_indices(x, r)
-    return float(np.sum(m.weights[idx]))
-
-
-def theta(m: DiscreteMeasure, x, r: float) -> float:
-    """Normalized density Theta(x, r) = mu(B(x, r)) / r^n."""
-    return ball_mass(m, x, r) / r ** m.dim_param
-
-
 def sorted_mass(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances in ascending (stable) order with the cumulative weight
     through each position."""

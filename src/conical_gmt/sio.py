@@ -113,11 +113,11 @@ class TruncationGrid:
     def log_spaced(m: DiscreteMeasure, count: int = 64) -> "TruncationGrid":
         """``count`` geometric radii from the smallest distance between
         distinct atom locations to the diameter, both from one pass of
-        ``geometry.distance_extremes``; ``[1.]`` when the two are equal or
+        ``geometry.pair_extremes``; ``[1.]`` when the two are equal or
         every atom sits at one point."""
         if count < 1:
             raise InvalidParams("a log-spaced grid needs at least one radius")
-        lo, hi = geometry.distance_extremes(m.points)
+        _, lo, hi = geometry.pair_extremes(m.points)
         if not lo < hi:
             return TruncationGrid(np.array([1.0]))
         return TruncationGrid(np.geomspace(lo, hi, count))

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conical_gmt.energy import _in_cone_jumps, _step_energy
+from conical_gmt.energy import _jumps, _step_energy
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (Plane, cone_dist, cone_mask, lengths, make_plane,
-                                  sample_grassmannian)
+from conical_gmt.geometry import Plane, cone_rows, lengths, make_plane, sample_grassmannian
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.measure import DiscreteMeasure, sorted_mass
 
@@ -89,6 +88,12 @@ def coordinate_order_lengths(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def ball_mass(m: DiscreteMeasure, x, r: float) -> float:
+    """mu(B(x, r)) from the package's open-ball query: numpy's sum of the
+    weights of ``ball_indices``, in index order."""
+    return float(np.sum(m.weights[m.ball_indices(x, r)]))
+
+
 def brute_ball_mass(m: DiscreteMeasure, x, r: float) -> float:
     d = np.linalg.norm(m.points - np.asarray(x, float)[None, :], axis=1)
     return float(np.sum(m.weights[d < r]))
@@ -152,7 +157,7 @@ def riesz_cone_sum(m: DiscreteMeasure, x, direction: Plane, aperture: float) -> 
     """Oracle: n^{-1} sum over the in-cone atoms of w / |x - y|^n, the p = 1,
     R = infinity energy by the layer-cake identity, as a direct sum."""
     x = np.asarray(x, dtype=float)
-    mask = cone_mask(m.points, x, direction, aperture)
+    mask = cone_row(m.points, x, direction, aperture)[0]
     if not np.any(mask):
         return 0.0
     n = m.dim_param
@@ -329,12 +334,39 @@ def _profile_clouds() -> list:
     return clouds
 
 
+def cone_row(points: np.ndarray, x, direction: Plane,
+             aperture: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cone relation of one vertex x with every point, (mask, dist): the
+    single row of ``cone_rows``, copied out of its scratch."""
+    _, mask, dist = next(cone_rows(points, np.asarray(x, dtype=float)[None],
+                                   direction, aperture))
+    return mask[0].copy(), dist[0].copy()
+
+
+def cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,
+               aperture: float, hi: float = np.inf):
+    """The sorted distinct distances of the in-cone atoms closer than hi, the
+    cumulative mass through each, and the number of such atoms: ``_jumps``
+    of ``cone_row``."""
+    mask, dist = cone_row(points, x, direction, aperture)
+    mask &= dist < hi
+    return _jumps(mask, dist, weights)
+
+
 def _cone_energy(points: np.ndarray, weights: np.ndarray, x, direction,
                  aperture: float, n: int, p: float, lo: float, hi: float) -> float:
     """Oracle: int_lo^hi (mass(K(x, r)) / r^n)^p dr/r for one vertex and one
-    direction, from a full-cloud cone test, a sort and the step integral."""
-    radii, cum, _ = _in_cone_jumps(points, weights, x, direction, aperture, hi)
+    direction, from a full-cloud cone test, a sort and the step integral of
+    the profile's strict ``< hi`` prefix."""
+    radii, cum, _ = cone_jumps(points, weights, x, direction, aperture, hi)
     return _step_energy(radii, cum, n, p, lo, hi)[1]
+
+
+def point_energy(m: DiscreteMeasure, x, spec) -> float:
+    """E_p(x, V, alpha, R) at one vertex x, anywhere: ``_cone_energy`` over
+    (0, R)."""
+    return _cone_energy(m.points, m.weights, x, spec.direction, spec.aperture,
+                        m.dim_param, spec.exponent, 0.0, spec.outer_scale)
 
 
 def _shell_index(t: float) -> int:
@@ -352,7 +384,7 @@ def theta_m_oracle(points: np.ndarray, direction, theta: float) -> np.ndarray:
     every atom and a set of scalar shell indices."""
     counts = np.zeros(len(points), dtype=int)
     for i, x in enumerate(points):
-        mask, dist = cone_dist(points, x, direction, theta)
+        mask, dist = cone_row(points, x, direction, theta)
         counts[i] = len({_shell_index(t) for t in dist[mask]})
     return counts
 
@@ -368,7 +400,7 @@ def pointwise_energies_row_loop(m: DiscreteMeasure, spec) -> tuple[np.ndarray, n
     energies = np.zeros(m.size)
     counts = np.zeros(m.size, dtype=int)
     for i in range(m.size - 1):
-        mask, dist = cone_dist(m.points[i + 1:], m.points[i], spec.direction, spec.aperture)
+        mask, dist = cone_row(m.points[i + 1:], m.points[i], spec.direction, spec.aperture)
         counts[i] += np.count_nonzero(mask)
         counts[i + 1:] += mask
         near = np.flatnonzero(mask & (dist < R))
@@ -386,7 +418,7 @@ def separation_oracle(points: np.ndarray, direction, aperture: float) -> list:
     upper triangle, without padding the last one-partner row."""
     out = []
     for i in range(len(points) - 1):
-        bad = np.nonzero(cone_mask(points[i + 1:], points[i], direction, aperture / 2))[0]
+        bad = np.nonzero(cone_row(points[i + 1:], points[i], direction, aperture / 2)[0])[0]
         out.extend((i, i + 1 + int(b)) for b in bad)
     return out
 

@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (cone_outside_tube_check, graph_through, random_cloud,
+from conftest import (cone_outside_tube_check, graph_through, point_energy, random_cloud,
                       riesz_cone_sum, truncated_transform)
 
 from conical_gmt.corona import CoronaParams, build_top, verify_corona
 from conical_gmt.diagnostics import (beta2, f_epsilon_set, necessary_bplg_cover,
                                      theta_m_property)
-from conical_gmt.energy import EnergySpec, pointwise_energy
+from conical_gmt.energy import EnergySpec
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane, sample_grassmannian
 from conical_gmt.lattice import build_lattice, natural_depth
@@ -41,7 +41,7 @@ def test_criterion_1_layer_cake_identity():
         v = sample_grassmannian(2, 1, 1, seed=seed)[0]
         spec = EnergySpec(v, 0.7, 1.0, np.inf)
         for i in range(m.size):
-            lhs = pointwise_energy(m, m.points[i], spec).total
+            lhs = point_energy(m, m.points[i], spec)
             rhs = riesz_cone_sum(m, m.points[i], v, 0.7)
             if rhs == 0.0:
                 assert lhs == 0.0
@@ -60,15 +60,14 @@ def test_criterion_2_cone_avoidance():
                                       {"count": 2000, "lipschitz": lip}))
         spec = EnergySpec(V_AXIS, alpha, 1.0, np.inf)
         for i in range(m.size):
-            assert pointwise_energy(m, m.points[i], spec).total == 0.0
+            assert point_energy(m, m.points[i], spec) == 0.0
             checked += 1
     elapsed = time.perf_counter() - t0
     report(2, True, f"{checked} sample points exactly zero", elapsed, 5.0)
 
 
 def _mean_energy(m: DiscreteMeasure, spec: EnergySpec) -> float:
-    return float(np.mean([pointwise_energy(m, m.points[i], spec).total
-                          for i in range(m.size)]))
+    return float(np.mean([point_energy(m, m.points[i], spec) for i in range(m.size)]))
 
 
 @pytest.mark.slow
@@ -254,7 +253,7 @@ def test_criterion_7_cone_outside_tube_fuzz():
 def test_criterion_8_theta_m_and_f_eps():
     t0 = time.perf_counter()
     line, _ = generate(GeneratorSpec("segment", {"count": 400}))
-    assert theta_m_property(line.points, V_AXIS, 0.9) == 0
+    assert theta_m_property(line.points, V_AXIS, 0.9).max() == 0
     assert len(f_epsilon_set(line, 0.5)) == 0
 
     def brute_count(pts, basis, theta, i):
@@ -277,8 +276,8 @@ def test_criterion_8_theta_m_and_f_eps():
     for seed in range(20):
         m = random_cloud(seed, 40)
         v = make_plane([[1.0, 0.4]])
-        _, c_small = theta_m_property(m.points, v, 0.35, per_point=True)
-        _, c_big = theta_m_property(m.points, v, 0.75, per_point=True)
+        c_small = theta_m_property(m.points, v, 0.35)
+        c_big = theta_m_property(m.points, v, 0.75)
         assert np.all(c_small <= c_big)
         for i in range(m.size):
             assert c_big[i] == brute_count(m.points, v.basis, 0.75, i)

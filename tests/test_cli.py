@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import graph_through
+from conftest import cone_row, graph_through, point_energy
 
 import conical_gmt
 from conical_gmt import diagnostics
@@ -63,7 +63,7 @@ def test_energy_subcommand_wiring(tmp_path):
 
 
 def test_energy_per_point_csv_matches_pointwise_energy(tmp_path):
-    from conical_gmt.energy import EnergySpec, pointwise_energy
+    from conical_gmt.energy import EnergySpec
     from conical_gmt.geometry import make_plane
 
     pts = tmp_path / "c4.csv"
@@ -79,9 +79,10 @@ def test_energy_per_point_csv_matches_pointwise_energy(tmp_path):
     spec = EnergySpec(make_plane([[0.0, 1.0]]), 0.8)
     assert [int(r["index"]) for r in rows] == list(range(m.size))
     for i, row in enumerate(rows):
-        bd = pointwise_energy(m, m.points[i], spec)
-        assert int(row["in_cone_count"]) == bd.in_cone_count
-        assert float(row["energy"]) == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+        assert int(row["in_cone_count"]) == np.count_nonzero(
+            cone_row(m.points, m.points[i], spec.direction, spec.aperture)[0])
+        assert float(row["energy"]) == pytest.approx(point_energy(m, m.points[i], spec),
+                                                     rel=1e-12, abs=0.0)
 
 
 def test_missing_points_file_exit_2(tmp_path, capsys):
@@ -605,12 +606,14 @@ SCAN = ["scan-bpbe", "--n", "1", "--alpha", "0.8", "--M0", "1", "--kappa", "0.5"
      2, "error:"),
     (["gen", "--type", "segment", "--count", "10", "--seed", "1", "--jitter", "-1"],
      2, "error:"),
+    (["gen", "--type", "variable_cantor", "--generation", "3"], 2, "error:"),
     (ENERGY + ["--p", "inf", "--plane", "0,1", "--R", "1"], 2, "error:"),
     (SCAN + ["--seed", "1", "--p", "inf"], 2, "error:"),
     (ENERGY + ["--p", "1e308", "--plane", "0,1", "--R", "1"], 3, "numerical failure:"),
     (SCAN + ["--seed", "1", "--p", "1e308"], 3, "numerical failure:"),
 ], ids=["energy-plane-nan", "scan-pin-plane-nan", "energy-R-text", "scan-seed-negative",
-        "gen-seed-negative", "gen-jitter-nan", "gen-jitter-negative", "energy-p-inf",
+        "gen-seed-negative", "gen-jitter-nan", "gen-jitter-negative",
+        "gen-variable-cantor-no-ratios", "energy-p-inf",
         "scan-p-inf", "energy-p-overflow", "scan-p-overflow"])
 def test_bad_input_exits_with_one_message(tmp_path, cantor4, capsys, argv, code, prefix):
     # each was a traceback (exit 1), or exit 0 with an unjittered cloud or a
@@ -625,6 +628,17 @@ def test_bad_input_exits_with_one_message(tmp_path, cantor4, capsys, argv, code,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_energy_below_every_distance_is_zero(tmp_path, cantor4, capsys, p):
+    # R = 1e-320 is below every distance, and R^-n passes the double range;
+    # the p = 1 sweep took that power on a Python float, an OverflowError
+    out = tmp_path / "e.json"
+    assert run(ENERGY + ["--p", p, "--plane", "0,1", "--R", "1e-320",
+                         "--points", cantor4, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["total_energy"] == 0.0
 
 
 @pytest.mark.parametrize("params", [["--type", "four_corner_cantor", "--generation", "40"],

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import SWEEP_CASES, _cone_energy, graph_through, separation_oracle
+from conftest import (SWEEP_CASES, _cone_energy, ball_mass, cone_row, graph_through,
+                      separation_oracle)
 
 from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
                                 separated_families, stopping_decomposition,
@@ -11,10 +12,10 @@ from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
 from conical_gmt.energy import pointwise_energies, weighted_sum, window_energies
 from conical_gmt.errors import InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import cone_mask, lengths, make_plane
+from conical_gmt.geometry import lengths, make_plane
 from conical_gmt.graphs import cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
-from conical_gmt.measure import DiscreteMeasure, ball_mass
+from conical_gmt.measure import DiscreteMeasure
 
 V_AXIS = make_plane([[0.0, 1.0]])
 
@@ -41,6 +42,9 @@ def test_params_validation():
         CoronaParams(plane=V_AXIS, aperture=0.8, density_high=0.5)
     with pytest.raises(InvalidParams):
         CoronaParams(plane=V_AXIS, aperture=0.8, sep_const=1.0)
+    for eta in (0.0, 1.0):
+        with pytest.raises(InvalidParams):
+            CoronaParams(plane=V_AXIS, aperture=0.8, eta=eta)
     p = default_params()
     assert p.key_const == pytest.approx(4.0 / 0.8)
     assert p.sep_const > p.key_const
@@ -120,7 +124,7 @@ def key_cone_exclusion(lattice, q, p, params: CoronaParams) -> bool:
     target = pp[lengths(pp - q.center) >= mm * q.ball_radius]
     if len(target) == 0:
         return False
-    return any(np.any(cone_mask(target, x, params.plane, params.aperture / 2.0))
+    return any(np.any(cone_row(target, x, params.plane, params.aperture / 2.0)[0])
                for x in qp)
 
 
@@ -367,13 +371,25 @@ def test_stop_maximality_and_relabel_idempotence():
                 assert anc.id not in stop
 
 
+def cube_energy_oracle(lat, q, params) -> float:
+    """Oracle: (1 / mu(Q)) sum_{x in 2B_Q} w(x) int_{eta r(Q)}^{r(Q)/eta} (...),
+    one vertex at a time, summed left to right."""
+    spec, nm, eta = params.spec, lat.measure, params.eta
+    lo, hi = eta * q.radius, q.radius / eta
+    total = 0.0
+    for i in nm.ball_indices(q.center, 2.0 * q.ball_radius):
+        total += nm.weights[i] * _cone_energy(
+            nm.points, nm.weights, nm.points[i], spec.direction,
+            spec.aperture, nm.dim_param, spec.exponent, lo, hi)
+    return total / float(np.sum(nm.weights[q.members]))
+
+
 def test_energy_control_recheck():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + 1)
     params = default_params()
     res = build_top(lat, params)
-    from conical_gmt.energy import cube_energy
-    spec = params.spec
+    energies = {}
     for tree in res.trees[:10]:
         theta_r = tree.root_theta
         bound = params.energy_stop * theta_r ** params.exponent
@@ -384,7 +400,9 @@ def test_energy_control_recheck():
             # independent chain recomputation
             total, cur = 0.0, lat.cubes[cid]
             while True:
-                total += cube_energy(lat, cur, spec)
+                if cur.id not in energies:
+                    energies[cur.id] = cube_energy_oracle(lat, cur, params)
+                total += energies[cur.id]
                 if cur.id == tree.root_id:
                     break
                 cur = lat.cubes[cur.parent]
@@ -402,23 +420,16 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
     m, _ = generate(gen)
     lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
     params = CoronaParams(plane=make_plane(plane), aperture=0.8)
-    spec = params.spec
-    nm, eta = lat.measure, params.eta
     ctx = _Ctx(lat, params)
     nonzero = 0
     for q in lat.cubes:
-        lo, hi = eta * q.radius, q.radius / eta
-        want = 0.0
-        for i in nm.ball_indices(q.center, 2.0 * q.ball_radius):
-            want += nm.weights[i] * _cone_energy(
-                nm.points, nm.weights, nm.points[i], spec.direction,
-                spec.aperture, nm.dim_param, spec.exponent, lo, hi)
-        want /= float(np.sum(nm.weights[q.members]))
+        want = cube_energy_oracle(lat, q, params)
         assert ctx.cube_energy(q) == want
         nonzero += want > 0
     assert nonzero > 0
     res = build_top(lat, params)
-    whole = window_energies(nm, np.arange(nm.size), spec, [(0.0, spec.outer_scale)])
+    nm = lat.measure
+    whole = window_energies(nm, params.spec, [(0.0, np.inf)])[0]
     assert res.ledger["total_energy"] == weighted_sum(nm.weights, whole[:, 0])
 
 

@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from conftest import (PROFILE_CLOUDS, SWEEP_CASES, _shell_index, cone_outside_tube_check,
                       f_epsilon_candidates, graph_through, hausdorff_plane_sections,
-                      random_cloud, theta_m_oracle)
+                      cone_row, random_cloud, theta_m_oracle)
 
 from conical_gmt import diagnostics
 
@@ -15,7 +15,7 @@ from conical_gmt.diagnostics import (_shell_indices, beta2, beta_square_function
                                      theta_m_property)
 from conical_gmt.errors import EmptyBall, GraphAmbientMismatch
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import Plane, cone_mask, make_plane
+from conical_gmt.geometry import Plane, make_plane
 from conical_gmt.graphs import LipschitzGraph
 from conical_gmt.measure import DiscreteMeasure
 
@@ -147,9 +147,9 @@ def conical_density_profile(m: DiscreteMeasure, x, tangent: Plane, aperture: flo
     of scales; with a dimensional constant ``epsilon_n`` and an upper-density
     surrogate, the finest value is also compared with the threshold
     alpha^n epsilon_n upper_density."""
-    direction = tangent.complement()
-    vals = [float(np.sum(m.weights[cone_mask(m.points, x, direction, aperture, 0.0, r)]))
-            / r ** m.dim_param for r in scale_grid]
+    mask, dist = cone_row(m.points, x, tangent.complement(), aperture)
+    vals = [float(np.sum(m.weights[mask & (dist < r)])) / r ** m.dim_param
+            for r in scale_grid]
     ratio = vals[-1] / vals[0] if vals[0] > 0 else 0.0
     out = {"values": vals, "last_over_first": ratio}
     if epsilon_n is not None and upper_density is not None:
@@ -286,22 +286,21 @@ def brute_shell_count(pts, basis, theta, i):
 
 def test_theta_m_line_zero():
     m, _ = generate(GeneratorSpec("segment", {"count": 100}))
-    assert theta_m_property(m.points, V_AXIS, 0.9) == 0
+    assert theta_m_property(m.points, V_AXIS, 0.9).max() == 0
 
 
 def test_theta_m_two_point_construction():
     pts = np.array([[0.0, 0.0], [0.0, 1.5]])
     # |diff| = 1.5 lies in the shell [1, 2) = j index 0
-    assert theta_m_property(pts, V_AXIS, 0.5) == 1
+    assert theta_m_property(pts, V_AXIS, 0.5).tolist() == [1, 1]
 
 
 def test_theta_m_matches_brute_force():
     m = random_cloud(23, 60)
     v = make_plane([[0.3, 1.0]])
-    maxc, counts = theta_m_property(m.points, v, 0.6, per_point=True)
+    counts = theta_m_property(m.points, v, 0.6)
     for i in range(m.size):
         assert counts[i] == brute_shell_count(m.points, v.basis, 0.6, i)
-    assert maxc == counts.max()
 
 
 def test_shell_indices_equal_scalar_search():
@@ -315,18 +314,16 @@ def test_shell_indices_equal_scalar_search():
 
 @pytest.mark.parametrize("m, direction, theta", SWEEP_CASES)
 def test_theta_m_equals_per_atom_shell_sets(m, direction, theta):
-    maxc, counts = theta_m_property(m.points, direction, theta, per_point=True)
-    want = theta_m_oracle(m.points, direction, theta)
-    assert counts.tolist() == want.tolist()
-    assert maxc == int(want.max(initial=0))
+    counts = theta_m_property(m.points, direction, theta)
+    assert counts.tolist() == theta_m_oracle(m.points, direction, theta).tolist()
 
 
 def test_theta_m_per_shell_monotone_in_theta():
     for seed in range(8):
         m = random_cloud(seed, 40)
         v = make_plane([[1.0, 0.5]])
-        _, c1 = theta_m_property(m.points, v, 0.3, per_point=True)
-        _, c2 = theta_m_property(m.points, v, 0.7, per_point=True)
+        c1 = theta_m_property(m.points, v, 0.3)
+        c2 = theta_m_property(m.points, v, 0.7)
         assert np.all(c1 <= c2)
 
 
@@ -491,9 +488,10 @@ def test_cover_coverage_and_cone_voids_equal_unfiltered_loop(case, aperture):
         c, rc = m.points[off[t]], radii[t]
         near = np.flatnonzero(np.linalg.norm(m.points - c[None, :], axis=1) < 5 * rc)
         covered[near] = True
-        voids += [(j, int(y)) for y in near
-                  if np.any(cone_mask(samples, m.points[y], graph.normal, rep["aperture"],
-                                      outer_radius=rc))]
+        for y in near:
+            mask, dist = cone_row(samples, m.points[y], graph.normal, rep["aperture"])
+            if np.any(mask & (dist < rc)):
+                voids.append((j, int(y)))
     assert rep["chosen_balls"] == len(chosen) > 1
     assert rep["all_covered"] == bool(np.all(covered[off]))
     assert rep["cone_violations"] == voids == []

@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import (SWEEP_CASES, _cone_energy, mixture_cloud, plane_metric,
-                      pointwise_energies_row_loop, random_cloud, riesz_cone_sum)
+from conftest import (SWEEP_CASES, _cone_energy, cone_jumps, cone_row, mixture_cloud,
+                      plane_metric, point_energy, pointwise_energies_row_loop, random_cloud,
+                      riesz_cone_sum)
 
 from conical_gmt import energy
-from conical_gmt.energy import (EnergySpec, _direction_energies, _in_cone_jumps,
-                                bme_check, bpbe_scan, cube_energy,
-                                pointwise_energies, pointwise_energy,
-                                weighted_sum, window_energies)
+from conical_gmt.corona import CoronaParams, _Ctx
+from conical_gmt.energy import (EnergySpec, _direction_energies, _step_energy, bme_check,
+                                bpbe_scan, pointwise_energies, weighted_sum, window_energies)
 from conical_gmt.errors import InvalidParams
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (Plane, cone_dist, cone_mask, make_plane,
-                                  sample_grassmannian)
+from conical_gmt.geometry import Plane, make_plane, sample_grassmannian
 from conical_gmt.lattice import build_lattice
 from conical_gmt.measure import DiscreteMeasure
 
@@ -26,7 +25,7 @@ V_AXIS = make_plane([[0.0, 1.0]])
 
 def quad_energy(m: DiscreteMeasure, x, direction, alpha, p, lo, hi) -> float:
     """Numeric-quadrature oracle for the multiscale cone integral."""
-    mask = cone_mask(m.points, np.asarray(x, float), direction, alpha)
+    mask = cone_row(m.points, x, direction, alpha)[0]
     d = np.linalg.norm(m.points[mask] - np.asarray(x, float)[None, :], axis=1)
     w = m.weights[mask]
     n = m.dim_param
@@ -54,25 +53,25 @@ def test_single_atom_energy_p1():
     # oracle: quadrature of the step integrand; analytic value 1.0
     m = atom_at((0.0, 0.5))
     spec = EnergySpec(V_AXIS, 0.8, 1.0, 1.0)
-    bd = pointwise_energy(m, np.zeros(2), spec)
-    assert bd.total == pytest.approx(1.0, abs=1e-12)
-    assert quad_energy(m, np.zeros(2), V_AXIS, 0.8, 1.0, 0.0, 1.0) == pytest.approx(bd.total, abs=1e-9)
-    assert bd.in_cone_count == 1
+    total = point_energy(m, np.zeros(2), spec)
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert quad_energy(m, np.zeros(2), V_AXIS, 0.8, 1.0, 0.0, 1.0) == pytest.approx(total, abs=1e-9)
+    assert cone_jumps(m.points, m.weights, np.zeros(2), V_AXIS, 0.8)[2] == 1
 
 
 def test_single_atom_energy_p2():
     m = atom_at((0.0, 0.5))
     spec = EnergySpec(V_AXIS, 0.8, 2.0, 1.0)
-    bd = pointwise_energy(m, np.zeros(2), spec)
-    assert bd.total == pytest.approx(1.5, abs=1e-12)
-    assert quad_energy(m, np.zeros(2), V_AXIS, 0.8, 2.0, 0.0, 1.0) == pytest.approx(bd.total, abs=1e-9)
+    total = point_energy(m, np.zeros(2), spec)
+    assert total == pytest.approx(1.5, abs=1e-12)
+    assert quad_energy(m, np.zeros(2), V_AXIS, 0.8, 2.0, 0.0, 1.0) == pytest.approx(total, abs=1e-9)
 
 
 def test_energy_zero_on_complement_support():
     m, _ = generate(GeneratorSpec("segment", {"count": 100}))
     spec = EnergySpec(V_AXIS, 0.9, 1.0, np.inf)
     for i in (0, 50, 99):
-        assert pointwise_energy(m, m.points[i], spec).total == 0.0
+        assert point_energy(m, m.points[i], spec) == 0.0
 
 
 def test_closed_form_matches_quadrature_random():
@@ -83,7 +82,7 @@ def test_closed_form_matches_quadrature_random():
         alpha = rng.uniform(0.3, 0.9)
         p = rng.choice([1.0, 2.0])
         spec = EnergySpec(V_AXIS, alpha, p, 1.5)
-        got = pointwise_energy(m, x, spec).total
+        got = point_energy(m, x, spec)
         want = quad_energy(m, x, V_AXIS, alpha, p, 0.0, 1.5)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
@@ -104,7 +103,7 @@ def test_layer_cake_identity_random_clouds():
     spec = EnergySpec(V_AXIS, 0.7, 1.0, np.inf)
     for i in range(0, 500, 25):
         x = m.points[i]
-        lhs = pointwise_energy(m, x, spec).total
+        lhs = point_energy(m, x, spec)
         rhs = riesz_cone_sum(m, x, V_AXIS, 0.7)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-15)
 
@@ -112,10 +111,10 @@ def test_layer_cake_identity_random_clouds():
 def test_aperture_and_scale_monotonicity(rng):
     m = random_cloud(21, 150)
     x = rng.random(2)
-    e = [pointwise_energy(m, x, EnergySpec(V_AXIS, a, 1.0, 1.0)).total
+    e = [point_energy(m, x, EnergySpec(V_AXIS, a, 1.0, 1.0))
          for a in (0.3, 0.5, 0.8)]
     assert e[0] <= e[1] <= e[2]
-    s = [pointwise_energy(m, x, EnergySpec(V_AXIS, 0.6, 1.0, R)).total
+    s = [point_energy(m, x, EnergySpec(V_AXIS, 0.6, 1.0, R))
          for R in (0.5, 1.0, 2.0)]
     assert s[0] <= s[1] <= s[2]
 
@@ -126,8 +125,8 @@ def test_homogeneity_under_dilation(rng):
     scaled = DiscreteMeasure(m.points * s, m.weights, 1)
     x = rng.random(2)
     for p in (1.0, 2.0):
-        e1 = pointwise_energy(m, x, EnergySpec(V_AXIS, 0.6, p, 1.0)).total
-        e2 = pointwise_energy(scaled, x * s, EnergySpec(V_AXIS, 0.6, p, s * 1.0)).total
+        e1 = point_energy(m, x, EnergySpec(V_AXIS, 0.6, p, 1.0))
+        e2 = point_energy(scaled, x * s, EnergySpec(V_AXIS, 0.6, p, s * 1.0))
         assert e2 == pytest.approx(e1 * s ** (-m.dim_param * p), rel=1e-12)
 
 
@@ -138,7 +137,7 @@ def test_lipschitz_graph_cone_avoidance():
             "lipschitz_graph", {"count": 400, "lipschitz": lip}))
         spec = EnergySpec(V_AXIS, alpha, 1.0, np.inf)
         for i in range(0, 400, 40):
-            assert pointwise_energy(m, m.points[i], spec).total == 0.0
+            assert point_energy(m, m.points[i], spec) == 0.0
 
 
 def test_exponent_comparison_pointwise(rng):
@@ -146,19 +145,20 @@ def test_exponent_comparison_pointwise(rng):
     m = random_cloud(41, 200)
     for _ in range(10):
         x = rng.random(2)
-        e1 = pointwise_energy(m, x, EnergySpec(V_AXIS, 0.7, 1.0, 2.0))
-        e2 = pointwise_energy(m, x, EnergySpec(V_AXIS, 0.7, 2.0, 2.0))
-        if e1.total == 0:
-            assert e2.total == 0
+        e1 = point_energy(m, x, EnergySpec(V_AXIS, 0.7, 1.0, 2.0))
+        e2 = point_energy(m, x, EnergySpec(V_AXIS, 0.7, 2.0, 2.0))
+        if e1 == 0:
+            assert e2 == 0
             continue
-        c1 = float(np.max(e1.cumulative_mass / e1.jump_radii ** m.dim_param))
-        assert e2.total <= c1 * e1.total * (1 + 1e-12)
+        radii, cum, _ = cone_jumps(m.points, m.weights, x, V_AXIS, 0.7)
+        c1 = float(np.max(cum / radii ** m.dim_param))
+        assert e2 <= c1 * e1 * (1 + 1e-12)
 
 
 def ball_energy(m: DiscreteMeasure, center, radius: float, spec: EnergySpec) -> float:
     """sum over the atoms x of B(center, radius) of w(x) E_p(x, ..., r(B))."""
     idx = m.ball_indices(center, radius)
-    return weighted_sum(m.weights[idx], window_energies(m, idx, spec, [(0.0, radius)])[:, 0])
+    return weighted_sum(m.weights[idx], window_energies(m, spec, [(0.0, radius)])[0][idx, 0])
 
 
 def test_ball_energy_cases(rng):
@@ -196,11 +196,11 @@ def test_ball_energy_brute_force_cantor():
 def test_cube_energy_matches_quadrature():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 3}))
     lat = build_lattice(m, 2.0, 8.0, 4)
-    spec = EnergySpec(V_AXIS, 0.8, 1.0, np.inf, 0.1)
+    ctx = _Ctx(lat, CoronaParams(V_AXIS, 0.8, eta=0.1))
     nm = lat.measure
     for cid in (0, len(lat.cubes) // 2, len(lat.cubes) - 1):
         q = lat.cubes[cid]
-        got = cube_energy(lat, q, spec)
+        got = ctx.cube_energy(q)
         lo, hi = 0.1 * q.radius, q.radius / 0.1
         vidx = nm.ball_indices(q.center, 2 * q.ball_radius)
         want = sum(nm.weights[i] * quad_energy(nm, nm.points[i], V_AXIS, 0.8, 1.0, lo, hi)
@@ -211,8 +211,7 @@ def test_cube_energy_matches_quadrature():
 def test_cube_energy_zero_for_flat_cloud():
     m, _ = generate(GeneratorSpec("segment", {"count": 64}))
     lat = build_lattice(m, 2.0, 8.0, 3)
-    spec = EnergySpec(V_AXIS, 0.9, 1.0, np.inf, 0.1)
-    assert cube_energy(lat, lat.root, spec) == 0.0
+    assert _Ctx(lat, CoronaParams(V_AXIS, 0.9, eta=0.1)).cube_energy(lat.root) == 0.0
 
 
 def test_window_energies_prefix_windows_match_single_windows():
@@ -222,25 +221,25 @@ def test_window_energies_prefix_windows_match_single_windows():
     m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 4}))
     spec = EnergySpec(V_AXIS, 0.8, 1.5, np.inf)
     x = m.points[5]
-    radii, _, _ = _in_cone_jumps(m.points, m.weights, x, V_AXIS, 0.8)
+    radii, _, _ = cone_jumps(m.points, m.weights, x, V_AXIS, 0.8)
     same_column = (m.points[:, 0] == x[0]) & (m.points[:, 1] != x[1])
     ties = np.unique(np.abs(m.points[same_column, 1] - x[1]))
     assert len(ties) > 4 and np.all(np.isin(ties, radii))
     # the profile capped at a tie is the strict prefix of the full one: the
-    # atom at distance exactly hi is outside, as in cone_mask
+    # atom at distance exactly hi is outside, as in the open ball
     for tie in ties:
-        capped, _, _ = _in_cone_jumps(m.points, m.weights, x, V_AXIS, 0.8, tie)
+        capped, _, _ = cone_jumps(m.points, m.weights, x, V_AXIS, 0.8, tie)
         assert np.array_equal(capped, radii[radii < tie])
 
     windows = [(0.0, float(t)) for t in ties]
     windows += [(0.01, 0.05), (ties[0] / 2, 2 * ties[0]), (0.0, np.inf)]
-    idx = np.arange(m.size)
-    got = window_energies(m, idx, spec, windows)
+    got, counts = window_energies(m, spec, windows)
     assert got.shape == (m.size, len(windows))
     assert np.any(got[:, len(ties) - 1] > 0)
     for col, window in enumerate(windows):
-        single = window_energies(m, idx, spec, [window])[:, 0]
-        assert np.array_equal(got[:, col], single)
+        single, single_counts = window_energies(m, spec, [window])
+        assert np.array_equal(got[:, col], single[:, 0])
+        assert np.array_equal(counts, single_counts)
 
 
 def test_bpbe_line_normal_direction_passes():
@@ -484,19 +483,21 @@ def test_breakdown_internal_consistency(rng):
     m = random_cloud(71, 150)
     for _ in range(5):
         x = rng.random(2)
-        bd = pointwise_energy(m, x, EnergySpec(V_AXIS, 0.7, 1.5, 1.2))
-        assert bd.total == pytest.approx(float(np.sum(bd.contributions)), rel=1e-15)
-        assert np.all(bd.contributions >= 0)
-        assert np.all(np.diff(bd.cumulative_mass) >= 0)
-        assert np.all(np.diff(bd.jump_radii) > 0)
+        radii, cum, _ = cone_jumps(m.points, m.weights, x, V_AXIS, 0.7, 1.2)
+        contributions, total = _step_energy(radii, cum, m.dim_param, 1.5, 0.0, 1.2)
+        assert total == point_energy(m, x, EnergySpec(V_AXIS, 0.7, 1.5, 1.2))
+        assert total == pytest.approx(float(np.sum(contributions)), rel=1e-15)
+        assert np.all(contributions >= 0)
+        assert np.all(np.diff(cum) >= 0)
+        assert np.all(np.diff(radii) > 0)
 
 
 def test_total_energy_weighted_sum():
     m = random_cloud(61, 50)
     spec = EnergySpec(V_AXIS, 0.7, 1.0, np.inf)
-    want = sum(m.weights[i] * pointwise_energy(m, m.points[i], spec).total
+    want = sum(m.weights[i] * point_energy(m, m.points[i], spec)
                for i in range(m.size))
-    whole = window_energies(m, np.arange(m.size), spec, [(0.0, spec.outer_scale)])
+    whole = window_energies(m, spec, [(0.0, spec.outer_scale)])[0]
     assert weighted_sum(m.weights, whole[:, 0]) == pytest.approx(want, rel=1e-12)
 
 
@@ -511,12 +512,12 @@ def test_pointwise_energies_match_pointwise_energy(p, R):
     energies, counts = pointwise_energies(m, spec)
     assert energies.shape == counts.shape == (m.size,)
     for i in range(m.size):
-        bd = pointwise_energy(m, m.points[i], spec)
-        assert counts[i] == bd.in_cone_count
+        assert counts[i] == cone_jumps(m.points, m.weights, m.points[i], V_AXIS, 0.7)[2]
+        want = point_energy(m, m.points[i], spec)
         if p == 1:
-            assert energies[i] == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+            assert energies[i] == pytest.approx(want, rel=1e-12, abs=0.0)
         else:
-            assert energies[i] == bd.total
+            assert energies[i] == want
 
 
 def test_pointwise_energies_cantor_ties_match_pointwise_energy():
@@ -526,9 +527,9 @@ def test_pointwise_energies_cantor_ties_match_pointwise_energy():
         spec = EnergySpec(V_AXIS, 0.8, 1.0, R)
         energies, counts = pointwise_energies(m, spec)
         for i in range(m.size):
-            bd = pointwise_energy(m, m.points[i], spec)
-            assert counts[i] == bd.in_cone_count
-            assert energies[i] == pytest.approx(bd.total, rel=1e-12, abs=0.0)
+            assert counts[i] == cone_jumps(m.points, m.weights, m.points[i], V_AXIS, 0.8)[2]
+            assert energies[i] == pytest.approx(point_energy(m, m.points[i], spec),
+                                                rel=1e-12, abs=0.0)
 
 
 def test_pointwise_energies_equal_riesz_cone_sum():
@@ -571,13 +572,13 @@ def test_pointwise_energies_equal_the_row_loop(m, aperture, R):
 @pytest.mark.parametrize("R", [0.5, np.inf])
 @pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
 def test_pair_sweep_matches_per_vertex_cone_tests(m, direction, aperture, R):
-    # oracle: a full-cloud cone_dist at every atom, its in-cone count, and an
+    # oracle: a full-cloud cone test at every atom, its in-cone count, and an
     # exactly rounded sum of that atom's layer-cake terms
     energies, counts = pointwise_energies(m, EnergySpec(direction, aperture, 1.0, R))
     n = m.dim_param
     tail = 0.0 if np.isinf(R) else R ** -n
     for i in range(m.size):
-        mask, dist = cone_dist(m.points, m.points[i], direction, aperture)
+        mask, dist = cone_row(m.points, m.points[i], direction, aperture)
         assert counts[i] == np.count_nonzero(mask)
         near = mask & (dist < R)
         want = math.fsum((m.weights[near] * (dist[near] ** -n - tail)).tolist()) / n

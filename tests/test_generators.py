@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import point_energy
+
 from conical_gmt.errors import InvalidSpec
 from conical_gmt.generators import GeneratorSpec, generate
 
@@ -96,14 +98,14 @@ def test_variable_cantor_pointwise_energy_uniformity():
     # atoms of the tuned measure see comparable multiscale mass profiles;
     # exact evaluation puts the spread across atoms under 8x (measured 5.9
     # at generation 5: corner cells see less cone mass than interior ones)
-    from conical_gmt.energy import EnergySpec, pointwise_energy
+    from conical_gmt.energy import EnergySpec
     from conical_gmt.geometry import make_plane
     m, _ = generate(GeneratorSpec(
         "variable_cantor", {"ratios": TUNED_RATIOS, "generation": 5}))
     spec = EnergySpec(make_plane([[0.0, 1.0]]), 0.95, 4.0, 1.0)
     rng = np.random.default_rng(0)
     idx = rng.choice(m.size, 40, replace=False)
-    vals = [pointwise_energy(m, m.points[i], spec).total for i in idx]
+    vals = [point_energy(m, m.points[i], spec) for i in idx]
     assert min(vals) > 0
     assert max(vals) <= 8.0 * min(vals)
 

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (SWEEP_CASES, Cone, cone_contains, coordinate_order_lengths,
+from conftest import (SWEEP_CASES, Cone, cone_contains, cone_row, coordinate_order_lengths,
                       dist_to_affine_plane, plane_metric, project)
 
 from conical_gmt.corona import _set_distance
 from conical_gmt.errors import InvalidParams, RankDeficient
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (Plane, SortedIndex, cone_dist, cone_mask, cone_pairs,
-                                  format_plane, make_plane, parse_plane,
-                                  sample_grassmannian)
+from conical_gmt.geometry import (Plane, SortedIndex, cone_pairs, format_plane, make_plane,
+                                  parse_plane, sample_grassmannian)
 from conical_gmt.lattice import build_lattice
 from conical_gmt.measure import DiscreteMeasure
 
@@ -194,8 +193,8 @@ def test_cone_mask_matches_scalar(rng):
     v = sample_grassmannian(2, 1, 1, seed=9)[0]
     pts = rng.standard_normal((50, 2))
     x = rng.standard_normal(2)
-    mask = cone_mask(pts, x, v, 0.6, 0.1, 2.0)
-    cone = Cone(x, v, 0.6, 0.1, 2.0)
+    mask = cone_row(pts, x, v, 0.6)[0]
+    cone = Cone(x, v, 0.6)
     for p, flag in zip(pts, mask):
         assert flag == cone_contains(cone, p)
 
@@ -211,7 +210,7 @@ def test_cone_mask_tie_rule_matches_exact_rationals():
     p, q = 4, 5
     boundary = 0
     for i, (x0, x1) in enumerate(exact):
-        got = cone_mask(m.points, m.points[i], v, 0.8)
+        got = cone_row(m.points, m.points[i], v, 0.8)[0]
         for j, (y0, y1) in enumerate(exact):
             dx2, dy2 = (y0 - x0) ** 2, (y1 - x1) ** 2
             lhs, rhs = q * q * dx2, p * p * (dx2 + dy2)
@@ -230,16 +229,14 @@ def test_cone_dist_matches_norm_expression(d):
         for offset in (0.0, 1.0, 1e3, 1e6):
             pts = offset + rng.standard_normal((300, d))
             x = offset + rng.standard_normal(d)
-            for alpha, r, big in ((0.6, 0.0, np.inf), (0.3, 0.5, 2.0)):
+            for alpha in (0.6, 0.3):
                 diff = pts - x[None, :]
                 dist = np.linalg.norm(diff, axis=1)
                 par = (diff @ v.basis.T) @ v.basis
                 perp = np.linalg.norm(diff - par, axis=1)
-                want = (dist > r) & (dist < big) & (perp < alpha * dist)
-                mask, got = cone_dist(pts, x, v, alpha, r, big)
+                mask, got = cone_row(pts, x, v, alpha)
                 assert np.array_equal(got, dist), (d, m, offset)
-                assert np.array_equal(mask, want), (d, m, offset)
-                assert np.array_equal(cone_mask(pts, x, v, alpha, r, big), want)
+                assert np.array_equal(mask, perp < alpha * dist), (d, m, offset)
 
 
 @pytest.mark.parametrize("m, direction, aperture", SWEEP_CASES)
@@ -249,7 +246,7 @@ def test_cone_pairs_rows_are_cone_dist_from_either_end(m, direction, aperture):
     # at x_i and, by symmetry, at x_j, and the columns before r (j <= i) none
     pts = m.points
     seen = 0
-    rows = [cone_dist(pts, x, direction, aperture) for x in pts]
+    rows = [cone_row(pts, x, direction, aperture) for x in pts]
     for i0, strip_mask, strip_dist in cone_pairs(pts, direction, aperture):
         assert i0 == seen
         for r, (mask, dist) in enumerate(zip(strip_mask, strip_dist)):
@@ -281,14 +278,14 @@ def test_cone_pairs_one_partner_row_at_boundary_apertures():
                 for aperture in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
                     if not 0 < aperture < 1:
                         continue
-                    want = cone_dist(pts, pts[0], v, aperture)[0][1]
+                    want = cone_row(pts, pts[0], v, aperture)[0][1]
                     (_, mask, _), = cone_pairs(pts, v, aperture)
                     assert mask.tolist() == [[want]]
 
 
 def test_cone_dist_one_row_matches_its_row_in_a_batch_at_boundary_apertures():
-    # a one-row product takes another BLAS path; padded inside cone_dist, a
-    # row tested alone keeps the bit it gets in a batch, even on the boundary
+    # a one-row product takes another BLAS path; padded inside the cone test,
+    # a row tested alone keeps the bit it gets in a batch, even on the boundary
     rng = np.random.default_rng(11)
     for d in range(2, 6):
         for k in range(1, d):
@@ -299,8 +296,8 @@ def test_cone_dist_one_row_matches_its_row_in_a_batch_at_boundary_apertures():
                 perp = np.linalg.norm(diff - (diff @ v.basis.T) @ v.basis, axis=1)
                 edge = perp[0] / np.linalg.norm(diff[0])
                 for aperture in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
-                    batch_mask, batch_dist = cone_dist(pts, x, v, aperture)
-                    mask, dist = cone_dist(pts[:1], x, v, aperture)
+                    batch_mask, batch_dist = cone_row(pts, x, v, aperture)
+                    mask, dist = cone_row(pts[:1], x, v, aperture)
                     assert mask.tolist() == batch_mask[:1].tolist(), (d, k, seed)
                     assert dist.tolist() == batch_dist[:1].tolist()
 
@@ -345,9 +342,8 @@ def test_every_query_puts_a_tied_atom_on_its_sphere(d, offset):
         pair = DiscreteMeasure(pts[[a, b]], np.ones(2), 1)
         assert pair.min_interpoint_distance() == ra == pair.diameter()
         along = make_plane([pts[b] - pts[a]])
-        mask, dist = cone_dist(pts[[b]], pts[a], along, 0.5, outer_radius=rb)
+        mask, dist = cone_row(pts[[b]], pts[a], along, 0.5)
         assert mask[0] and dist[0] == ra
-        assert not cone_mask(pts[[b]], pts[a], along, 0.5, outer_radius=ra)[0]
         assert cone_contains(Cone(pts[a], along, 0.5, 0.0, rb), pts[b])
         assert not cone_contains(Cone(pts[a], along, 0.5, 0.0, ra), pts[b])
 

@@ -3,13 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import greedy_centers_oracle, random_cloud
+from conftest import ball_mass, greedy_centers_oracle, random_cloud
 
 from conical_gmt.errors import InvalidParams
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import lengths
 from conical_gmt.lattice import build_lattice, doubling_flags, maximal_doubling, natural_depth
-from conical_gmt.measure import DiscreteMeasure, ball_mass
+from conical_gmt.measure import DiscreteMeasure
 
 
 def cantor_lattice(gen=3, c0=2.0, a0=4.0, depth=5):

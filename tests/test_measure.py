@@ -3,25 +3,25 @@ import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import (PROFILE_CLOUDS, brute_ball_mass, brute_cone_mass,
+from conftest import (PROFILE_CLOUDS, ball_mass, brute_ball_mass, brute_cone_mass, cone_row,
                       coordinate_order_lengths, mixture_cloud,
                       maximal_function_candidates, random_cloud)
 
 from conical_gmt import geometry
 from conical_gmt.errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import cone_mask, make_plane
-from conical_gmt.measure import (DiscreteMeasure, ball_mass, growth_constant, load_csv,
-                                 maximal_function, save_csv, theta)
+from conical_gmt.geometry import make_plane
+from conical_gmt.measure import (DiscreteMeasure, growth_constant, load_csv, maximal_function,
+                                 save_csv)
 from conical_gmt.sio import TruncationGrid
 
 
 def cone_mass(m: DiscreteMeasure, x, direction, aperture: float, inner: float = 0.0,
               outer: float = np.inf) -> float:
     """The mass of the open truncated cone K(x, V, alpha, r, R): the weights
-    summed over ``cone_mask``."""
-    mask = cone_mask(m.points, np.asarray(x, float), direction, aperture, inner, outer)
-    return float(np.sum(m.weights[mask]))
+    of the cone test's row at x summed over r < |y - x| < R."""
+    mask, dist = cone_row(m.points, x, direction, aperture)
+    return float(np.sum(m.weights[mask & (dist > inner) & (dist < outer)]))
 
 
 def single_atom(where=(0.0, 0.0), w=1.0) -> DiscreteMeasure:
@@ -44,7 +44,7 @@ def test_distance_extremes_have_the_bits_of_cdist_and_the_kd_tree(d, offset):
     pts[7] = pts[3]
     pts[100:104] = pts[50]
     full = cdist(pts, pts)
-    lo, hi = geometry.distance_extremes(pts)
+    lo, hi = geometry.pair_extremes(pts)[1:]
     assert hi == full.max()
     assert lo == full[full > 0].min()
     locations = np.unique(pts, axis=0)
@@ -69,7 +69,7 @@ def test_distance_extremes_have_the_bits_of_cdist_and_the_kd_tree(d, offset):
 
 
 def test_distance_extremes_of_one_location():
-    assert geometry.distance_extremes(np.zeros((1, 1))) == (np.inf, 0.0)
+    assert geometry.pair_extremes(np.zeros((1, 1)))[1:] == (np.inf, 0.0)
     for pts in (np.full((5, 3), 2.5), np.array([[1e6, -1e6]])):
         m = DiscreteMeasure(pts, np.ones(len(pts)), 1)
         assert m.diameter() == 0.0
@@ -134,13 +134,13 @@ def test_theta_segment_midpoint():
     r = 0.25
     exact_mass = min(1.0, x[0] + r) - max(0.0, x[0] - r)
     expect = exact_mass / r
-    assert theta(m, x, r) == pytest.approx(expect, abs=2 / np.sqrt(count))
+    assert ball_mass(m, x, r) / r == pytest.approx(expect, abs=2 / np.sqrt(count))
 
 
 def test_theta_empty_and_atom():
     m = single_atom()
-    assert theta(m, np.array([5.0, 5.0]), 0.5) == 0.0
-    assert theta(m, np.zeros(2), 0.5) == pytest.approx(2.0)
+    assert ball_mass(m, np.array([5.0, 5.0]), 0.5) / 0.5 == 0.0
+    assert ball_mass(m, np.zeros(2), 0.5) / 0.5 == pytest.approx(2.0)
 
 
 def test_maximal_function_atom_at_rmin():
@@ -426,7 +426,8 @@ def test_theta_dilation_scaling(rng):
     scaled = DiscreteMeasure(m.points * s, m.weights, m.dim_param)
     x = rng.random(2)
     r = 0.3
-    assert theta(scaled, x * s, r * s) == pytest.approx(theta(m, x, r) / s, rel=1e-12)
+    assert ball_mass(scaled, x * s, r * s) / (r * s) == pytest.approx(ball_mass(m, x, r) / r / s,
+                                                                      rel=1e-12)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist  # loaded before any traced call
 
-from conftest import coordinate_order_lengths, mixture_cloud, random_cloud, traced_peak
+from conftest import coordinate_order_lengths, cone_row, mixture_cloud, random_cloud, traced_peak
 
 from conical_gmt import geometry
 from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
@@ -16,7 +16,7 @@ from conical_gmt.diagnostics import theta_m_property
 from conical_gmt.energy import (EnergySpec, _direction_energies, pointwise_energies,
                                 window_energies)
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import (cone_dist, cone_pairs, cone_rows, lengths, make_plane,
+from conical_gmt.geometry import (cone_pairs, cone_rows, lengths, make_plane,
                                   row_blocks, sample_grassmannian, square_lengths)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
@@ -47,7 +47,7 @@ def test_pair_distances_are_the_norm_of_the_differences(d):
     """Every form of |b_j - a_i| has the bits of the root of its squares
     summed in coordinate order: ``lengths`` of one difference, its row in a
     batch, the rows x columns tile of ``square_lengths`` and, where R^d has a
-    line, the distances of ``cone_dist``."""
+    line, the distances of the cone test."""
     rng = np.random.default_rng(d)
     a, b = rng.random((30, d)) + 1e4, rng.random((40, d)) + 1e4
     b[:5] = a[:5]
@@ -58,7 +58,7 @@ def test_pair_distances_are_the_norm_of_the_differences(d):
     assert np.array_equal(np.sqrt(square_lengths(a.T, b.T)), oracle)
     if d > 1:
         line = make_plane([[1.0] + [0.0] * (d - 1)])
-        assert all(np.array_equal(cone_dist(b, x, line, 0.5)[1], oracle[i])
+        assert all(np.array_equal(cone_row(b, x, line, 0.5)[1], oracle[i])
                    for i, x in enumerate(a))
 
 
@@ -151,8 +151,8 @@ def window_tables():
     for m, plane in ((sweep_clouds()[0], V_AXIS), (segment, make_plane([[1.0, 0.0]]))):
         spec = EnergySpec(plane, 0.8, 2.0)
         windows = [(0.0, 0.05), (0.01, 0.3), (0.1, np.inf)]
-        out.append(window_energies(m, np.arange(m.size), spec, windows))
-        out.append(window_energies(m, m.ball_indices(m.points[5], 0.2), spec, windows[:1]))
+        out.extend(window_energies(m, spec, windows))
+        out.append(window_energies(m, spec, windows[:1])[0][m.ball_indices(m.points[5], 0.2)])
     assert all(np.count_nonzero(t) for t in out)
     return tuple(out)
 
@@ -206,8 +206,7 @@ def separation_pairs():
 
 
 def shell_counts():
-    return tuple(theta_m_property(m.points, V_AXIS, 0.6, per_point=True)[1]
-                 for m in sweep_clouds())
+    return tuple(theta_m_property(m.points, V_AXIS, 0.6) for m in sweep_clouds())
 
 
 BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
@@ -266,8 +265,8 @@ def test_ball_family_scratch_does_not_grow_with_the_cloud():
 
 @pytest.mark.parametrize("block", [None, TINY_BLOCK])
 def test_cone_rows_are_cone_dist_bitwise(monkeypatch, block):
-    # cone_dist subtracts one vertex itself; each of cone_rows' rows must
-    # keep the bits of that call, the padded one-point cloud included
+    # each row of a block of vertices must keep the bits of the one-vertex
+    # call, the padded one-point cloud included
     if block:
         monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
     rng = np.random.default_rng(17)
@@ -278,9 +277,9 @@ def test_cone_rows_are_cone_dist_bitwise(monkeypatch, block):
                 pts = rng.standard_normal((n, d)) + 1e3
                 xs = np.vstack([pts, rng.standard_normal((2, d)) + 1e3])
                 seen = []
-                for rows, mask, dist in cone_rows(pts, xs, v, 0.6, 0.5, 3.0):
+                for rows, mask, dist in cone_rows(pts, xs, v, 0.6):
                     for i, mrow, drow in zip(range(rows.start, rows.stop), mask, dist):
-                        want_mask, want_dist = cone_dist(pts, xs[i], v, 0.6, 0.5, 3.0)
+                        want_mask, want_dist = cone_row(pts, xs[i], v, 0.6)
                         assert mrow.tolist() == want_mask.tolist(), (d, k, n, i)
                         assert drow.tolist() == want_dist.tolist(), (d, k, n, i)
                         seen.append(i)

@@ -288,11 +288,27 @@ KEPT_UNREACHED = {
 }
 
 
-def _named(node) -> set:
-    """Every name that node or its body reads or stores, and every attribute
-    it names."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def _package_imports(tree) -> dict:
+    """What the package's relative imports bind anywhere in a module:
+    alias -> (mod, name) for ``from .mod import name``, and alias ->
+    (mod, None) for ``from . import mod``."""
+    return {a.asname or a.name: (node.module, a.name) if node.module else (a.name, None)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names}
+
+
+def _uses(node, local=frozenset()):
+    """The Name and Attribute nodes under node, less the Names that a
+    parameter or binding of an enclosing function makes local there;
+    decorators, defaults and annotations belong to the enclosing scope."""
+    if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and node.id not in local:
+        yield node
+    body, inner = [], local
+    if isinstance(node, _FUNCS):
+        body = node.body
+        inner = local | {name for name, _ in (*_params(node), *_bindings(node))}
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, inner if any(child is b for b in body) else local)
 
 
 def unreached_definitions(sources: dict) -> list[str]:
@@ -302,39 +318,58 @@ def unreached_definitions(sources: dict) -> list[str]:
     The walk starts from ``cli``'s ``_cmd_*`` functions, ``run`` and
     ``_build_parser``, and from every top-level statement that is neither an
     import nor a definition, since it runs on import (``__main__``'s call of
-    ``main``).  A reached definition reaches every top-level definition, in
-    any module, that a name or attribute in its body names, class bodies and
-    their methods included.  Names are matched alone, so a local or an
-    attribute of the same name counts as a use: the scan can miss an
-    unreached definition but never reports a reached one.  The re-exports of
-    ``__init__`` are imports, so they reach nothing."""
-    defs, todo = {}, []
+    ``main``).  A reached definition reaches the definitions that its body
+    names, class bodies and their methods included, resolved by owner: a
+    bare name reaches a definition of its own module, or the one that
+    ``from .mod import name`` binds it to, unless a parameter or binding of
+    an enclosing function makes it local; an attribute ``x.name`` reaches
+    ``mod.name`` only where ``from . import mod`` binds x.  So a local, a
+    parameter or an attribute of another object that shares a definition's
+    name reaches nothing.  A name bound in a class body, a lambda or a
+    comprehension still counts as a use: the scan can miss an unreached definition but
+    never reports a reached one.  The re-exports of ``__init__`` are
+    imports, so they reach nothing."""
+    defs, imports, todo = {}, {}, []
     for module, source in sources.items():
-        for stmt in ast.parse(source, module).body:
+        tree = ast.parse(source, module)
+        imports[module] = _package_imports(tree)
+        for stmt in tree.body:
             if isinstance(stmt, (*_FUNCS, ast.ClassDef)):
-                defs[f"{module}.{stmt.name}"] = stmt
+                defs[f"{module}.{stmt.name}"] = (module, stmt)
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                todo.append(stmt)
-    by_name = {}
-    for key, node in defs.items():
-        by_name.setdefault(node.name, []).append(key)
-    reached = {key for key, node in defs.items() if key.startswith("cli.") and (
+                todo.append((module, stmt))
+
+    def resolve(module: str, name: str):
+        key = f"{module}.{name}"
+        if key in defs:
+            return key
+        source = imports.get(module, {}).get(name, (None, None))
+        return resolve(*source) if source[1] else None
+
+    reached = {key for key, (module, node) in defs.items() if module == "cli" and (
         node.name.startswith("_cmd_") or node.name in ("run", "_build_parser"))}
     todo += [defs[key] for key in reached]
     while todo:
-        for name in _named(todo.pop()):
-            for key in by_name.get(name, ()):
-                if key not in reached:
-                    reached.add(key)
-                    todo.append(defs[key])
+        module, stmt = todo.pop()
+        for n in _uses(stmt):
+            if isinstance(n, ast.Name):
+                key = resolve(module, n.id)
+            else:
+                owner = isinstance(n.value, ast.Name) and imports[module].get(n.value.id)
+                key = resolve(owner[0], n.attr) if owner and owner[1] is None else None
+            if key is not None and key not in reached:
+                reached.add(key)
+                todo.append(defs[key])
     return sorted(set(defs) - reached)
 
 
 def test_scan_finds_unreached_definitions():
     sources = {
         "cli": ("from . import lib\n"
+                "from .lib import imported as alias\n"
                 "def _cmd_go(args):\n"
-                "    return lib.reached(args)\n"
+                "    shadowed = lib.reached(args)\n"
+                "    return alias(shadowed)\n"
                 "def run(argv=None):\n"
                 "    return _cmd_go(argv)\n"
                 "def main():\n"
@@ -344,17 +379,23 @@ def test_scan_finds_unreached_definitions():
         "lib": ("class Reached:\n"
                 "    def method(self):\n"
                 "        return _helper()\n"
-                "def reached(x):\n"
-                "    return Reached()\n"
+                "def reached(shadowed):\n"
+                "    obj = Reached()\n"
+                "    obj.shadowed = shadowed\n"
+                "    return obj\n"
+                "def imported(x):\n"
+                "    return x\n"
                 "def _helper():\n"
                 "    return 1\n"
                 "def wrapper(x):\n"
                 "    return reached(x)\n"
+                "def shadowed():\n"
+                "    return 0\n"
                 "class Planted:\n"
                 "    pass\n"),
-        "__init__": "from .lib import Planted, wrapper\n",
+        "__init__": "from .lib import Planted, shadowed, wrapper\n",
     }
-    assert unreached_definitions(sources) == ["lib.Planted", "lib.wrapper"]
+    assert unreached_definitions(sources) == ["lib.Planted", "lib.shadowed", "lib.wrapper"]
 
 
 def test_package_ships_only_what_a_command_reaches():
