@@ -90,14 +90,29 @@ def _report_base(kind: str, args: argparse.Namespace, points_path: str | None) -
     return base
 
 
+def _number(text: str, what: str, kind: type = float):
+    """``kind(text)``; text that is not one is an ``InputError`` naming
+    ``what``."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{what}: {text!r} is not {noun}") from exc
+
+
+def _numbers(text: str, what: str) -> list[float]:
+    """The comma-separated numbers of ``text``, each read by ``_number``."""
+    return [_number(v, what) for v in text.split(",")]
+
+
 def _parse_scales(text: str, m: DiscreteMeasure) -> list[float]:
     if text.startswith("dyadic:"):
-        k = int(text.split(":", 1)[1])
+        k = _number(text.split(":", 1)[1], "the dyadic scale count", int)
         if k < 1:
             raise InputError("dyadic scale count must be >= 1")
         top = m.diameter() or 1.0
         return [top / 2 ** j for j in range(k)]
-    vals = [float(v) for v in text.split(",")]
+    vals = _numbers(text, "--scales")
     if any(v <= 0 for v in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
         raise InputError("scales must be positive and strictly decreasing")
     return vals
@@ -111,7 +126,7 @@ def _cmd_gen(args) -> int:
                            "frequency", "jitter", "radius")
               if getattr(args, name) is not None}
     if args.ratios:
-        params["ratios"] = [float(r) for r in args.ratios.split(",")]
+        params["ratios"] = _numbers(args.ratios, "--ratios")
     if args.mixture_config:
         cfg = _read_json(args.mixture_config, "mixture config", dict)
         if "components" not in cfg:
@@ -134,11 +149,7 @@ def _cmd_gen(args) -> int:
 def _cmd_energy(args) -> int:
     m = _load_points(args.points, args.n)
     plane = parse_plane(args.plane)
-    try:
-        outer = float(args.R)
-    except ValueError as exc:
-        raise InputError(f"--R must be a number or inf, not {args.R!r}") from exc
-    spec = energy.EnergySpec(plane, args.alpha, args.p, outer)
+    spec = energy.EnergySpec(plane, args.alpha, args.p, _number(args.R, "--R"))
     # an overflow shows in the total, which is checked
     with np.errstate(over="ignore", invalid="ignore"):
         energies, counts = energy.pointwise_energies(m, spec)
@@ -256,7 +267,7 @@ def _cmd_sio_norm(args) -> int:
     if args.eps_grid == "auto":
         grid = sio.TruncationGrid.log_spaced(m, args.grid_size)
     else:
-        vals = sorted(float(v) for v in args.eps_grid.split(","))
+        vals = sorted(_numbers(args.eps_grid, "--eps-grid"))
         grid = sio.TruncationGrid(np.asarray(vals))
     profile = sio.operator_norm_profile(m, kernel, grid, args.tol, args.max_iter)
     with open(args.out, "w", newline="") as fh:
@@ -281,9 +292,9 @@ def _cmd_sio_norm(args) -> int:
 def _cmd_beta(args) -> int:
     m = _load_points(args.points, args.n)
     if "," in args.center:
-        center = np.asarray([float(v) for v in args.center.split(",")])
+        center = np.asarray(_numbers(args.center, "--center"))
     else:
-        idx = int(args.center.removeprefix("idx:"))
+        idx = _number(args.center.removeprefix("idx:"), "the --center index", int)
         if not 0 <= idx < m.size:
             raise InputError(f"center index {idx} out of range")
         center = m.points[idx]

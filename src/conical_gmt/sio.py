@@ -9,11 +9,13 @@ D = diag(w), each kernel component gives the block D^1/2 K_c D^1/2 with the
 pairs within eps zeroed, and the truncated operator's norm is the top
 singular value of their stack B, computed by Lanczos on
 B^T B = -sum_c K_c K_c.  An odd kernel makes every block antisymmetric, so
-two components share one N x N array, one in each strict triangle, and an
-unsigned index per pair (one byte up to 255 truncations) names the first
-truncation that drops it.  Every norm carries its Ritz residual, which
+its strict upper triangle holds it: one buffer of panels, 128 rows of every
+component's triangle each, with numpy's matrix-vector products over them,
+and an unsigned index per pair (one byte up to 255 truncations) names the
+first truncation that drops it.  Every norm carries its Ritz residual, which
 bounds its error, and a cap on the applications of B^T B; a norm whose
-residual misses the tolerance within the cap is flagged as stalled.
+residual misses the tolerance within the cap is flagged as stalled.  The
+module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from . import geometry
 from .errors import DimensionMismatch, InvalidParams, TooLarge
 from .measure import DiscreteMeasure
 
-# Largest operator-norm profile allowed, in bytes: about N = 14,500 atoms for
-# a two-component kernel.
+# Largest operator-norm profile allowed, in bytes: about N = 15,100 atoms for
+# a two-component kernel and 12,600 for a three-component one.
 OPERATOR_BYTE_BUDGET = 2 * 2 ** 30
 
 
@@ -148,14 +150,30 @@ def _components(kernel: Kernel) -> int:
     return kernel(np.ones((1, kernel.ambient_dim))).shape[1]
 
 
-def _tiles(n: int):
-    """Square tiles (rows, cols) of the pair table that cover its upper
-    triangle, each of at most ``geometry.PAIR_BLOCK // 4`` pairs (128 x 128),
-    the cone sweeps' budget."""
+def _block_rows(n: int) -> list[tuple[int, int]]:
+    """Block rows (r0, r1) of the pair table, ``isqrt(geometry.PAIR_BLOCK // 4)``
+    (128) rows each and fewer in the last: the rows of the operator's panels,
+    whose square tiles of at most ``geometry.PAIR_BLOCK // 4`` pairs are the
+    cone sweeps' budget."""
     side = isqrt(geometry.PAIR_BLOCK // 4)
-    for r0 in range(0, n, side):
-        for c0 in range(r0, n, side):
-            yield slice(r0, min(n, r0 + side)), slice(c0, min(n, c0 + side))
+    return [(r0, min(n, r0 + side)) for r0 in range(0, n, side)]
+
+
+def _panel_pairs(n: int) -> int:
+    """Entries of one component's panels: (r1 - r0) x (N - r0) per block row."""
+    return sum((r1 - r0) * (n - r0) for r0, r1 in _block_rows(n))
+
+
+def _panels(buf: np.ndarray, n: int, comps: int) -> list:
+    """(r0, panel) per block row: the C-ordered (comps, r1 - r0, N - r0) view
+    of ``buf`` holding rows r0:r1 of every U_c from column r0 on (see
+    ``_interaction_stack``), the panels laid end to end."""
+    out, at = [], 0
+    for r0, r1 in _block_rows(n):
+        size = comps * (r1 - r0) * (n - r0)
+        out.append((r0, buf[at:at + size].reshape(comps, r1 - r0, n - r0)))
+        at += size
+    return out
 
 
 def _tile_offsets(coords: np.ndarray, rows: slice, cols: slice):
@@ -178,8 +196,8 @@ def _tile_offsets(coords: np.ndarray, rows: slice, cols: slice):
 def _check_odd(kernel: Kernel, pts: np.ndarray) -> None:
     """Refuse a kernel unless k(-x) == -k(x) bit for bit on the offsets of
     the first ``isqrt(geometry.PAIR_BLOCK)`` atoms (256 x 256 pairs): the
-    packed operator stores one value per pair and negates it for the pair's
-    other end."""
+    panels store one value per pair i < j, and the product negates it for
+    the pair's other end."""
     first = slice(0, min(len(pts), isqrt(geometry.PAIR_BLOCK)))
     x, _, _ = _tile_offsets(np.ascontiguousarray(pts[first].T), first, first)
     if len(x) and not np.array_equal(kernel(-x), -kernel(x)):
@@ -187,61 +205,90 @@ def _check_odd(kernel: Kernel, pts: np.ndarray) -> None:
                             "at some offset of the cloud")
 
 
-def _interaction_stack(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid):
-    """The weighted kernel blocks K_c = D^1/2 [k_c(z_j - z_i)] D^1/2 packed two
-    to an array, and the truncation index of every pair.
+def _stack_bytes(n: int, comps: int, grid_size: int) -> int:
+    """Bytes of ``_interaction_stack``'s result: the panels at 8 B per
+    component and entry, and the N x N truncation index."""
+    return 8 * comps * _panel_pairs(n) + np.min_scalar_type(grid_size).itemsize * n * n
 
-    An odd kernel makes each K_c antisymmetric.  Fortran-ordered array p holds
-    K_2p in its strict upper triangle and K_2p+1 in its strict lower triangle
-    over a zero diagonal; with an odd component count the last lower triangle
-    stays zero.  The kernel is evaluated once per pair i < j, at z_j - z_i, in
-    the square tiles of ``_tiles``, whose distances come from coordinate
-    planes: sw_i k_c sw_j is K_c[i, j], and its exact negation is K_c[j, i].
-    ``idx[i, j]`` is the first grid position whose truncation drops the pair
-    (|z_j - z_i| <= eps), in the smallest unsigned dtype that holds
-    ``len(grid.eps)``; coincident atoms and the diagonal read 0.
+
+def _operator_bytes(n: int, comps: int, grid_size: int, max_iter: int) -> int:
+    """Peak bytes of an operator-norm profile beyond a fixed tile scratch:
+    the stack, one panel's drop mask at 1 B per pair, the Lanczos basis, and
+    the Ritz solve's tridiagonal, eigenvectors and LAPACK workspace, about
+    32 B per step squared."""
+    steps = min(max_iter, n)
+    return (_stack_bytes(n, comps, grid_size) + isqrt(geometry.PAIR_BLOCK // 4) * n
+            + 8 * steps * n + 32 * steps * steps)
+
+
+def _interaction_stack(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid):
+    """The weighted kernel blocks K_c = D^1/2 [k_c(z_j - z_i)] D^1/2 as one
+    buffer of panels, in a one-element list, and the truncation index of
+    every pair.
+
+    An odd kernel makes each K_c antisymmetric, so its strict upper triangle
+    U_c holds it: K_c = U_c - U_c^T.  ``_panels`` cuts the buffer into one
+    panel per block row of ``_block_rows``, holding rows r0:r1 of every U_c
+    from column r0 on; the lower triangle of its leading square stays zero.
+    The kernel is evaluated once per pair i < j, at z_j - z_i, in square
+    tiles that cut each block row into columns of its height, whose
+    distances come from coordinate planes: sw_i k_c sw_j is U_c[i, j].  ``idx[i, j]`` is the first grid position
+    whose truncation drops the pair (|z_j - z_i| <= eps), in the smallest
+    unsigned dtype that holds ``len(grid.eps)``; coincident atoms and the
+    diagonal read 0.
     """
     coords = np.ascontiguousarray(m.points.T)
     n = m.size
     comps = _components(kernel)
-    packed = [np.zeros((n, n), order="F") for _ in range((comps + 1) // 2)]
-    idx = np.empty((n, n), dtype=np.min_scalar_type(len(grid.eps)), order="F")
+    buf = np.zeros(comps * _panel_pairs(n))
+    idx = np.empty((n, n), dtype=np.min_scalar_type(len(grid.eps)))
     sw = np.sqrt(m.weights)
-    for rows, cols in _tiles(n):
-        offsets, dist, own = _tile_offsets(coords, rows, cols)
-        first = np.searchsorted(grid.eps, dist, side="left")
-        idx[rows, cols] = first
-        idx[cols, rows] = first.T
-        vals = kernel(offsets)
-        for comp in range(comps):
-            blk = np.zeros(dist.shape)
-            blk[own] = vals[:, comp]
-            blk *= sw[rows, None]
-            blk *= sw[None, cols]
-            # On a diagonal tile both writes cover one square, and each
-            # leaves the other's triangle at zero, so they add.
-            if comp % 2 == 0:
-                packed[comp // 2][rows, cols] += blk
-            else:
-                packed[comp // 2][cols, rows] -= blk.T
-    return packed, idx
+    for r0, p in _panels(buf, n, comps):
+        rows = slice(r0, r0 + p.shape[1])
+        for c0 in range(r0, n, p.shape[1]):
+            cols = slice(c0, min(n, c0 + p.shape[1]))
+            offsets, dist, own = _tile_offsets(coords, rows, cols)
+            first = np.searchsorted(grid.eps, dist, side="left")
+            idx[rows, cols] = first
+            idx[cols, rows] = first.T
+            tile = p[:, :, c0 - r0:cols.stop - r0]
+            for blk, vals in zip(tile, kernel(offsets).T):
+                blk[own] = vals
+            tile *= sw[rows, None]
+            tile *= sw[None, cols]
+    return [buf], idx
 
 
-def _normal_operator(packed: list, comps: int) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> B^T B v = -sum_c K_c (K_c v) for the antisymmetric blocks K_c
-    packed by ``_interaction_stack``.  With T the triangle of
-    ``packed[c // 2]`` that holds K_c (upper for even c), K_c v = T v - T^T v:
-    two triangular BLAS products, each reading the Fortran-ordered array in
-    place.  The arrays are read at each application, so truncating them in
-    place truncates the operator."""
-    from scipy.linalg.blas import dtrmv
+def _truncate(panels: list, idx: np.ndarray, k: int) -> None:
+    """Zero in place the pairs whose truncation index is at most k; one
+    panel's drop mask is alive at a time."""
+    for r0, p in panels:
+        np.copyto(p, 0.0, where=idx[r0:r0 + p.shape[1], r0:] <= k)
+
+
+def _normal_operator(panels: list, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> B^T B v = -sum_c K_c (K_c v) for the antisymmetric blocks K_c in
+    the ``_panels`` of ``_interaction_stack``.  K_c x = U_c x - U_c^T x takes
+    two matrix-vector products per panel and component: p_c x[r0:] for rows
+    r0:r1 and x[r0:r1] p_c for the columns from r0 on.  The panels are read
+    at each application, so truncating them in place truncates the
+    operator."""
+    comps = len(panels[0][1])
+    # (r0, r1, component, its rows of the panel), listed once: the Python
+    # work per product is a fair share of a product at N = 1,024
+    blocks = [(r0, r0 + p.shape[1], c, pc) for r0, p in panels for c, pc in enumerate(p)]
 
     def normal(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for comp in range(comps):
-            P, lower = packed[comp // 2], comp % 2
-            kv = dtrmv(P, v, lower=lower) - dtrmv(P, v, lower=lower, trans=1)
-            out -= dtrmv(P, kv, lower=lower) - dtrmv(P, kv, lower=lower, trans=1)
+        kv = np.zeros((comps, n))
+        for r0, r1, c, pc in blocks:
+            y = kv[c]
+            y[r0:r1] += pc @ v[r0:]
+            y[r0:] -= v[r0:r1] @ pc
+        out = np.zeros(n)
+        for r0, r1, c, pc in blocks:
+            x = kv[c]
+            out[r0:r1] -= pc @ x[r0:]
+            out[r0:] += x[r0:r1] @ pc
         return out
     return normal
 
@@ -255,16 +302,20 @@ def _top_singular(normal: Callable[[np.ndarray], np.ndarray], tol: float,
     twice; the top Ritz pair (theta, y) of the tridiagonal has residual
     |B^T B y - theta y| = beta_j |s_j|.  The run stops once that is at most
     tol * theta: some eigenvalue of B^T B then lies within tol * theta of
-    theta (Parlett), so sigma = sqrt(theta) is within about tol / 2.  After
-    ``max_iter`` applications without that, the Ritz value, a lower bound on
-    sigma^2, is returned as stalled.  Returns (sigma, Ritz vector, steps,
-    residual / theta, stalled).
+    theta (Parlett), so sigma = sqrt(theta) is within about tol / 2.  The
+    Ritz pair comes from a dense symmetric eigensolve, O(j^3) at step j, so
+    it is checked at each of the first 64 steps, then at steps growing by
+    about 1/8, at the cap, and at any step whose beta_j alone certifies
+    (theta is at least every diagonal entry, so beta_j <= tol * max alpha
+    implies the stop).  After ``max_iter`` applications without the stop,
+    the Ritz value, a lower bound on sigma^2, is returned as stalled.
+    Returns (sigma, Ritz vector, steps, residual / theta, stalled).
     """
-    from scipy.linalg import eigh_tridiagonal
     n = len(start)
     basis = np.empty((min(max_iter, n), n))
     alpha, beta = [], []
     q = start / np.linalg.norm(start)
+    check = 1
     for j in range(len(basis)):
         basis[j] = q
         w = normal(q)
@@ -274,12 +325,14 @@ def _top_singular(normal: Callable[[np.ndarray], np.ndarray], tol: float,
         w -= (Q @ w) @ Q
         alpha.append(h[j])
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta),
-                                    select="i", select_range=(j, j))
-        theta, s = float(theta[0]), s[:, 0]
-        resid = b * abs(s[-1])
-        if resid <= tol * theta:
-            break
+        steps = j + 1
+        if steps >= check or steps == len(basis) or b <= tol * max(alpha):
+            theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+            theta, s = float(theta[-1]), S[:, -1]
+            resid = b * abs(s[-1])
+            if resid <= tol * theta:
+                break
+            check = steps + 1 if steps < 64 else steps + steps // 8
         beta.append(b)
         q = w / b
     rel = float(resid / theta) if theta > 0 else 0.0
@@ -302,7 +355,7 @@ class OperatorNormResult:
 
 def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGrid,
                           tol: float = 1e-6, max_iter: int = 500) -> list[OperatorNormResult]:
-    """Operator norms along a truncation grid on one packed operator.
+    """Operator norms along a truncation grid on one panel operator.
 
     The grid increases, so truncation k zeroes in place the pairs whose index
     is at most k, a superset of the previous truncation's.  Each Lanczos run
@@ -320,17 +373,14 @@ def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGr
         raise InvalidParams("tol must be finite and positive")
     n = m.size
     comps = _components(kernel)
-    index_bytes = np.min_scalar_type(len(grid.eps)).itemsize
-    # Peak beyond a fixed tile scratch: the packed arrays at 8 B per pair for
-    # two components, the truncation index, the drop mask at 1 B per
-    # pair, and the Lanczos basis.
-    need = (8 * ((comps + 1) // 2) + index_bytes + 1) * n * n + 8 * min(max_iter, n) * n
+    need = _operator_bytes(n, comps, len(grid.eps), max_iter)
     if need > OPERATOR_BYTE_BUDGET:
         raise TooLarge(f"an N={n} operator needs {need / 2 ** 30:.1f} GiB, over the "
                        f"{OPERATOR_BYTE_BUDGET / 2 ** 30:.0f} GiB budget")
     _check_odd(kernel, m.points)
-    packed, idx = _interaction_stack(m, kernel, grid)
-    normal = _normal_operator(packed, comps)
+    (buf,), idx = _interaction_stack(m, kernel, grid)
+    panels = _panels(buf, n, comps)
+    normal = _normal_operator(panels, n)
     # every pair is dropped from this grid position on
     reach = int(idx.max())
     rng = np.random.default_rng(0)
@@ -340,9 +390,7 @@ def operator_norm_profile(m: DiscreteMeasure, kernel: Kernel, grid: TruncationGr
         if k >= reach:
             out.append(OperatorNormResult(0.0, float(eps), 0, False, 0.0))
             continue
-        for P in packed:
-            # one drop mask alive at a time: 1 B per pair
-            P[idx <= k] = 0.0
+        _truncate(panels, idx, k)
         g = rng.standard_normal(n)
         sigma, ritz, iters, resid, stalled = _top_singular(
             normal, tol, max_iter, ritz + g / np.linalg.norm(g))

@@ -11,6 +11,7 @@ from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import Plane, cone_rows, lengths, make_plane, sample_grassmannian
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.measure import DiscreteMeasure, sorted_mass
+from conical_gmt.sio import _panels
 
 
 def random_cloud(seed: int, count: int = 200, d: int = 2,
@@ -47,6 +48,18 @@ def menger_curvature_sum(points: np.ndarray, weights: np.ndarray,
             d2[i][:, :, None] * d2[i][:, None, :] * d2[None])[keep]
         total += float(np.einsum("i,j,k,ijk->", w[i], w, w, c2))
     return total
+
+
+def panel_upper(buf: np.ndarray, n: int, comps: int) -> np.ndarray:
+    """The strict upper triangles U_c of the SIO operator blocks as a dense
+    (comps, N, N) array, read from the panels of ``_panels``; asserts that
+    every panel entry on or below the diagonal is zero."""
+    upper = np.zeros((comps, n, n))
+    for r0, p in _panels(buf, n, comps):
+        rows = p.shape[1]
+        assert not np.any(np.tril(p[:, :, :rows]))
+        upper[:, r0:r0 + rows, r0:] = p
+    return upper
 
 
 def mixture_cloud() -> DiscreteMeasure:

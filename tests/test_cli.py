@@ -479,7 +479,7 @@ def test_gen_and_sio_norm_load_no_scipy_spatial(tmp_path):
              "--grid-size", "4", "--out", "s.csv"]
     code = ("import sys; from conical_gmt import cli; "
             f"assert cli.run({gen!r}) == 0 and cli.run({norms!r}) == 0; "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy.spatial')))")
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
     proc = _fresh_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
@@ -594,6 +594,8 @@ def cantor4(tmp_path):
 ENERGY = ["energy", "--n", "1", "--alpha", "0.8"]
 SCAN = ["scan-bpbe", "--n", "1", "--alpha", "0.8", "--M0", "1", "--kappa", "0.5",
         "--direction-samples", "4", "--balls", "all"]
+SIO = ["sio-norm", "--kernel", "cauchy", "--n", "1"]
+BETA = ["beta", "--n", "1"]
 
 
 @pytest.mark.parametrize("argv, code, prefix", [
@@ -611,10 +613,22 @@ SCAN = ["scan-bpbe", "--n", "1", "--alpha", "0.8", "--M0", "1", "--kappa", "0.5"
     (SCAN + ["--seed", "1", "--p", "inf"], 2, "error:"),
     (ENERGY + ["--p", "1e308", "--plane", "0,1", "--R", "1"], 3, "numerical failure:"),
     (SCAN + ["--seed", "1", "--p", "1e308"], 3, "numerical failure:"),
+    (SIO + ["--eps-grid", "abc"], 2, "error:"),
+    (SIO + ["--eps-grid", "0.1,,0.2"], 2, "error:"),
+    (BETA + ["--center", "idx:0", "--scales", "abc"], 2, "error:"),
+    (BETA + ["--center", "idx:0", "--scales", "dyadic:x"], 2, "error:"),
+    (BETA + ["--center", "idx:abc", "--scales", "dyadic:4"], 2, "error:"),
+    (BETA + ["--center", "0.5,abc", "--scales", "dyadic:4"], 2, "error:"),
+    (BETA + ["--center", "0.5", "--scales", "dyadic:4"], 2, "error:"),
+    (["gen", "--type", "variable_cantor", "--generation", "3", "--ratios", "0.3,abc"],
+     2, "error:"),
 ], ids=["energy-plane-nan", "scan-pin-plane-nan", "energy-R-text", "scan-seed-negative",
         "gen-seed-negative", "gen-jitter-nan", "gen-jitter-negative",
         "gen-variable-cantor-no-ratios", "energy-p-inf",
-        "scan-p-inf", "energy-p-overflow", "scan-p-overflow"])
+        "scan-p-inf", "energy-p-overflow", "scan-p-overflow", "sio-eps-grid-text",
+        "sio-eps-grid-empty-field", "beta-scales-text", "beta-dyadic-count-text",
+        "beta-center-index-text", "beta-center-coordinate-text", "beta-center-bare-float",
+        "gen-ratios-text"])
 def test_bad_input_exits_with_one_message(tmp_path, cantor4, capsys, argv, code, prefix):
     # each was a traceback (exit 1), or exit 0 with an unjittered cloud or a
     # NaN energy and verdict; no output file is written

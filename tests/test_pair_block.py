@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist  # loaded before any traced call
 
-from conftest import coordinate_order_lengths, cone_row, mixture_cloud, random_cloud, traced_peak
+from conftest import (coordinate_order_lengths, cone_row, mixture_cloud, panel_upper,
+                      random_cloud, traced_peak)
 
 from conical_gmt import geometry
 from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
@@ -21,7 +22,7 @@ from conical_gmt.geometry import (cone_pairs, cone_rows, lengths, make_plane,
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure
-from conical_gmt.sio import TruncationGrid, _interaction_stack, builtin_kernels
+from conical_gmt.sio import TruncationGrid, _components, _interaction_stack, builtin_kernels
 
 V_AXIS = make_plane([[0.0, 1.0]])
 # a block far smaller than any kernel's width, so every kernel runs one row
@@ -167,11 +168,12 @@ def direction_energies():
 
 
 def interaction_stacks():
+    # the panels have the block's rows, so the operator is compared densely
     out = []
     for m, kernel in ((random_cloud(5, 40), builtin_kernels()["cauchy"]),
                       (random_cloud(9, 25, d=3), builtin_kernels(2, 3)["riesz"])):
-        packed, idx = _interaction_stack(m, kernel, TruncationGrid.log_spaced(m, 8))
-        out.extend(packed)
+        (buf,), idx = _interaction_stack(m, kernel, TruncationGrid.log_spaced(m, 8))
+        out.append(panel_upper(buf, m.size, _components(kernel)))
         out.append(idx)
     return tuple(out)
 

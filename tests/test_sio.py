@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
-from conftest import menger_curvature_sum, random_cloud, truncated_transform
+from conftest import (menger_curvature_sum, panel_upper, random_cloud, traced_peak,
+                      truncated_transform)
 
 from conical_gmt import sio
 from conical_gmt.errors import InvalidParams, TooLarge
@@ -16,6 +17,7 @@ from conical_gmt.sio import (OPERATOR_BYTE_BUDGET, Kernel, TruncationGrid,
 
 CAUCHY = builtin_kernels(1, 2)["cauchy"]
 RIESZ12 = builtin_kernels(1, 2)["riesz"]
+RIESZ13 = builtin_kernels(1, 3)["riesz"]
 RIESZ23 = builtin_kernels(2, 3)["riesz"]
 
 
@@ -256,23 +258,30 @@ def test_packed_product_matches_dense_oracle():
     pts = cloud.points.copy()
     central = np.argsort(np.linalg.norm(pts - 0.5, axis=1))[:10]
     pts[central[5:]] = pts[central[:5]]
-    # 600 atoms span five row tiles, so off-diagonal and partial tiles too
+    # 600 atoms span five block rows, so off-diagonal tiles and a ragged last
+    # panel; 129 and 300 atoms end in panels of 1 and 44 rows; Riesz in R^3
+    # has three components
     cases = [(random_cloud(5, 600), CAUCHY),
+             (random_cloud(7, 129), CAUCHY),
+             (random_cloud(8, 300), CAUCHY),
              (DiscreteMeasure(pts, cloud.weights, 1), CAUCHY),
-             (random_cloud(9, 25, d=3), RIESZ23)]
+             (random_cloud(9, 25, d=3), RIESZ23),
+             (random_cloud(10, 300, d=3), RIESZ13)]
     for m, kernel in cases:
         d = np.unique(pdist(m.points))
         d = d[d > 0]
         # drops no pair, some pairs, and all but the farthest pair
         grid = TruncationGrid(np.array([d[0] / 2, np.median(d), d[-2]]))
-        packed, idx = sio._interaction_stack(m, kernel, grid)
+        (buf,), idx = sio._interaction_stack(m, kernel, grid)
         comps = sio._components(kernel)
-        assert len(packed) == (comps + 1) // 2 and idx.dtype == np.uint8
-        assert np.all(np.tril(packed[-1]) == 0.0) == (comps % 2 == 1)
-        normal = sio._normal_operator(packed, comps)
+        assert buf.size == comps * sio._panel_pairs(m.size) and idx.dtype == np.uint8
+        # every component fills its own triangle, whatever the count
+        blocks, _ = dense_blocks(m, kernel, 0.0)
+        assert np.array_equal(panel_upper(buf, m.size, comps), np.triu(blocks, 1))
+        panels = sio._panels(buf, m.size, comps)
+        normal = sio._normal_operator(panels, m.size)
         for k, eps in enumerate(grid.eps):
-            for P in packed:
-                P[idx <= k] = 0.0
+            sio._truncate(panels, idx, k)
             blocks, keep = dense_blocks(m, kernel, eps)
             assert np.array_equal(idx > k, keep)
             v = rng.standard_normal(m.size)
@@ -295,20 +304,21 @@ def test_uint16_index_profile_matches_dense():
 
 def test_packed_operator_meets_menger_curvature_identity():
     # Melnikov: for the Cauchy kernel, |B sqrt(w)|^2 is the weighted curvature
-    # sum plus the diagonal sum of w_i w_j^2 / |z_i - z_j|^2
-    m = random_cloud(40, 40)
-    w = m.weights
-    grid = TruncationGrid(np.array([pdist(m.points).min() / 2]))
-    packed, idx = sio._interaction_stack(m, CAUCHY, grid)
-    for P in packed:
-        P[idx <= 0] = 0.0
-    sw = np.sqrt(w)
-    lhs = sw @ sio._normal_operator(packed, 2)(sw)
-    d2 = np.sum((m.points[None, :, :] - m.points[:, None, :]) ** 2, axis=2)
-    off = ~np.eye(m.size, dtype=bool)
-    rhs = (menger_curvature_sum(m.points, w)
-           + np.sum((w[:, None] * w[None, :] ** 2)[off] / d2[off]))
-    assert lhs == pytest.approx(rhs, rel=1e-13)
+    # sum plus the diagonal sum of w_i w_j^2 / |z_i - z_j|^2; 129 atoms end
+    # in a one-row panel
+    for m in (random_cloud(40, 40), random_cloud(41, 129)):
+        w = m.weights
+        grid = TruncationGrid(np.array([pdist(m.points).min() / 2]))
+        (buf,), idx = sio._interaction_stack(m, CAUCHY, grid)
+        panels = sio._panels(buf, m.size, 2)
+        sio._truncate(panels, idx, 0)
+        sw = np.sqrt(w)
+        lhs = sw @ sio._normal_operator(panels, m.size)(sw)
+        d2 = np.sum((m.points[None, :, :] - m.points[:, None, :]) ** 2, axis=2)
+        off = ~np.eye(m.size, dtype=bool)
+        rhs = (menger_curvature_sum(m.points, w)
+               + np.sum((w[:, None] * w[None, :] ** 2)[off] / d2[off]))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 def test_odd_kernel_guard():
@@ -358,6 +368,37 @@ def test_operator_byte_guard_fires_before_allocating():
     with pytest.raises(TooLarge):
         operator_norm(m, CAUCHY, 0.5)
     assert time.perf_counter() - t0 < 1.0
+
+
+# the tile scratch of the stack build and the solve's vectors, whatever N
+SCRATCH_LIMIT = 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("kernel", [CAUCHY, RIESZ13], ids=["cauchy", "riesz-three-components"])
+def test_byte_model_is_the_stack_plus_a_fixed_scratch(monkeypatch, kernel):
+    comps = sio._components(kernel)
+    for n in (300, 1200):
+        m = random_cloud(11, n, d=kernel.ambient_dim)
+        grid = TruncationGrid.log_spaced(m, 16)
+        (stack, idx), peak = traced_peak(sio._interaction_stack, m, kernel, grid)
+        held = sum(b.nbytes for b in stack) + idx.nbytes
+        assert len(stack) == 1 and idx.shape == (n, n)
+        assert held == sio._stack_bytes(n, comps, 16)
+        assert held <= peak <= held + SCRATCH_LIMIT
+    # the whole profile stays within the guard's model, and a budget one
+    # byte short of it is refused before anything is allocated
+    need = sio._operator_bytes(n, comps, 16, 40)
+    profile, peak = traced_peak(operator_norm_profile, m, kernel, grid, 1e-6, 40)
+    assert len(profile) == 16
+    assert peak <= need + SCRATCH_LIMIT
+
+    def refused():
+        with pytest.raises(TooLarge):
+            operator_norm_profile(m, kernel, grid, 1e-6, 40)
+    monkeypatch.setattr(sio, "OPERATOR_BYTE_BUDGET", need - 1)
+    assert traced_peak(refused)[1] < 2 ** 20
+    monkeypatch.setattr(sio, "OPERATOR_BYTE_BUDGET", need)
+    assert operator_norm_profile(m, kernel, grid, 1e-6, 40) == profile
 
 
 @pytest.fixture(scope="module")

@@ -8,11 +8,10 @@ with no read in between.  Names starting with ``_`` are exempt, as are
 functions and comprehensions included, so a closure's use of an outer local
 counts for the outer function.
 
-The import scan fails on an import of scipy that runs when a module is
-imported: scipy loads only inside the functions that use it, so ``gen``, the
-p = 1 ``energy`` sweep and ``sio-norm`` stay light.  A second scan fails on
-any import of ``scipy.spatial``, in a function body too: balls and nearest
-distances have one index, ``geometry.SortedIndex``, and no KD-tree beside it.
+The import scan fails on any import of scipy, in a function body too: the
+package runs on numpy alone.  Balls and nearest distances have one index,
+``geometry.SortedIndex``, and the SIO operator's products and Ritz solves
+are numpy's; scipy stays a test dependency, for the oracles.
 
 The distance scan fails on any ``linalg.norm`` call whose argument is a
 subtraction: every |y - x| comes from ``geometry.lengths`` or
@@ -153,93 +152,60 @@ def test_package_has_no_unread_locals_or_parameters():
     assert found == []
 
 
-def import_time_scipy(source: str, filename: str = "<source>") -> list[str]:
-    """Imports of scipy that run on import of the module: at module level,
-    in a class body, or under a module-level ``if`` or ``try``, but not
-    inside a function."""
-    found = []
-    stack = list(ast.parse(source, filename).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module]
-        else:
-            names = []
-        for name in names:
-            if name == "scipy" or name.startswith("scipy."):
-                found.append(f"{filename}:{node.lineno}: import of {name} at import time")
-        if not isinstance(node, (*_FUNCS, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-    return found
-
-
-def test_scan_finds_import_time_scipy():
-    src = ("import numpy as np\n"
-           "import scipy\n"
-           "from . import scipy_like\n"
-           "try:\n"
-           "    from scipy.spatial import cKDTree\n"
-           "except ImportError:\n"
-           "    pass\n"
-           "class A:\n"
-           "    import scipy.linalg as la\n"
-           "    def f(self):\n"
-           "        from scipy.linalg import eigh\n"
-           "        return eigh\n"
-           "def g():\n"
-           "    import scipy.spatial\n")
-    assert sorted(s.split(": ", 1)[1] for s in import_time_scipy(src)) == [
-        "import of scipy at import time", "import of scipy.linalg at import time",
-        "import of scipy.spatial at import time"]
-
-
-def scipy_spatial_imports(source: str, filename: str = "<source>") -> list[str]:
-    """Every import statement that loads ``scipy.spatial`` or a module under
-    it, wherever it sits, function bodies included; ``from m import a``
-    loads m and, when a is a submodule, m.a."""
+def scipy_imports(source: str, filename: str = "<source>") -> list[str]:
+    """Every import of scipy or a module under it, wherever it sits, function
+    bodies included, in line order: import statements (``from m import a``
+    loads m) and ``__import__`` or ``import_module`` calls on a string."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            names = [node.module]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              in ("__import__", "import_module")):
+            names = [node.args[0].value]
         else:
             continue
-        hits = [n for n in names if n == "scipy.spatial" or n.startswith("scipy.spatial.")]
+        hits = [n for n in names if n == "scipy" or n.startswith("scipy.")]
         if hits:
-            found.append(f"{filename}:{node.lineno}: import of {hits[0]}")
-    return found
+            found.append((node.lineno, f"{filename}:{node.lineno}: import of {hits[0]}"))
+    return [hit for _, hit in sorted(found)]
 
 
-def test_scan_finds_scipy_spatial_anywhere():
-    src = ("import scipy\n"
-           "import scipy.linalg\n"
+def test_scan_finds_scipy_anywhere():
+    src = ("import numpy as np\n"
+           "import scipy\n"
+           "from . import scipy_like\n"
+           "import scipy_like\n"
            "from scipy import linalg, spatial\n"
+           "try:\n"
+           "    import scipy.linalg as la\n"
+           "except ImportError:\n"
+           "    pass\n"
            "def f():\n"
            "    from scipy.spatial import cKDTree\n"
            "    return cKDTree\n"
            "class A:\n"
+           "    import scipy.sparse\n"
            "    def g(self):\n"
            "        import scipy.spatial.distance as ssd\n"
-           "        return ssd\n")
-    assert [s.split(": ", 1)[1] for s in scipy_spatial_imports(src)] == [
-        "import of scipy.spatial", "import of scipy.spatial",
-        "import of scipy.spatial.distance"]
+           "        return ssd\n"
+           "def h():\n"
+           "    return importlib.import_module('scipy.linalg'), __import__('scipy_like')\n")
+    assert [s.split(": ", 1)[1] for s in scipy_imports(src)] == [
+        "import of scipy", "import of scipy", "import of scipy.linalg",
+        "import of scipy.spatial", "import of scipy.sparse",
+        "import of scipy.spatial.distance", "import of scipy.linalg"]
 
 
-def test_package_loads_scipy_only_on_first_use():
+def test_package_imports_no_scipy():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        found += import_time_scipy(path.read_text(), path.name)
-    assert found == []
-
-
-def test_package_imports_no_scipy_spatial():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        found += scipy_spatial_imports(path.read_text(), path.name)
+        found += scipy_imports(path.read_text(), path.name)
     assert found == []
 
 
