@@ -8,7 +8,7 @@ from .generators import GeneratorSpec, generate
 from .geometry import Plane, make_plane, sample_grassmannian
 from .graphs import LipschitzGraph
 from .lattice import Cube, Lattice, build_lattice, maximal_doubling
-from .measure import DiscreteMeasure, load_csv, maximal_function, save_csv
+from .measure import DiscreteMeasure, load_csv, save_csv
 from .sio import Kernel, TruncationGrid, builtin_kernels, maximal_transform
 
 __version__ = "0.1.0"

@@ -109,8 +109,8 @@ class _Ctx:
     ``_table[x, k]`` is atom x's energy over level k's window
     (eta r_k, r_k / eta); the last column is the whole-space window.  Each
     visited cube's 2B_Q is asked once, for its density and its energy
-    together: a tree's root on its own, and the children of each cube the
-    tree expands in one family call.
+    together: a tree's root on its own, then each level of the tree's
+    frontier (the children of the cubes it expands there) in one family call.
     """
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
@@ -155,33 +155,44 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
 
     theta_r = ctx.theta2b(root)
     bce_threshold = params.energy_stop * theta_r ** params.exponent
+
+    # decide the tree a level at a time: the frontier is the children of the
+    # previous level's cubes that did not stop, asked in one family; a label
+    # depends only on the cube, its inherited chain energy and theta_r
+    decided: dict[int, tuple[float, float, str | None]] = {}
+    frontier = [(root, 0.0)]
+    while frontier:
+        ctx.ask([q for q, _ in frontier])
+        below = []
+        for q, inherited in frontier:
+            theta_q, energy = ctx._cube[q.id]
+            esum = inherited + energy
+            label = None
+            if esum > bce_threshold:
+                label = "bce"
+            elif q.doubling and theta_q > params.density_high * theta_r:
+                label = "hd"
+            elif theta_q < params.density_low * theta_r:
+                label = "ld"
+            decided[q.id] = (theta_q, esum, label)
+            if label is None:
+                below.extend((lattice.cubes[cid], esum) for cid in q.children)
+        frontier = below
+
+    # emit in depth-first pre-order, children in lattice order
     tree_ids: list[int] = []
     stop = {"bce": [], "hd": [], "ld": []}
     theta_ledger: dict[int, float] = {}
     chain_energy: dict[int, float] = {}
-
-    stack = [(root, 0.0)]
+    stack = [root.id]
     while stack:
-        q, inherited = stack.pop()
-        esum = inherited + ctx.cube_energy(q)
-        theta_q = ctx.theta2b(q)
-        tree_ids.append(q.id)
-        theta_ledger[q.id] = theta_q
-        chain_energy[q.id] = esum
-        label = None
-        if esum > bce_threshold:
-            label = "bce"
-        elif q.doubling and theta_q > params.density_high * theta_r:
-            label = "hd"
-        elif theta_q < params.density_low * theta_r:
-            label = "ld"
+        qid = stack.pop()
+        theta_ledger[qid], chain_energy[qid], label = decided[qid]
+        tree_ids.append(qid)
         if label is not None:
-            stop[label].append(q.id)
-            continue
-        children = [lattice.cubes[cid] for cid in q.children]
-        ctx.ask(children)
-        for c in reversed(children):
-            stack.append((c, esum))
+            stop[label].append(qid)
+        else:
+            stack.extend(reversed(lattice.cubes[qid].children))
 
     stop_all = stop["bce"] + stop["hd"] + stop["ld"]
     stopped_atoms = (np.concatenate([lattice.cubes[i].members for i in stop_all])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyBall, GraphAmbientMismatch, InvalidParams
 from .geometry import Plane, SortedIndex, cone_pairs, cone_rows, lengths
 from .graphs import LipschitzGraph
-from .measure import DiscreteMeasure, sorted_mass
+from .measure import DiscreteMeasure, sorted_profiles
 
 DEGENERATE_GAP = 1e-12
 _CIRCLE_SAMPLES = 2048
@@ -147,21 +147,23 @@ def f_epsilon_set(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
         if np.any(explicit <= 0) or np.any(explicit > 1):
             raise InvalidParams("grid radii must lie in (0, 1]")
     out = []
-    for i in range(m.size):
-        ds, cum = sorted_mass(m.distances_from(m.points[i]), m.weights)
-        # before[j] is mu(B(x, ds[j])) at the first position of a run of equal
-        # distances and more at its later ones, so every position may be tested
-        before = np.append(0.0, cum)
+    for rows, ds, cum in sorted_profiles(m, m.points):
+        # before[:, j] is mu(B(x, ds[:, j])) at the first position of a run of
+        # equal distances and more at its later ones, so every position may
+        # be tested
+        before = np.zeros((len(ds), m.size + 1))
+        before[:, 1:] = cum
         if explicit is None:
-            lo, hi = np.searchsorted(ds, (0.0, 1.0), side="right")
-            radii = np.append(ds[lo:hi], 1.0)
-            mass = np.append(before[lo:hi], before[np.searchsorted(ds, 1.0)])
+            low = (ds > 0) & (ds <= 1.0) & (before[:, :-1] <= eps * ds ** n)
+            # and r = 1 itself: the mass of the distances below it
+            at_one = before[np.arange(len(ds)), np.count_nonzero(ds < 1.0, axis=1)]
+            low = low.any(axis=1) | (at_one <= eps)
         else:
-            radii = explicit
-            mass = before[np.searchsorted(ds, radii, side="left")]
-        if np.any(mass <= eps * radii ** n):
-            out.append(i)
-    return np.asarray(out, dtype=int)
+            mass = np.array([b[np.searchsorted(d, explicit, side="left")]
+                             for d, b in zip(ds, before)])
+            low = np.any(mass <= eps * explicit ** n, axis=1)
+        out.append(rows.start + np.flatnonzero(low))
+    return np.concatenate(out)
 
 
 def necessary_bplg_cover(m: DiscreteMeasure, graph: LipschitzGraph,

@@ -219,12 +219,15 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
 
 
 def weighted_sum(weights: np.ndarray, energies: np.ndarray) -> float:
-    """sum_j w_j e_j, accumulated left to right so that the value does not
-    depend on how the energies were batched."""
-    total = 0.0
-    for w, e in zip(weights.tolist(), energies.tolist()):
-        total += w * e
-    return total
+    """sum_j w_j e_j, accumulated left to right from 0.0 so that the value
+    does not depend on how the energies were batched: ``cumsum`` adds in
+    that order, and the final + 0.0 turns a sum of -0.0 terms alone into
+    the +0.0 that a start from 0.0 gives.  Overflow and inf - inf give inf
+    and nan silently, as Python floats do."""
+    if len(energies) == 0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cumsum(weights * energies)[-1] + 0.0)
 
 
 def bpbe_scan(m: DiscreteMeasure, balls, aperture: float, exponent: float,

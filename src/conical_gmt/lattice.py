@@ -22,15 +22,18 @@ Each cube's own quantities are computed once, on the cube: mu(Q), the
 doubling flag, whether the atoms of B(Q) (asked once, by the doubling test)
 all lie in Q, and the radii of B_Q and 2B_Q.  Balls known up front are asked
 as families (``DiscreteMeasure.balls``): each level's B(Q) and 100 B(Q) in
-one call each, and the net's priority balls in one call.
+one call each, the net's priority balls in one call, and the balls of the
+points the net chooses from each chunk of candidates in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .errors import CubeNotFound, InvalidParams
 from .geometry import lengths, row_blocks, square_lengths
 from .measure import DiscreteMeasure
@@ -107,7 +110,7 @@ class Lattice:
         only reported, since the greedy assignment does not enforce them.
         """
         m = self.measure
-        inner_ok = outer_ok = nest_ok = nest_total = 0
+        outer_ok = 0
         for ids in self.levels:
             cubes = [self.cubes[i] for i in ids]
             owner = _level_owner(m.size, cubes)
@@ -115,13 +118,17 @@ class Lattice:
             # one distance pass per level: every atom against its own centre
             d = lengths(m.points - centers[owner])
             outer_ok += len(cubes) - len(np.unique(owner[d > cubes[0].ball_radius]))
-        for q in self.cubes:
-            inner_ok += q.inner_contained
-            if q.parent is not None:
-                p = self.cubes[q.parent]
-                nest_total += 1
-                if lengths(q.center - p.center) + q.ball_radius <= p.ball_radius:
-                    nest_ok += 1
+        inner_ok = sum(q.inner_contained for q in self.cubes)
+        kids = [q for q in self.cubes if q.parent is not None]
+        nest_total = len(kids)
+        nest_ok = 0
+        if kids:
+            parents = [self.cubes[q.parent] for q in kids]
+            # one distance pass over every (child centre - parent centre)
+            d = lengths(np.array([q.center for q in kids])
+                        - np.array([p.center for p in parents]))
+            d += [q.ball_radius for q in kids]
+            nest_ok = int(np.count_nonzero(d <= [p.ball_radius for p in parents]))
         total = len(self.cubes)
         return {"cubes": total,
                 "outer_containment_fraction": outer_ok / total,
@@ -217,9 +224,12 @@ def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list
     Priority indices are processed first (they are mutually separated by
     construction), then all points in index order; each chosen point blocks
     its open ball of radius sep.  Being separated, every priority point is
-    chosen, so their balls are asked as one family; after them each chosen
-    point asks its own ball, so no ball is asked for a point that is not
-    chosen.
+    chosen, so their balls are asked as one family.  The rest is decided in
+    chunks of the next ``isqrt(PAIR_BLOCK)`` unblocked points: one
+    ``square_lengths`` tile of the chunk and its root give |x_b - x_a| < sep
+    with the bits of the ball query's strict test, the greedy runs over the
+    chunk on that table, and only the chosen points' balls are asked, as one
+    family, so no ball is asked for a point that is not chosen.
     """
     blocked = np.zeros(m.size, dtype=bool)
     chosen = []
@@ -228,10 +238,25 @@ def _select_centers(m: DiscreteMeasure, sep: float, priority: list[int]) -> list
         if not blocked[i]:
             chosen.append(int(i))
             blocked[ball] = True
-    for i in range(m.size):
-        if not blocked[i]:
-            chosen.append(i)
-            blocked[m.ball_indices(m.points[i], sep)] = True
+    chunk = math.isqrt(geometry.PAIR_BLOCK)
+    free = np.flatnonzero(~blocked)
+    while len(free):
+        cand = free[:chunk]
+        x = m.points[cand].T
+        near = square_lengths(x, x)
+        near = np.sqrt(near, out=near) < sep
+        taken = np.zeros(len(cand), dtype=bool)
+        picks = []
+        for a in range(len(cand)):
+            if not taken[a]:
+                picks.append(a)
+                taken |= near[a]
+        new = cand[picks]
+        chosen.extend(new.tolist())
+        for ball in m.balls(m.points[new], sep):
+            blocked[ball] = True
+        # every point of the chunk now lies in a chosen point's ball
+        free = free[~blocked[free]]
     return chosen
 
 

@@ -15,11 +15,11 @@ family of balls at once: one vectorised test per block of centres whose runs
 hold about ``geometry.PAIR_BLOCK`` candidates.  ``ball_indices`` is its
 one-ball case.
 Masses, densities, the lattice's nets (the priority centres in one call,
-then each chosen point), B(Q) and 100 B(Q) (one call per level), the
-corona's 2B_Q (one call per expanded cube's children) and the graph cover's
-balls all ask it, so an atom on a sphere is outside everywhere alike.  The
-index is built on the first ball query and kept; it is numpy alone, so no
-ball query loads scipy.  The diameter and the smallest interpoint distance
+then the chosen points of each chunk of candidates), B(Q) and 100 B(Q) (one
+call per level), the corona's 2B_Q (one call per level of a tree's
+frontier) and the graph cover's balls all ask it, so an atom on a sphere is
+outside everywhere alike.  The index is built on the first ball query and
+kept; it is numpy alone, so no ball query loads scipy.  The diameter and the smallest interpoint distance
 come from one numpy pass, ``geometry.pair_extremes``, whose positive end
 ``sio``'s automatic grid also reads.
 """
@@ -138,30 +138,25 @@ class DiscreteMeasure:
 
 
 def sorted_mass(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances in ascending (stable) order with the cumulative weight
-    through each position."""
-    order = np.argsort(d, kind="stable")
-    return d[order], np.cumsum(w[order])
+    """Distances in ascending (stable) order along the last axis, a row or
+    a block of rows, with the cumulative weight through each position,
+    summed left to right along the row."""
+    order = np.argsort(d, axis=-1, kind="stable")
+    return np.take_along_axis(d, order, axis=-1), np.cumsum(w[order], axis=-1)
 
 
-def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:
-    """sup over r in [r_min, r_max] of mu(B(x, r)) / r^n.
-
-    mu(B(x, r)) is a left-continuous step function of r jumping after each
-    atom distance, so the supremum equals the maximum of closed-ball mass
-    over the candidate radii {r_min} and every atom distance in (r_min, r_max).
-    Those are read off one ``sorted_mass`` profile: cum[j] is the closed-ball
-    mass at ds[j] when j is the last of its run of equal distances, and at
-    most that elsewhere in the run, so every position may be a candidate.
-    """
-    if not 0 < r_min < r_max:
-        raise InvalidRange("need 0 < r_min < r_max")
-    ds, cum = sorted_mass(m.distances_from(x), m.weights)
-    lo = np.searchsorted(ds, r_min, side="right")
-    hi = np.searchsorted(ds, r_max, side="left")
-    radii = np.append(r_min, ds[lo:hi])
-    mass = np.append(cum[lo - 1] if lo else 0.0, cum[lo:hi])
-    return float(np.max(mass / radii ** m.dim_param))
+def sorted_profiles(m: DiscreteMeasure,
+                    centers: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Every centre's distances to all atoms through ``sorted_mass``, in
+    blocks of centres: a block ``(rows, ds, cum)`` holds in row
+    i - rows.start the profile of centers[i].  The distances are one
+    ``square_lengths`` tile and its root, the bits of ``distances_from``.
+    A block holds about ``PAIR_BLOCK // 4`` pairs, as ``cone_rows``' do,
+    since the sort keeps five arrays of its size alive at once."""
+    coords = np.ascontiguousarray(m.points.T)
+    for rows in geometry.row_blocks(len(centers), 4 * m.size):
+        sq = geometry.square_lengths(centers[rows].T, coords)
+        yield rows, *sorted_mass(np.sqrt(sq, out=sq), m.weights)
 
 
 @dataclass(frozen=True)
@@ -200,8 +195,23 @@ def growth_constant(m: DiscreteMeasure, r0: float, sample_count: int = 256,
     else:
         idx = rng.choice(m.size, size=sample_count, replace=False)
         idx.sort()
-    best = max(maximal_function(m, m.points[i], r_min, r0) for i in idx)
-    return GrowthReport(float(best), r_min, r0, degenerate, len(idx))
+    # mu(B(x, r)) is a left-continuous step function of r jumping after each
+    # atom distance, so each centre's supremum over [r_min, r0] is the largest
+    # closed-ball density at r_min and at the distances in (r_min, r0); cum[j]
+    # is the closed-ball mass at ds[j] at the last of a run of equal
+    # distances and at most that elsewhere in the run
+    n = m.dim_param
+    best = -np.inf
+    for _, ds, cum in sorted_profiles(m, m.points[idx]):
+        k = np.count_nonzero(ds <= r_min, axis=1)
+        mass = np.where(k > 0, cum[np.arange(len(cum)), k - 1], 0.0)
+        # r_min^n from numpy's power, as the distances' are
+        floor = np.full(len(mass), r_min)
+        best = max(best, float(np.max(mass / floor ** n)))
+        inside = (ds > r_min) & (ds < r0)
+        if inside.any():
+            best = max(best, float(np.max(cum[inside] / ds[inside] ** n)))
+    return GrowthReport(best, r_min, r0, degenerate, len(idx))
 
 
 def load_csv(path, dim_param: int | None = None) -> DiscreteMeasure:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conical_gmt.energy import _jumps, _step_energy
+from conical_gmt.errors import InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import Plane, cone_rows, lengths, make_plane, sample_grassmannian
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
@@ -299,6 +300,68 @@ def greedy_centers_oracle(points: np.ndarray, r0: float, a0: float, depth: int) 
     return levels
 
 
+def net_oracle(m: DiscreteMeasure, sep: float, priority: list) -> list:
+    """Oracle: the lattice's greedy net one point at a time.  The priority
+    points' balls are asked as one family, then each unblocked point in index
+    order is chosen and blocks its own open ball of radius sep."""
+    blocked = np.zeros(m.size, dtype=bool)
+    chosen = []
+    priority = np.asarray(priority, dtype=int)
+    for i, ball in zip(priority, m.balls(m.points[priority], sep)):
+        if not blocked[i]:
+            chosen.append(int(i))
+            blocked[ball] = True
+    for i in range(m.size):
+        if not blocked[i]:
+            chosen.append(i)
+            blocked[m.ball_indices(m.points[i], sep)] = True
+    return chosen
+
+
+def tree_oracle(lattice, root, params, ctx) -> tuple:
+    """Oracle: one stopping-time tree grown depth first, a cube at a time,
+    each expanded cube's children asked together.  Returns the tree's cube
+    ids in pre-order, its BCE, HD and LD stop lists, and its density and
+    chain-energy ledgers in the order they were filled."""
+    theta_r = ctx.theta2b(root)
+    bce_threshold = params.energy_stop * theta_r ** params.exponent
+    tree_ids = []
+    stop = {"bce": [], "hd": [], "ld": []}
+    theta_ledger, chain_energy = {}, {}
+    stack = [(root, 0.0)]
+    while stack:
+        q, inherited = stack.pop()
+        esum = inherited + ctx.cube_energy(q)
+        theta_q = ctx.theta2b(q)
+        tree_ids.append(q.id)
+        theta_ledger[q.id] = theta_q
+        chain_energy[q.id] = esum
+        label = None
+        if esum > bce_threshold:
+            label = "bce"
+        elif q.doubling and theta_q > params.density_high * theta_r:
+            label = "hd"
+        elif theta_q < params.density_low * theta_r:
+            label = "ld"
+        if label is not None:
+            stop[label].append(q.id)
+            continue
+        children = [lattice.cubes[cid] for cid in q.children]
+        ctx.ask(children)
+        for c in reversed(children):
+            stack.append((c, esum))
+    return (tree_ids, stop["bce"], stop["hd"], stop["ld"],
+            list(theta_ledger.items()), list(chain_energy.items()))
+
+
+def weighted_sum_loop(weights, energies) -> float:
+    """Oracle: sum_j w_j e_j in Python floats, from 0.0, left to right."""
+    total = 0.0
+    for w, e in zip(np.asarray(weights).tolist(), np.asarray(energies).tolist()):
+        total += w * e
+    return total
+
+
 def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
     """Oracle: the low-density set over each atom's sorted set of candidate
     radii (``np.unique`` of its distances in (0, 1], and 1) or the grid, with
@@ -314,6 +377,27 @@ def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndar
         if np.any(mass <= eps * radii ** m.dim_param):
             out.append(i)
     return np.asarray(out, dtype=int)
+
+
+def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:
+    """Oracle: sup over r in [r_min, r_max] of mu(B(x, r)) / r^n at one
+    point, from one ``sorted_mass`` profile of its distances.
+
+    mu(B(x, r)) is a left-continuous step function of r jumping after each
+    atom distance, so the supremum equals the maximum of closed-ball mass
+    over the candidate radii {r_min} and every atom distance in (r_min, r_max).
+    cum[j] is the closed-ball mass at ds[j] when j is the last of its run of
+    equal distances, and at most that elsewhere in the run, so every position
+    may be a candidate.
+    """
+    if not 0 < r_min < r_max:
+        raise InvalidRange("need 0 < r_min < r_max")
+    ds, cum = sorted_mass(m.distances_from(x), m.weights)
+    lo = np.searchsorted(ds, r_min, side="right")
+    hi = np.searchsorted(ds, r_max, side="left")
+    radii = np.append(r_min, ds[lo:hi])
+    mass = np.append(cum[lo - 1] if lo else 0.0, cum[lo:hi])
+    return float(np.max(mass / radii ** m.dim_param))
 
 
 def maximal_function_candidates(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:

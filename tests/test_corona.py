@@ -1,11 +1,13 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (SWEEP_CASES, _cone_energy, ball_mass, cone_row, graph_through,
-                      separation_oracle)
+                      separation_oracle, tree_oracle)
 
+from conical_gmt.cli import run
 from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
                                 separated_families, stopping_decomposition,
                                 verify_corona)
@@ -446,6 +448,80 @@ def test_corona_queries_each_cube_ball_once(asked_balls):
     assert asked_balls == Counter((tuple(q.center.tolist()), 2.0 * q.ball_radius)
                                   for q in cubes)
     assert set(asked_balls.values()) == {1}
+
+
+@pytest.mark.parametrize("gen, extra_depth", [
+    (GeneratorSpec("four_corner_cantor", {"generation": 4}), 1),
+    (GeneratorSpec("lipschitz_graph", {"count": 400, "lipschitz": 0.5, "jitter": 0.5}, 5), 0),
+], ids=["cantor4", "jittered-graph"])
+def test_level_growth_equals_the_depth_first_oracle(gen, extra_depth):
+    # the labels decided a level at a time, emitted in pre-order, are the
+    # depth-first loop's: tree ids, stop lists and both ledgers in order
+    m, _ = generate(gen)
+    lat = build_lattice(m, 2.0, 8.0, natural_depth(m) + extra_depth)
+    params = default_params()
+    res = build_top(lat, params)
+    ctx = _Ctx(lat, params)
+    stops = 0
+    for tree in res.trees:
+        got = (tree.tree_ids, tree.stop_bce, tree.stop_hd, tree.stop_ld,
+               list(tree.theta_ledger.items()), list(tree.chain_energy.items()))
+        assert got == tree_oracle(lat, lat.cubes[tree.root_id], params, ctx)
+        stops += len(tree.stop_ids)
+    assert stops > 0
+    assert max(lat.cubes[cid].level for t in res.trees for cid in t.tree_ids) >= 2
+    if gen.kind == "four_corner_cantor":
+        assert len(res.trees) > 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_level_growth_equals_the_depth_first_oracle_on_drawn_labels(seed):
+    # every cube's density and energy drawn, so chains run deep with
+    # nonzero energies and stop by all three rules (this graph's doubling
+    # cubes, which alone may stop HD, are its finest)
+    m, _ = generate(GeneratorSpec("lipschitz_graph",
+                                  {"count": 400, "lipschitz": 0.5, "jitter": 0.5}, 5))
+    lat = build_lattice(m, 2.0, 8.0, natural_depth(m))
+    params = default_params()
+    root = next(q for q in lat.cubes if q.doubling)
+    rng = np.random.default_rng(seed)
+    ctx = _Ctx(lat, params)
+    for q in lat.cubes:
+        theta = rng.choice([params.density_low / 2, 1.0, 2 * params.density_high],
+                           p=[0.1, 0.8, 0.1])
+        if q.level <= root.level + 1:  # a lone cube: keep the tree growing
+            theta = 1.0
+        ctx._cube[q.id] = (float(theta), float(rng.uniform(0, 0.3 * params.energy_stop)))
+    ctx._cube[root.id] = (1.0, 0.0)
+    tree = stopping_decomposition(lat, root, params, _ctx=ctx)
+    got = (tree.tree_ids, tree.stop_bce, tree.stop_hd, tree.stop_ld,
+           list(tree.theta_ledger.items()), list(tree.chain_energy.items()))
+    assert got == tree_oracle(lat, root, params, ctx)
+    assert tree.stop_bce and tree.stop_hd and tree.stop_ld
+    assert len({lat.cubes[i].level for i in tree.stop_bce + tree.stop_ld}) >= 3
+
+
+def test_corona_pass_asks_its_balls_in_few_families(tmp_path, monkeypatch):
+    # the benchmark's segment-corona pass at seed 1 asks 5,439 balls; the
+    # nets and the tree growth ask them in families, not one call per ball
+    pts, cfg = tmp_path / "segment.csv", tmp_path / "corona.json"
+    assert run(["gen", "--type", "segment", "--count", "1000", "--jitter", "0.05",
+                "--seed", "1", "--out", str(pts)]) == 0
+    cfg.write_text(json.dumps({"alpha": 0.8, "p": 1, "plane": "0,1", "n": 1, "max_depth": 6}))
+    calls, balls = [0], [0]
+    query = DiscreteMeasure.balls
+
+    def counted(self, centers, radii):
+        calls[0] += 1
+        balls[0] += len(centers)
+        return query(self, centers, radii)
+
+    monkeypatch.setattr(DiscreteMeasure, "balls", counted)
+    assert run(["corona", "--points", str(pts), "--config", str(cfg),
+                "--out", str(tmp_path / "report.json"),
+                "--dump-trees", str(tmp_path / "trees.json"), "--dump-members"]) == 0
+    assert balls[0] == 5439
+    assert calls[0] <= 40
 
 
 def test_verify_corona_line_passes():

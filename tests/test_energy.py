@@ -8,7 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from conftest import (SWEEP_CASES, _cone_energy, cone_jumps, cone_row, mixture_cloud,
                       plane_metric, point_energy, pointwise_energies_row_loop, random_cloud,
-                      riesz_cone_sum)
+                      riesz_cone_sum, weighted_sum_loop)
 
 from conical_gmt import energy
 from conical_gmt.corona import CoronaParams, _Ctx
@@ -499,6 +499,34 @@ def test_total_energy_weighted_sum():
                for i in range(m.size))
     whole = window_energies(m, spec, [(0.0, spec.outer_scale)])[0]
     assert weighted_sum(m.weights, whole[:, 0]) == pytest.approx(want, rel=1e-12)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_weighted_sum_is_the_left_to_right_loop():
+    # terms from 2^-500 to 2^500 (cancelling, overflowing and absorbed),
+    # zeros of both signs, infinities and nan, in many orders and lengths
+    rng = np.random.default_rng(71)
+    pool = np.concatenate((
+        np.ldexp(rng.random(40) - 0.5, rng.integers(-500, 501, 40)),
+        [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 2.0 ** 1023, -2.0 ** 1023]))
+    cases = [(np.array([]), np.array([])), (np.array([1.0]), np.array([-0.0])),
+             (np.array([1.0, 2.0]), np.array([-0.0, -0.0])),
+             (np.array([-1.0, 1.0]), np.array([0.0, -0.0]))]
+    for size in (1, 2, 3, 7, 50, 200):
+        for _ in range(40):
+            cases.append((rng.choice(pool, size), rng.choice(pool, size)))
+    nans = 0
+    for w, e in cases:
+        want = weighted_sum_loop(w, e)
+        got = weighted_sum(w, e)
+        assert type(got) is float
+        assert bits(got) == bits(want)
+        nans += math.isnan(want)
+    assert 0 < nans < len(cases)
+    assert bits(weighted_sum(np.array([1.0]), np.array([-0.0]))) == bits(0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -3,12 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ball_mass, greedy_centers_oracle, random_cloud
+from conftest import ball_mass, greedy_centers_oracle, net_oracle, random_cloud
 
+from conical_gmt import geometry, lattice
 from conical_gmt.errors import InvalidParams
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import lengths
-from conical_gmt.lattice import build_lattice, doubling_flags, maximal_doubling, natural_depth
+from conical_gmt.lattice import (_select_centers, build_lattice, doubling_flags, maximal_doubling,
+                                 natural_depth)
 from conical_gmt.measure import DiscreteMeasure
 
 
@@ -114,8 +116,9 @@ def test_ball_nesting_reported():
 
 
 def test_containment_fractions_equal_brute_force():
-    # the Cantor grid and the segment satisfy both containments everywhere;
-    # atoms clustered at the origin of a line break them at some cubes
+    # the Cantor grid and the segment satisfy both containments and the ball
+    # nesting everywhere; atoms clustered at the origin of a line break all
+    # three at some cubes
     lattices = [build_lattice(m, 2.0, 8.0, natural_depth(m)) for m, _ in (
         generate(GeneratorSpec("four_corner_cantor", {"generation": 4})),
         generate(GeneratorSpec("segment", {"count": 300, "jitter": 0.5}, 7)))]
@@ -127,16 +130,21 @@ def test_containment_fractions_equal_brute_force():
     broken = set()
     for lat in lattices:
         pts = lat.measure.points
-        inner = outer = 0
+        inner = outer = nested = 0
         for q in lat.cubes:
             d = np.linalg.norm(pts - q.center[None, :], axis=1)
             outer += d[q.members].max() <= 28.0 * q.radius
             inner += set(np.flatnonzero(d < q.radius)) <= set(q.members.tolist())
+            if q.parent is not None:
+                p = lat.cubes[q.parent]
+                nested += float(lengths(q.center - p.center)) + q.ball_radius <= p.ball_radius
         rep = lat.containment_report()
         assert rep["outer_containment_fraction"] == outer / len(lat.cubes)
         assert rep["inner_containment_fraction"] == inner / len(lat.cubes)
-        broken |= {k for k in ("inner", "outer") if rep[f"{k}_containment_fraction"] < 1}
-    assert broken == {"inner", "outer"}
+        assert rep["ball_nesting_fraction"] == nested / (len(lat.cubes) - 1)
+        broken |= {k for k in ("inner_containment", "outer_containment", "ball_nesting")
+                   if rep[f"{k}_fraction"] < 1}
+    assert broken == {"inner_containment", "outer_containment", "ball_nesting"}
 
 
 @pytest.mark.parametrize("gen", [
@@ -175,6 +183,77 @@ def test_net_asks_the_balls_of_its_chosen_points_only(asked_balls):
         sep = 10.0 * lat.cubes[ids[0]].radius
         asked = Counter({ball: n for ball, n in asked_balls.items() if ball[1] == sep})
         assert asked == Counter((tuple(lat.cubes[i].center.tolist()), sep) for i in ids)
+
+
+def dyadic_grid() -> DiscreteMeasure:
+    """A 9 x 9 grid of spacing 1/8: pairs exactly 1/4, 1/2, 5/8 and 1 apart."""
+    g = np.arange(9) / 8.0
+    pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    return DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), 1)
+
+
+def cluster_cloud() -> DiscreteMeasure:
+    """A sparse background around a dense cluster."""
+    rng = np.random.default_rng(23)
+    pts = np.vstack([rng.random((40, 2)), 0.5 + 1e-3 * rng.random((400, 2))])
+    return DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)), 1)
+
+
+def net_clouds() -> dict:
+    """(cloud, depth) for the chunked net against the sequential one."""
+    segment, _ = generate(GeneratorSpec("segment", {"count": 1000, "jitter": 0.05}, 1))
+    cantor, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": 5}))
+    dup = random_cloud(31, 300)
+    pts = dup.points.copy()
+    pts[:100] = pts[100:200]
+    far = random_cloud(32, 400)
+    return {"segment-corona": (segment, 6),
+            "cantor5": (cantor, natural_depth(cantor)),
+            "dyadic-grid": (dyadic_grid(), 5),
+            "duplicates": (DiscreteMeasure(pts, dup.weights, 1), 6),
+            "offset-1e6": (DiscreteMeasure(far.points + 1e6, far.weights, 1), 6),
+            "cloud-3d": (random_cloud(33, 500, d=3), 5),
+            "cluster": (cluster_cloud(), 6)}
+
+
+@pytest.mark.parametrize("block", [None, 64], ids=["block-default", "block-64"])
+@pytest.mark.parametrize("name", list(net_clouds()))
+def test_net_chunks_choose_the_sequential_greedy(monkeypatch, name, block):
+    # every level's chosen list, in order, is the one-point-at-a-time
+    # greedy's; a block of 64 pairs makes chunks of 8 points, which cut
+    # through every cluster
+    m, depth = net_clouds()[name]
+    if block is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+    calls = []
+
+    def recording(mm, sep, priority):
+        chosen = _select_centers(mm, sep, priority)
+        calls.append((sep, list(priority), chosen))
+        return chosen
+
+    monkeypatch.setattr(lattice, "_select_centers", recording)
+    build_lattice(m, 2.0, 8.0, depth)
+    assert len(calls) == depth - 1
+    for sep, priority, chosen in calls:
+        assert chosen == net_oracle(m, sep, priority)
+    assert len(calls[-1][2]) > len(calls[0][2])
+
+
+@pytest.mark.parametrize("sep", [0.125, 0.25, 0.5, 0.625, 1.0])
+@pytest.mark.parametrize("priority", [[], [40], [0, 80]], ids=["none", "centre", "corners"])
+def test_net_keeps_points_exactly_sep_apart(sep, priority):
+    # the grid has pairs exactly sep apart, which the open ball does not
+    # block, and pairs a rounding below or above it along the diagonals
+    m = dyadic_grid()
+    chosen = _select_centers(m, sep, priority)
+    assert chosen == net_oracle(m, sep, priority)
+    x = m.points[chosen]
+    d = lengths(x[:, None, :] - x[None, :, :])
+    assert np.all(d[~np.eye(len(chosen), dtype=bool)] >= sep)
+    if sep == 0.125:
+        # neighbours exactly sep apart do not block each other
+        assert sorted(chosen) == list(range(m.size))
 
 
 def test_doubling_flags_definition():

@@ -4,15 +4,14 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from conftest import (PROFILE_CLOUDS, ball_mass, brute_ball_mass, brute_cone_mass, cone_row,
-                      coordinate_order_lengths, mixture_cloud,
-                      maximal_function_candidates, random_cloud)
+                      coordinate_order_lengths, maximal_function, maximal_function_candidates,
+                      mixture_cloud, random_cloud)
 
 from conical_gmt import geometry
 from conical_gmt.errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
-from conical_gmt.measure import (DiscreteMeasure, growth_constant, load_csv, maximal_function,
-                                 save_csv)
+from conical_gmt.measure import DiscreteMeasure, growth_constant, load_csv, save_csv
 from conical_gmt.sio import TruncationGrid
 
 
@@ -205,6 +204,39 @@ def test_growth_constant_segment():
     # away from the atomic scale the analytic constant shows directly
     coarse = maximal_function(m, np.array([0.5, 0.0]), 20.0 / count, 1.0)
     assert coarse <= 2.0 + 6.0 / np.sqrt(count)
+
+
+@pytest.mark.parametrize("block", [None, 50], ids=["block-default", "block-50"])
+@pytest.mark.parametrize("m", PROFILE_CLOUDS)
+def test_growth_constant_is_the_sampled_maximal_function(monkeypatch, m, block):
+    # the row blocks of profiles give the maximum of the one-point oracle
+    # over the sampled atoms, bit for bit, whatever rows share a block
+    if block is not None:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+    for sample_count, seed in ((m.size, 0), (37, 3)):
+        for r0 in (m.diameter() / (1 - 1e-9), 0.3 * m.diameter()):
+            rep = growth_constant(m, r0=r0, sample_count=sample_count, seed=seed)
+            idx = np.arange(m.size)
+            if sample_count < m.size:
+                idx = np.sort(np.random.default_rng(seed).choice(m.size, sample_count,
+                                                                 replace=False))
+            assert rep.sampled == len(idx)
+            assert rep.value == max(maximal_function(m, m.points[i], rep.r_min, r0)
+                                    for i in idx)
+
+
+def test_growth_constant_ties_at_its_floor_and_its_scale():
+    # a duplicate makes the floor r0 / 2, and the third atom sits exactly on
+    # it: the closed ball at the floor holds all three atoms
+    m = DiscreteMeasure(np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]),
+                        np.array([0.25, 0.25, 0.5]), 1)
+    rep = growth_constant(m, r0=1.0)
+    assert rep.degenerate and rep.r_min == 0.5
+    assert rep.value == 2.0 == maximal_function(m, m.points[0], 0.5, 1.0)
+    # and the open balls below r0 miss the atoms exactly r0 away
+    m = DiscreteMeasure(np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.full(3, 1 / 3), 1)
+    rep = growth_constant(m, r0=1.0)
+    assert rep.value == (1 / 3) / 0.5 == maximal_function(m, m.points[1], 0.5, 1.0)
 
 
 def test_growth_constant_single_atom_degenerate():

@@ -13,7 +13,7 @@ from conftest import (coordinate_order_lengths, cone_row, mixture_cloud, panel_u
 
 from conical_gmt import geometry
 from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
-from conical_gmt.diagnostics import theta_m_property
+from conical_gmt.diagnostics import f_epsilon_set, theta_m_property
 from conical_gmt.energy import (EnergySpec, _direction_energies, pointwise_energies,
                                 window_energies)
 from conical_gmt.generators import GeneratorSpec, generate
@@ -21,7 +21,7 @@ from conical_gmt.geometry import (cone_pairs, cone_rows, lengths, make_plane,
                                   row_blocks, sample_grassmannian, square_lengths)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
-from conical_gmt.measure import DiscreteMeasure
+from conical_gmt.measure import DiscreteMeasure, growth_constant
 from conical_gmt.sio import TruncationGrid, _components, _interaction_stack, builtin_kernels
 
 V_AXIS = make_plane([[0.0, 1.0]])
@@ -211,13 +211,23 @@ def shell_counts():
     return tuple(theta_m_property(m.points, V_AXIS, 0.6) for m in sweep_clouds())
 
 
+def sorted_profiles():
+    """The low-density set and the growth constant, both read off row blocks
+    of sorted profiles, on the mixture and on the Cantor ties."""
+    out = []
+    for m in (mixture_cloud(), sweep_clouds()[0]):
+        out.extend(f_epsilon_set(m, eps) for eps in (0.1, 0.45))
+        out.append(growth_constant(m, r0=m.diameter(), sample_count=256, seed=0).value)
+    return tuple(out)
+
+
 BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
                "lip-measured": lipschitz_constants, "lattice": lattice_cubes,
                "corona": corona_ledgers, "window-energies": window_tables,
                "direction-energies": direction_energies,
                "interaction-stack": interaction_stacks, "set-distance": set_distances,
                "sweep-energies": sweep_energies, "separation": separation_pairs,
-               "shell-counts": shell_counts}
+               "shell-counts": shell_counts, "sorted-profiles": sorted_profiles}
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
