@@ -122,27 +122,19 @@ class _Ctx:
         windows.append((0.0, np.inf))
         self._table = window_energies(lattice.measure, params.spec, windows)[0]
 
-    def ask(self, cubes: list[Cube]) -> None:
-        """Density and energy of every cube not asked before, from one query
-        of their 2B_Q."""
+    def ask(self, cubes: list[Cube]) -> list[tuple[float, float]]:
+        """(theta(2B_Q), energy) of each cube, those not asked before from
+        one query of their 2B_Q."""
         new = [q for q in cubes if q.id not in self._cube]
-        if not new:
-            return
-        m = self.lattice.measure
-        balls = m.balls(np.array([q.center for q in new]),
-                        [q.double_ball_radius for q in new])
-        for q, idx in zip(new, balls):
-            w = m.weights[idx]
-            self._cube[q.id] = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
-                                weighted_sum(w, self._table[idx, q.level]) / q.mass)
-
-    def theta2b(self, q: Cube) -> float:
-        self.ask([q])
-        return self._cube[q.id][0]
-
-    def cube_energy(self, q: Cube) -> float:
-        self.ask([q])
-        return self._cube[q.id][1]
+        if new:
+            m = self.lattice.measure
+            balls = m.balls(np.array([q.center for q in new]),
+                            [q.double_ball_radius for q in new])
+            for q, idx in zip(new, balls):
+                w = m.weights[idx]
+                self._cube[q.id] = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
+                                    weighted_sum(w, self._table[idx, q.level]) / q.mass)
+        return [self._cube[q.id] for q in cubes]
 
 
 def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
@@ -153,7 +145,7 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
     if not root.doubling:
         raise NotDoublingRoot(f"cube {root.id} is not doubling")
 
-    theta_r = ctx.theta2b(root)
+    theta_r = ctx.ask([root])[0][0]
     bce_threshold = params.energy_stop * theta_r ** params.exponent
 
     # decide the tree a level at a time: the frontier is the children of the
@@ -162,10 +154,8 @@ def stopping_decomposition(lattice: Lattice, root, params: CoronaParams,
     decided: dict[int, tuple[float, float, str | None]] = {}
     frontier = [(root, 0.0)]
     while frontier:
-        ctx.ask([q for q, _ in frontier])
         below = []
-        for q, inherited in frontier:
-            theta_q, energy = ctx._cube[q.id]
+        for (q, inherited), (theta_q, energy) in zip(frontier, ctx.ask([q for q, _ in frontier])):
             esum = inherited + energy
             label = None
             if esum > bce_threshold:

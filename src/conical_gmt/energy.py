@@ -24,23 +24,29 @@ a sweep one row at a time, whatever the strips are.  That order differs from
 one sum per atom in the last bits only, within 1e-13 relative of an exactly
 rounded sum.
 
-A window energy int_lo^hi only reads the profile below hi, so
-``window_energies`` builds each atom's profile once and reads every window
-off it.  It tests the atoms against the cloud in ``cone_rows``' row blocks,
-one cone test per block of about ``PAIR_BLOCK // 4`` pairs in one reused
-scratch, and then sorts and integrates each row on its own.  Other exponents
-than p = 1 take their pointwise energies from it, with the one window
-(0, R).  A corona run takes it once for all lattice levels, whose windows
-(eta r(Q), r(Q)/eta) depend only on the level.
+Every other energy is a step integral, formed in one place,
+``_step_integrals``: for ascending distances, a mask of selected positions
+per row and each row's cumulative selected mass, it integrates every row over
+every window (lo, hi).  Each entry is numpy's pairwise sum of the row's terms
+at its run ends (the last selected position of each run of equal distances)
+below hi; numpy groups a sum's terms by position, so a zero-padded row would
+change the last bits.  Two engines call it, each with its own loop, since
+running either's work through the other's loop measured two to twenty-five
+times slower (ROADMAP, aim 2):
 
-Scans over many directions (``bpbe_scan``, ``bme_check``) go through
-``_direction_energies``: each vertex sorts the atoms within the radius once,
-and each direction only masks that sorted list with ``cone_rows``'
-arithmetic.  The directions' cumulative masses are cumsums of the weights
-with out-of-cone atoms set to 0.0, which is exact, so every in-cone position
-holds the single-direction value.  Each entry is then the sum of that
-direction's compressed run-end terms alone: numpy sums pairwise, grouping
-terms by position, so summing the zero-padded row would change the last bits.
+- ``window_energies`` tests the atoms against the cloud in ``cone_rows``' row
+  blocks, one cone test per block of about ``PAIR_BLOCK // 4`` pairs in one
+  reused scratch, sorts each atom's in-cone profile once (``sorted_mass``)
+  and reads every window off it.  Other exponents than p = 1 take their
+  pointwise energies from it, with the one window (0, R); a corona run takes
+  it once for all lattice levels, whose windows (eta r(Q), r(Q)/eta) depend
+  only on the level.
+- ``_direction_energies`` serves the scans (``bpbe_scan``, ``bme_check``):
+  each vertex sorts the atoms within the radius once, and each direction
+  masks that sorted list with ``cone_rows``' arithmetic, one kernel row per
+  direction.  Its cumulative masses are cumsums of the weights with
+  out-of-cone atoms set to 0.0, which is exact, so every in-cone position
+  holds the single-direction value.
 """
 
 from __future__ import annotations
@@ -77,32 +83,40 @@ class EnergySpec:
             raise InvalidParams("outer scale R must be positive")
 
 
-def _jumps(mask: np.ndarray, dist: np.ndarray, weights: np.ndarray):
-    """The sorted distinct distances of the atoms in ``mask``, the cumulative
-    mass through each, and the number of such atoms."""
-    if not mask.any():
-        return np.empty(0), np.empty(0), 0
-    d, cum = sorted_mass(dist[mask], weights[mask])
-    # last position of each run of equal distances
-    ends = np.append(d[1:] > d[:-1], True)
-    return d[ends], cum[ends], len(d)
+def _step_integrals(d: np.ndarray, cum: np.ndarray, mask: np.ndarray, windows,
+                    n: int, p: float) -> np.ndarray:
+    """int_lo^hi (mass_j(r) / r^n)^p dr/r, exact, with one row per row j of
+    ``mask`` and one column per window (lo, hi), lo < hi.
 
-
-def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
-                 lo: float, hi: float):
-    """Integrate (mass(r) / r^n)^p dr/r over (lo, hi] for the step function
-    mass(r) = cum[i] on (radii[i], radii[i+1]]."""
-    if len(radii) == 0 or hi <= radii[0]:
-        return np.empty(0), 0.0
-    a = np.maximum(radii, lo)
-    b = np.append(radii[1:], np.inf)
-    b = np.minimum(b, hi)
+    ``d`` holds ascending distances > 0, and cum[j, i] the mass that row j
+    selects through position i.  A step runs from a run end to the next
+    selected distance, or to hi; its term is
+    cum^p (max(d, lo)^-np - max(d_next, lo)^-np) / np, +0.0 for a step that
+    ends at or below lo.  Every r^-np is an array power: numpy takes some
+    exponents (-1 among them) by another path than the scalar power.
+    """
+    rows, k = mask.shape
+    out = np.zeros((rows, len(windows)))
     np_exp = n * p
-    with np.errstate(divide="ignore"):
-        lower = np.where(a > 0, a ** -np_exp, np.inf)
-        upper = np.where(np.isinf(b), 0.0, b ** -np_exp)
-    contrib = np.where(b > a, cum ** p * (lower - upper) / np_exp, 0.0)
-    return contrib, float(np.sum(contrib))
+    # next selected position after each one, k if none
+    pos = np.where(mask, np.arange(k), k)
+    nxt = np.full_like(pos, k)
+    nxt[:, :-1] = np.minimum.accumulate(pos[:, :0:-1], axis=1)[:, ::-1]
+    end = mask & (np.concatenate((d, [np.inf]))[nxt] > d)
+    height = cum ** p
+    finite = np.isfinite(height[:, -1:]).all()      # cum^p grows along a row
+    for col, (lo, hi) in enumerate(windows):
+        c = np.searchsorted(d, hi, side="left")
+        # r^-np at the positions below hi, clamped to lo, then at hi, which
+        # stands for every later position
+        power = np.concatenate((np.maximum(d[:c], lo), [hi])) ** -np_exp
+        terms = height[:, :c] * (power[:c] - power.take(nxt[:, :c], mode="clip")) / np_exp
+        if lo > 0 and not (finite and power[0] < np.inf):
+            # an overflow makes a step below lo inf - inf or inf * 0
+            terms[nxt[:, :c] < np.searchsorted(d, lo, side="right")] = 0.0
+        for j, (t, e) in enumerate(zip(terms, end[:, :c])):
+            out[j, col] = t[e].sum()
+    return out
 
 
 def pointwise_energies(m: DiscreteMeasure, spec: EnergySpec) -> tuple[np.ndarray, np.ndarray]:
@@ -152,7 +166,8 @@ def window_energies(m: DiscreteMeasure, spec: EnergySpec,
     strict ``< hi`` prefix is exactly the profile that hi alone would give,
     so every entry equals its single-window value bit for bit.  The atoms
     are tested against the cloud in ``cone_rows``' blocks, one cone test per
-    block; each row is then sorted and integrated on its own.
+    block; each row is then sorted and integrated over every window by
+    ``_step_integrals``.
     """
     out = np.zeros((m.size, len(windows)))
     counts = np.zeros(m.size, dtype=int)
@@ -163,10 +178,10 @@ def window_energies(m: DiscreteMeasure, spec: EnergySpec,
         if top < np.inf:
             mask &= dist < top
         for row in np.flatnonzero(mask.any(axis=1)):
-            radii, cum, _ = _jumps(mask[row], dist[row], m.weights)
-            for col, (lo, hi) in enumerate(windows):
-                c = np.searchsorted(radii, hi, side="left")
-                out[rows.start + row, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
+            inside = mask[row]
+            d, cum = sorted_mass(dist[row][inside], m.weights[inside])
+            every = np.ones((1, len(d)), dtype=bool)
+            out[rows.start + row] = _step_integrals(d, cum[None], every, windows, n, p)[0]
     return out, counts
 
 
@@ -176,14 +191,14 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
     vertex x = m.points[i], i in ``vertex_idx``, and one column per V.
 
     Each vertex sorts its atoms in 0 < |y - x| < radius once; every direction
-    then only masks that sorted list, with ``cone_rows``' arithmetic, and the
-    directions' step integrals are evaluated together, in ``row_blocks`` of
-    directions as wide as the atom list.  Every entry equals the single-direction
-    ``_step_energy`` value bit for bit (see the module docstring).
+    then only masks that sorted list, with ``cone_rows``' arithmetic, and
+    ``_step_integrals`` takes the directions together, in ``row_blocks`` of
+    directions as wide as the atom list.  Every entry equals the step
+    integral of that direction's own sorted profile bit for bit (see the
+    module docstring).
     """
     out = np.zeros((len(vertex_idx), len(directions)))
-    n, p = m.dim_param, exponent
-    np_exp = n * p
+    n = m.dim_param
     for row, i in enumerate(vertex_idx):
         diff = m.points - m.points[i]
         dist = lengths(diff)
@@ -195,8 +210,6 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
         diff, d, w = diff[near], dist[near], m.weights[near]
         # a one-row product would take another BLAS path than cone_rows'
         operand = diff if k > 1 else np.vstack((diff, diff))
-        ext = np.append(d, radius)
-        power = ext ** -np_exp
         for rows in row_blocks(len(directions), k):
             chunk = directions[rows]
             par = np.empty((len(chunk), k, m.ambient_dim))
@@ -206,15 +219,7 @@ def _direction_energies(m: DiscreteMeasure, vertex_idx, directions: list[Plane],
             # cumulative in-cone mass; adding the 0.0 of an out-of-cone atom
             # is exact, so in-cone positions match the compressed cumsum
             cum = np.cumsum(np.where(mask, w, 0.0), axis=1)
-            # next in-cone position after each one, k (the radius) if none
-            pos = np.where(mask, np.arange(k), k)
-            nxt = np.full_like(pos, k)
-            nxt[:, :-1] = np.minimum.accumulate(pos[:, :0:-1], axis=1)[:, ::-1]
-            end = mask & (ext[nxt] > d)
-            contrib = cum ** p * (power[:k] - power[nxt]) / np_exp
-            for j in range(len(chunk)):
-                # numpy's pairwise sum of the compressed row, as _step_energy
-                out[row, rows.start + j] = float(contrib[j][end[j]].sum())
+            out[row, rows] = _step_integrals(d, cum, mask, [(0.0, radius)], n, exponent)[:, 0]
     return out
 
 

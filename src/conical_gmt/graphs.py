@@ -92,20 +92,13 @@ class LipschitzGraph:
         dev = lengths(v - np.atleast_2d(self.evaluate(z)))
         return dev if np.asarray(points).ndim > 1 else dev[0]
 
-    def to_json(self) -> dict:
-        return {
-            "base_plane": self.base.basis.tolist(),
-            "normal_plane": self.normal.basis.tolist(),
-            "anchors": [[z.tolist(), v.tolist()]
-                        for z, v in zip(self.anchors_base, self.anchors_value)],
-            "L": self.lip_measured,
-            "extension_constant": self.extension_constant,
-        }
-
     @staticmethod
     def from_json(data) -> "LipschitzGraph":
-        """The graph of a ``to_json`` document; any other document raises
-        ``InvalidParams``."""
+        """The graph of a graph document, a JSON object with ``base_plane``,
+        optionally ``normal_plane`` (the complement of the base if absent),
+        ``anchors`` as [base coordinates, normal coordinates] pairs, and
+        optionally ``L`` and ``extension_constant``; any other document
+        raises ``InvalidParams``."""
         try:
             base = Plane(np.asarray(data["base_plane"], dtype=float))
             normal = (Plane(np.asarray(data["normal_plane"], dtype=float))

@@ -6,12 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conical_gmt.energy import _jumps, _step_energy
 from conical_gmt.errors import InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import Plane, cone_rows, lengths, make_plane, sample_grassmannian
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
-from conical_gmt.measure import DiscreteMeasure, sorted_mass
+from conical_gmt.measure import DiscreteMeasure
 from conical_gmt.sio import _panels
 
 
@@ -197,6 +196,18 @@ def graph_through(points, direction: Plane, aperture: float) -> LipschitzGraph:
     return _graph_through(pts, direction, aperture)
 
 
+def graph_document(g: LipschitzGraph) -> dict:
+    """The JSON graph document of g, as ``LipschitzGraph.from_json`` reads it:
+    both planes, every anchor and both constants."""
+    return {
+        "base_plane": g.base.basis.tolist(),
+        "normal_plane": g.normal.basis.tolist(),
+        "anchors": [[z.tolist(), v.tolist()] for z, v in zip(g.anchors_base, g.anchors_value)],
+        "L": g.lip_measured,
+        "extension_constant": g.extension_constant,
+    }
+
+
 def _plane_ball_cap(base: np.ndarray, plane: Plane, center: np.ndarray, r: float):
     """Center and radius of (affine plane) cap (closed ball), or None."""
     foot = base + project(center - base, plane)[0]
@@ -323,7 +334,7 @@ def tree_oracle(lattice, root, params, ctx) -> tuple:
     each expanded cube's children asked together.  Returns the tree's cube
     ids in pre-order, its BCE, HD and LD stop lists, and its density and
     chain-energy ledgers in the order they were filled."""
-    theta_r = ctx.theta2b(root)
+    theta_r = ctx.ask([root])[0][0]
     bce_threshold = params.energy_stop * theta_r ** params.exponent
     tree_ids = []
     stop = {"bce": [], "hd": [], "ld": []}
@@ -331,8 +342,8 @@ def tree_oracle(lattice, root, params, ctx) -> tuple:
     stack = [(root, 0.0)]
     while stack:
         q, inherited = stack.pop()
-        esum = inherited + ctx.cube_energy(q)
-        theta_q = ctx.theta2b(q)
+        theta_q, energy = ctx.ask([q])[0]
+        esum = inherited + energy
         tree_ids.append(q.id)
         theta_ledger[q.id] = theta_q
         chain_energy[q.id] = esum
@@ -362,6 +373,14 @@ def weighted_sum_loop(weights, energies) -> float:
     return total
 
 
+def profile(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: distances in ascending order, equal ones in index order (an
+    explicit tie-break by ``np.lexsort``), with the cumulative weight through
+    each position, summed left to right."""
+    order = np.lexsort((np.arange(len(d)), d))
+    return d[order], np.cumsum(w[order])
+
+
 def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndarray:
     """Oracle: the low-density set over each atom's sorted set of candidate
     radii (``np.unique`` of its distances in (0, 1], and 1) or the grid, with
@@ -371,7 +390,7 @@ def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndar
         d = m.distances_from(m.points[i])
         radii = (np.unique(np.concatenate((d[(d > 0) & (d <= 1.0)], [1.0])))
                  if r_grid is None else np.asarray(r_grid, dtype=float))
-        ds, cum = sorted_mass(d, m.weights)
+        ds, cum = profile(d, m.weights)
         pos = np.searchsorted(ds, radii, side="left")
         mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
         if np.any(mass <= eps * radii ** m.dim_param):
@@ -381,7 +400,7 @@ def f_epsilon_candidates(m: DiscreteMeasure, eps: float, r_grid=None) -> np.ndar
 
 def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float:
     """Oracle: sup over r in [r_min, r_max] of mu(B(x, r)) / r^n at one
-    point, from one ``sorted_mass`` profile of its distances.
+    point, from one ``profile`` of its distances.
 
     mu(B(x, r)) is a left-continuous step function of r jumping after each
     atom distance, so the supremum equals the maximum of closed-ball mass
@@ -392,7 +411,7 @@ def maximal_function(m: DiscreteMeasure, x, r_min: float, r_max: float) -> float
     """
     if not 0 < r_min < r_max:
         raise InvalidRange("need 0 < r_min < r_max")
-    ds, cum = sorted_mass(m.distances_from(x), m.weights)
+    ds, cum = profile(m.distances_from(x), m.weights)
     lo = np.searchsorted(ds, r_min, side="right")
     hi = np.searchsorted(ds, r_max, side="left")
     radii = np.append(r_min, ds[lo:hi])
@@ -406,7 +425,7 @@ def maximal_function_candidates(m: DiscreteMeasure, x, r_min: float, r_max: floa
     mass at each radius found by binary search."""
     d = m.distances_from(x)
     cands = np.unique(np.concatenate(([r_min], d[(d > r_min) & (d < r_max)])))
-    ds, cum = sorted_mass(d, m.weights)
+    ds, cum = profile(d, m.weights)
     pos = np.searchsorted(ds, cands, side="right")
     mass = np.where(pos > 0, cum[np.maximum(pos - 1, 0)], 0.0)
     return float(np.max(mass / cands ** m.dim_param))
@@ -438,6 +457,35 @@ def cone_row(points: np.ndarray, x, direction: Plane,
     _, mask, dist = next(cone_rows(points, np.asarray(x, dtype=float)[None],
                                    direction, aperture))
     return mask[0].copy(), dist[0].copy()
+
+
+def _jumps(mask: np.ndarray, dist: np.ndarray, weights: np.ndarray):
+    """Oracle: the sorted distinct distances of the atoms in ``mask``, the
+    cumulative mass through each, and the number of such atoms."""
+    if not mask.any():
+        return np.empty(0), np.empty(0), 0
+    d, cum = profile(dist[mask], weights[mask])
+    # last position of each run of equal distances
+    ends = np.append(d[1:] > d[:-1], True)
+    return d[ends], cum[ends], len(d)
+
+
+def _step_energy(radii: np.ndarray, cum: np.ndarray, n: int, p: float,
+                 lo: float, hi: float):
+    """Oracle: integrate (mass(r) / r^n)^p dr/r over (lo, hi] for the step
+    function mass(r) = cum[i] on (radii[i], radii[i+1]], returning each
+    step's term and numpy's sum of them."""
+    if len(radii) == 0 or hi <= radii[0]:
+        return np.empty(0), 0.0
+    a = np.maximum(radii, lo)
+    b = np.append(radii[1:], np.inf)
+    b = np.minimum(b, hi)
+    np_exp = n * p
+    with np.errstate(divide="ignore"):
+        lower = np.where(a > 0, a ** -np_exp, np.inf)
+        upper = np.where(np.isinf(b), 0.0, b ** -np_exp)
+    contrib = np.where(b > a, cum ** p * (lower - upper) / np_exp, 0.0)
+    return contrib, float(np.sum(contrib))
 
 
 def cone_jumps(points: np.ndarray, weights: np.ndarray, x, direction: Plane,

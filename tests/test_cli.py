@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import cone_row, graph_through, point_energy
+from conftest import cone_row, graph_document, graph_through, point_energy
 
 import conical_gmt
 from conical_gmt import diagnostics
@@ -263,7 +263,7 @@ def test_bplg_subcommands(tmp_path):
     w = np.full(len(pts), 1.0 / len(pts))
     save_csv(DiscreteMeasure(pts, w, 1), pts_file)
     graph_file = tmp_path / "graph.json"
-    graph_file.write_text(json.dumps(graph.to_json()))
+    graph_file.write_text(json.dumps(graph_document(graph)))
     for check in ("cover", "thetaM"):
         rep = tmp_path / f"{check}.json"
         code = run(["bplg", "--points", str(pts_file), "--n", "1",

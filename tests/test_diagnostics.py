@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from conftest import (PROFILE_CLOUDS, SWEEP_CASES, _shell_index, cone_outside_tube_check,
-                      f_epsilon_candidates, graph_through, hausdorff_plane_sections,
-                      cone_row, random_cloud, theta_m_oracle)
+                      f_epsilon_candidates, graph_document, graph_through,
+                      hausdorff_plane_sections, cone_row, random_cloud, theta_m_oracle)
 
 from conical_gmt import diagnostics
 
@@ -520,7 +520,7 @@ def test_hausdorff_segments_closed_form():
 
 def test_graph_json_roundtrip():
     g = flat_graph(20)
-    data = g.to_json()
+    data = graph_document(g)
     back = LipschitzGraph.from_json(data)
     assert np.allclose(back.ambient_anchors(), g.ambient_anchors())
     assert back.lip_measured == g.lip_measured

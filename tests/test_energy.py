@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from conftest import (SWEEP_CASES, _cone_energy, cone_jumps, cone_row, mixture_cloud,
-                      plane_metric, point_energy, pointwise_energies_row_loop, random_cloud,
-                      riesz_cone_sum, weighted_sum_loop)
+from conftest import (SWEEP_CASES, _cone_energy, _jumps, _step_energy, cone_jumps, cone_row,
+                      mixture_cloud, plane_metric, point_energy, pointwise_energies_row_loop,
+                      random_cloud, riesz_cone_sum, weighted_sum_loop)
 
 from conical_gmt import energy
 from conical_gmt.corona import CoronaParams, _Ctx
-from conical_gmt.energy import (EnergySpec, _direction_energies, _step_energy, bme_check,
+from conical_gmt.energy import (EnergySpec, _direction_energies, _step_integrals, bme_check,
                                 bpbe_scan, pointwise_energies, weighted_sum, window_energies)
 from conical_gmt.errors import InvalidParams
 from conical_gmt.generators import GeneratorSpec, generate
@@ -200,7 +200,7 @@ def test_cube_energy_matches_quadrature():
     nm = lat.measure
     for cid in (0, len(lat.cubes) // 2, len(lat.cubes) - 1):
         q = lat.cubes[cid]
-        got = ctx.cube_energy(q)
+        got = ctx.ask([q])[0][1]
         lo, hi = 0.1 * q.radius, q.radius / 0.1
         vidx = nm.ball_indices(q.center, 2 * q.ball_radius)
         want = sum(nm.weights[i] * quad_energy(nm, nm.points[i], V_AXIS, 0.8, 1.0, lo, hi)
@@ -211,7 +211,7 @@ def test_cube_energy_matches_quadrature():
 def test_cube_energy_zero_for_flat_cloud():
     m, _ = generate(GeneratorSpec("segment", {"count": 64}))
     lat = build_lattice(m, 2.0, 8.0, 3)
-    assert _Ctx(lat, CoronaParams(V_AXIS, 0.9, eta=0.1)).cube_energy(lat.root) == 0.0
+    assert _Ctx(lat, CoronaParams(V_AXIS, 0.9, eta=0.1)).ask([lat.root])[0][1] == 0.0
 
 
 def test_window_energies_prefix_windows_match_single_windows():
@@ -477,6 +477,84 @@ def test_projection_check_bin_refinement_stability():
     assert r1["left_energy"] > 0
     assert r1["ratio"] > 0 and np.isfinite(r1["ratio"])
     assert abs(r2["ratio"] - r1["ratio"]) <= 0.25 * r1["ratio"]
+
+
+def step_integrals_oracle(d, w, mask, windows, n, p) -> np.ndarray:
+    """Oracle: each row of ``mask`` compressed through ``_jumps``, then each
+    window through ``_step_energy`` of the run ends below hi."""
+    out = np.zeros((len(mask), len(windows)))
+    for j, row in enumerate(mask):
+        radii, cum, _ = _jumps(row, d, w)
+        for col, (lo, hi) in enumerate(windows):
+            c = np.searchsorted(radii, hi, side="left")
+            out[j, col] = _step_energy(radii[:c], cum[:c], n, p, lo, hi)[1]
+    return out
+
+
+def reciprocal_misses(count: int) -> np.ndarray:
+    """Distances x at which the scalar power x ** -1.0 differs from numpy's
+    array power, which takes exponent -1 as a reciprocal."""
+    x = np.random.default_rng(7).random(20000) + 0.5
+    scalar = np.array([np.float64(v) ** -1.0 for v in x])
+    miss = x[scalar != x ** -1.0][:count]
+    assert len(miss) == count
+    return miss
+
+
+def _kernel_cases():
+    """(distances, weights, masks) for the step-integral kernel: runs of
+    tied distances at reciprocal misses with rows of every kind (empty, full,
+    random), a single atom, and no atom at all."""
+    rng = np.random.default_rng(11)
+    x = np.sort(reciprocal_misses(5))
+    d = np.sort([x[0], x[0], x[1], x[2], x[2], x[2], x[3], 1.5, 1.5, x[4]])
+    k = len(d)
+    masks = np.vstack((np.zeros(k, bool), np.ones(k, bool), rng.random((4, k)) < 0.5,
+                       np.arange(k) % 3 == 1))
+    return [pytest.param(d, rng.random(k) + 0.1, masks, id="ties"),
+            pytest.param(x[:1], np.array([0.3]), np.array([[True], [False]]), id="one-atom"),
+            pytest.param(np.empty(0), np.empty(0), np.zeros((2, 0), bool), id="no-atom")]
+
+
+def kernel_windows(d: np.ndarray) -> list:
+    """Every window (lo, hi), lo < hi, with ends at 0, below, at, between and
+    above the distinct distances, and hi = inf."""
+    u = np.unique(d)
+    ends = np.unique(np.concatenate(([0.0, 0.25, 4.0], u, u / 2, (u[1:] + u[:-1]) / 2)))
+    return [(float(lo), float(hi)) for lo in ends for hi in (*ends, np.inf) if lo < hi]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, w, mask", _kernel_cases())
+def test_step_integrals_equal_the_step_energy_oracle(d, w, mask, p, n):
+    # bit for bit, signed zeros included; the ends at reciprocal misses make
+    # one scalar power in place of an array power change bits at n p = 1
+    windows = kernel_windows(d)
+    cum = np.cumsum(np.where(mask, w, 0.0), axis=1)
+    got = _step_integrals(d, cum, mask, windows, n, p)
+    want = step_integrals_oracle(d, w, mask, windows, n, p)
+    assert got.shape == (len(mask), len(windows))
+    assert got.tobytes() == want.tobytes()
+    if len(d) > 1:
+        assert np.count_nonzero(got) > got.size // 3
+
+
+@pytest.mark.parametrize("tiny, weight", [(1e-120, 1.0), (0.1, 1e200)], ids=["r", "mass"])
+def test_step_integrals_overflow_as_the_oracle(tiny, weight):
+    # an overflowed lo^-np or cum^p: a step that ends below lo still gives
+    # +0.0 in the oracle, so entries are inf where inf - inf or inf * 0 at
+    # such a step would make NaN
+    d = np.array([tiny, 1.2 * tiny, 1.0, 2.0, 3.0])
+    w = np.full(5, weight)
+    mask = np.array([[True] * 5, [True, True, True, False, True]])
+    windows = [(1.5 * tiny, 2.5), (1.5 * tiny, np.inf)]
+    cum = np.cumsum(np.where(mask, w, 0.0), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _step_integrals(d, cum, mask, windows, 2, 3.0)
+        want = step_integrals_oracle(d, w, mask, windows, 2, 3.0)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isinf(got).all()
 
 
 def test_breakdown_internal_consistency(rng):

@@ -5,13 +5,14 @@ from scipy.spatial.distance import cdist, pdist
 
 from conftest import (PROFILE_CLOUDS, ball_mass, brute_ball_mass, brute_cone_mass, cone_row,
                       coordinate_order_lengths, maximal_function, maximal_function_candidates,
-                      mixture_cloud, random_cloud)
+                      mixture_cloud, profile, random_cloud)
 
 from conical_gmt import geometry
 from conical_gmt.errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
-from conical_gmt.measure import DiscreteMeasure, growth_constant, load_csv, save_csv
+from conical_gmt.measure import (DiscreteMeasure, growth_constant, load_csv, save_csv,
+                                 sorted_mass, sorted_profiles)
 from conical_gmt.sio import TruncationGrid
 
 
@@ -190,6 +191,25 @@ def test_maximal_function_reads_the_sorted_profile(m):
         for r_min, r_max in ranges:
             assert (maximal_function(m, x, r_min, r_max)
                     == maximal_function_candidates(m, x, r_min, r_max))
+
+
+def test_sorted_profiles_keep_tied_distances_in_index_order():
+    # seen from the atom at 0, the atoms at -0.5 and 0.5 tie, and so do those
+    # at -2 and 2; the mass through the far run, summed in index order, rounds
+    # otherwise than in reverse index order, also sorted by distance and one
+    # that an unstable sort may take
+    x = np.array([-2.0, 2.0, -0.5, 0.5, 0.0])
+    w = np.array([2.0 ** -52, 2.0 ** -53, 2.0 ** -53, 1.0, 0.25])
+    m = DiscreteMeasure(np.stack((x, np.zeros(5)), axis=1), w, 1)
+    want_d, want_cum = profile(np.abs(x), w)
+    assert want_d.tolist() == [0.0, 0.5, 0.5, 2.0, 2.0]
+    assert np.cumsum(w[::-1])[-1] != want_cum[-1]
+    got_d, got_cum = sorted_mass(np.abs(x), w)
+    assert got_d.tolist() == want_d.tolist() and got_cum.tolist() == want_cum.tolist()
+    for rows, ds, cum in sorted_profiles(m, m.points):
+        for i, d_row, cum_row in zip(range(rows.start, rows.stop), ds, cum):
+            want_d, want_cum = profile(m.distances_from(m.points[i]), w)
+            assert d_row.tolist() == want_d.tolist() and cum_row.tolist() == want_cum.tolist()
 
 
 def test_growth_constant_segment():

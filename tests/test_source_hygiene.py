@@ -19,9 +19,11 @@ subtraction: every |y - x| comes from ``geometry.lengths`` or
 
 The reachability scan fails on a top-level function or class that no command
 reaches, walking names from ``cli``'s ``_cmd_*`` functions, ``run`` and
-``_build_parser``.  Wrappers are deleted, and oracles and paper checks live
-in ``tests/``; the only exceptions are the definitions in ``KEPT_UNREACHED``,
-each with the open ROADMAP item that needs it.
+``_build_parser``, and on a method of a package class, other than a dunder,
+whose name the package never reads as an attribute.  Wrappers are deleted,
+and oracles and paper checks live in ``tests/``; the only exceptions are the
+definitions in ``KEPT_UNREACHED``, each with the open ROADMAP item that
+needs it.
 """
 
 import ast
@@ -249,6 +251,7 @@ def test_package_measures_no_difference_with_linalg_norm():
 KEPT_UNREACHED = {
     "diagnostics.beta_square_function": 9,
     "energy.bme_check": 6,
+    "sio.TruncationGrid.breakpoints": 6,
     "sio.maximal_transform": 6,
     "sio.norm_vs_generation": 6,
 }
@@ -364,7 +367,56 @@ def test_scan_finds_unreached_definitions():
     assert unreached_definitions(sources) == ["lib.Planted", "lib.shadowed", "lib.wrapper"]
 
 
+def unread_methods(sources: dict) -> list[str]:
+    """``module.Class.method`` of every method of a top-level class in
+    ``sources`` (module name -> source), dunders aside, whose name no module
+    reads as an attribute, sorted.  Any ``x.name`` read counts, whatever x
+    is, so the scan can miss an unread method but never reports a read one;
+    a property is read as an attribute like any other method."""
+    read, methods = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source, module)
+        read.update(n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+        methods += [(f"{module}.{cls.name}.{fn.name}", fn.name)
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, _FUNCS)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    return sorted(key for key, name in methods if name not in read)
+
+
+def test_scan_finds_unread_methods():
+    sources = {
+        "cli": ("from .lib import Shape\n"
+                "def _cmd_go(args):\n"
+                "    s = Shape.make(args)\n"
+                "    return s.area, s.scaled(2)\n"),
+        "lib": ("class Shape:\n"
+                "    def __init__(self, x):\n"
+                "        self.x = x\n"
+                "    @staticmethod\n"
+                "    def make(x):\n"
+                "        return Shape(x)\n"
+                "    @property\n"
+                "    def area(self):\n"
+                "        return self._side() ** 2\n"
+                "    def _side(self):\n"
+                "        return self.x\n"
+                "    def scaled(self, k):\n"
+                "        return Shape(k * self.x)\n"
+                "    def planted(self):\n"
+                "        return self.x\n"
+                "    def _planted(self):\n"
+                "        return 0\n"
+                "def helper(obj):\n"
+                "    obj.planted = None\n"
+                "    return obj\n"),
+    }
+    assert unread_methods(sources) == ["lib.Shape._planted", "lib.Shape.planted"]
+
+
 def test_package_ships_only_what_a_command_reaches():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreached_definitions(sources) == sorted(KEPT_UNREACHED)
+    found = unreached_definitions(sources) + unread_methods(sources)
+    assert sorted(found) == sorted(KEPT_UNREACHED)
 
