@@ -23,7 +23,7 @@ from .errors import InvalidParams, NotDoublingRoot
 from .geometry import Plane, SortedIndex, lengths
 from .graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from .lattice import Cube, Lattice, maximal_doubling
-from .measure import growth_constant
+from .measure import growth_constant, segment_sums
 
 # a good atom counts as on its tree's graph within this vertical distance,
 # and an anchor as reproduced within _TOL_ANCHOR; both are counted in the
@@ -107,10 +107,14 @@ class _Ctx:
     """Shared per-lattice caches for cube densities and window energies.
 
     ``_table[x, k]`` is atom x's energy over level k's window
-    (eta r_k, r_k / eta); the last column is the whole-space window.  Each
+    (eta r_k, r_k / eta); the last column is the whole-space window, and
+    ``_terms`` is the table with each row times its atom's weight.  Each
     visited cube's 2B_Q is asked once, for its density and its energy
     together: a tree's root on its own, then each level of the tree's
-    frontier (the children of the cubes it expands there) in one family call.
+    frontier (the children of the cubes it expands there) in one family
+    call.  The masses and energies of a family come from ``segment_sums``,
+    the bits of ``np.sum`` and ``weighted_sum`` per cube without a call per
+    cube.
     """
 
     def __init__(self, lattice: Lattice, params: CoronaParams):
@@ -121,6 +125,7 @@ class _Ctx:
         windows = [(eta * r, r / eta) for r in radii]
         windows.append((0.0, np.inf))
         self._table = window_energies(lattice.measure, params.spec, windows)[0]
+        self._terms = lattice.measure.weights[:, None] * self._table
 
     def ask(self, cubes: list[Cube]) -> list[tuple[float, float]]:
         """(theta(2B_Q), energy) of each cube, those not asked before from
@@ -128,12 +133,18 @@ class _Ctx:
         new = [q for q in cubes if q.id not in self._cube]
         if new:
             m = self.lattice.measure
-            balls = m.balls(np.array([q.center for q in new]),
-                            [q.double_ball_radius for q in new])
-            for q, idx in zip(new, balls):
-                w = m.weights[idx]
-                self._cube[q.id] = (float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
-                                    weighted_sum(w, self._table[idx, q.level]) / q.mass)
+            balls = list(m.balls(np.array([q.center for q in new]),
+                                 [q.double_ball_radius for q in new]))
+            masses = segment_sums(m.weights, balls).tolist()
+            levels = np.array([q.level for q in new])
+            energies = np.empty(len(new))
+            for level in np.unique(levels).tolist():
+                at = np.flatnonzero(levels == level)
+                energies[at] = segment_sums(self._terms[:, level],
+                                            [balls[j] for j in at], ordered=True)
+            for q, mass, energy in zip(new, masses, energies.tolist()):
+                self._cube[q.id] = (mass / q.double_ball_radius ** m.dim_param,
+                                    energy / q.mass)
         return [self._cube[q.id] for q in cubes]
 
 

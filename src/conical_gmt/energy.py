@@ -30,7 +30,13 @@ per row and each row's cumulative selected mass, it integrates every row over
 every window (lo, hi).  Each entry is numpy's pairwise sum of the row's terms
 at its run ends (the last selected position of each run of equal distances)
 below hi; numpy groups a sum's terms by position, so a zero-padded row would
-change the last bits.  Two engines call it, each with its own loop, since
+change the last bits.  Rows of equal length are another matter: numpy sums
+each row of a C-contiguous (rows, length) block along its last axis as it
+sums that row alone, and ``cumsum`` along a row adds left to right, which is
+how ``measure.segment_sums`` takes a family of sums at once, bit for bit.
+The kernel's rows keep one ``sum`` call each: their selected counts differ
+from row to row, and grouping them by length measured slower on the
+mixture's scan.  Two engines call it, each with its own loop, since
 running either's work through the other's loop measured two to twenty-five
 times slower (ROADMAP, aim 2):
 

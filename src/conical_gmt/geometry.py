@@ -231,7 +231,8 @@ _RUN_SLACK = 8 * np.finfo(float).eps
 class SortedIndex:
     """Exact open-ball and nearest-distance queries over the rows of
     ``points``, from one stable sort of the rows along their coordinate of
-    widest spread (the first such coordinate).
+    widest spread (the first such coordinate), and the candidate runs
+    themselves (``runs``), which the graph extension over a line reads.
 
     A query at x with radius r reads one run of that order: the rows whose
     sort coordinate lies within r of x's, found by two ``searchsorted``
@@ -278,13 +279,23 @@ class SortedIndex:
         del pos
         return rows, owner, self._lengths(rows, x, owner)
 
+    def runs(self, x: np.ndarray, r: np.ndarray) -> Iterator[tuple]:
+        """Every row of the widened run of each query x_i with radius r_i, a
+        superset of its closed ball, in ``count_blocks`` of the queries: a
+        block ``(b, rows, owner, dist, starts)`` holds the rows of the runs
+        of the queries b, run after run, the query each belongs to, counted
+        from b.start, its distance from that query, and where each run
+        starts."""
+        lo, hi = self._runs(x, r)
+        for b in count_blocks(hi - lo):
+            counts = hi[b] - lo[b]
+            yield (b, *self._candidates(x[b], lo[b], hi[b]), counts.cumsum() - counts)
+
     def balls(self, centers: np.ndarray, radii: np.ndarray) -> Iterator[np.ndarray]:
         """The open balls B(c_i, r_i), in order, each as the ascending
         indices of its rows; ``radii`` holds one radius per centre."""
-        lo, hi = self._runs(centers, radii)
         n = len(self.points)
-        for b in count_blocks(hi - lo):
-            rows, owner, dist = self._candidates(centers[b], lo[b], hi[b])
+        for b, rows, owner, dist, _ in self.runs(centers, radii):
             inside = dist < radii[b][owner]
             del dist
             owner = owner[inside]
@@ -312,13 +323,10 @@ class SortedIndex:
         bound = np.minimum(
             self._lengths(self.order[np.maximum(place - 1, 0)], q, each),
             self._lengths(self.order[np.minimum(place, last)], q, each))
-        lo, hi = self._runs(q, bound)
         out = np.empty(len(q))
-        for b in count_blocks(hi - lo):
-            counts = hi[b] - lo[b]
+        for b, _, _, dist, starts in self.runs(q, bound):
             # each run holds the row that gave its bound, so none is empty
-            out[b] = np.minimum.reduceat(self._candidates(q[b], lo[b], hi[b])[2],
-                                         counts.cumsum() - counts)
+            out[b] = np.minimum.reduceat(dist, starts)
         return out
 
 

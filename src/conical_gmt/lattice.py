@@ -23,7 +23,10 @@ doubling flag, whether the atoms of B(Q) (asked once, by the doubling test)
 all lie in Q, and the radii of B_Q and 2B_Q.  Balls known up front are asked
 as families (``DiscreteMeasure.balls``): each level's B(Q) and 100 B(Q) in
 one call each, the net's priority balls in one call, and the balls of the
-points the net chooses from each chunk of candidates in one call.
+points the net chooses from each chunk of candidates in one call.  A level's
+masses mu(B(Q)), mu(100 B(Q)) and mu(Q) come from ``measure.segment_sums``,
+numpy's sum of each ball's or cube's weights without a call per cube, and
+B(Q)'s containment from one comparison of its atoms' owners per level.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from . import geometry
 from .errors import CubeNotFound, InvalidParams
 from .geometry import lengths, row_blocks, square_lengths
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, segment_sums
 
 # the root radius is the diameter divided by this, only so that the open root
 # ball about any atom strictly contains the whole cloud
@@ -264,19 +267,25 @@ def doubling_flags(lattice: Lattice) -> Lattice:
     """Set each cube's flag per mu(100 B(Q)) <= C0 mu(B(Q)), non-strict, its
     mass mu(Q), and whether B(Q)'s atoms all lie in Q.  Each level asks its
     B(Q) in one call and its 100 B(Q) in another; a ball's mass is the sum
-    of its sorted atoms' weights, as ``corona._Ctx.ask`` takes it."""
+    of its sorted atoms' weights, as ``corona._Ctx.ask`` takes it, and every
+    mass of a level comes from ``segment_sums``.  B(Q) lies in Q when none
+    of its atoms has another owner, from one owner comparison per level."""
     m = lattice.measure
     w = m.weights
     for ids in lattice.levels:
         cubes = [lattice.cubes[i] for i in ids]
         centers = np.array([q.center for q in cubes])
         r = cubes[0].radius
-        owner = _level_owner(m.size, cubes)
-        for j, (q, inner, big) in enumerate(zip(cubes, m.balls(centers, r),
-                                                m.balls(centers, 100.0 * r))):
-            q.doubling = float(np.sum(w[big])) <= lattice.c0 * float(np.sum(w[inner]))
-            q.mass = float(np.sum(w[q.members]))
-            q.inner_contained = bool(np.all(owner[inner] == j))
+        inner = list(m.balls(centers, r))
+        doubling = (segment_sums(w, m.balls(centers, 100.0 * r))
+                    <= lattice.c0 * segment_sums(w, inner))
+        masses = segment_sums(w, [q.members for q in cubes])
+        ball = np.repeat(np.arange(len(cubes)), [len(b) for b in inner])
+        stray = _level_owner(m.size, cubes)[np.concatenate(inner)] != ball
+        contained = np.bincount(ball[stray], minlength=len(cubes)) == 0
+        for q, flag, mass, inside in zip(cubes, doubling.tolist(), masses.tolist(),
+                                         contained.tolist()):
+            q.doubling, q.mass, q.inner_contained = flag, mass, inside
     return lattice
 
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conical_gmt.energy import weighted_sum
 from conical_gmt.errors import InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import Plane, cone_rows, lengths, make_plane, sample_grassmannian
@@ -365,6 +366,93 @@ def tree_oracle(lattice, root, params, ctx) -> tuple:
             list(theta_ledger.items()), list(chain_energy.items()))
 
 
+def doubling_flags_loop(lattice) -> list:
+    """Oracle: each cube's (doubling flag, mu(Q), B(Q) within Q) by the
+    lattice's per-cube loop, from one B(Q) and one 100 B(Q) family per
+    level: numpy's sum of each ball's and each cube's weights, and one owner
+    test per cube."""
+    m = lattice.measure
+    w = m.weights
+    out = {}
+    for ids in lattice.levels:
+        cubes = [lattice.cubes[i] for i in ids]
+        centers = np.array([q.center for q in cubes])
+        r = cubes[0].radius
+        owner = np.empty(m.size, dtype=int)
+        for j, q in enumerate(cubes):
+            owner[q.members] = j
+        for j, (q, inner, big) in enumerate(zip(cubes, m.balls(centers, r),
+                                                m.balls(centers, 100.0 * r))):
+            out[q.id] = (float(np.sum(w[big])) <= lattice.c0 * float(np.sum(w[inner])),
+                         float(np.sum(w[q.members])), bool(np.all(owner[inner] == j)))
+    return [out[q.id] for q in lattice.cubes]
+
+
+def cube_ask_loop(ctx, cubes) -> list:
+    """Oracle: (theta(2B_Q), energy) of each cube by the corona's per-cube
+    loop over one family of 2B_Q balls: numpy's sum of the ball's weights
+    over r^n, and ``weighted_sum`` of its atoms' window energies at the
+    cube's level over mu(Q)."""
+    m = ctx.lattice.measure
+    balls = m.balls(np.array([q.center for q in cubes]), [q.double_ball_radius for q in cubes])
+    out = []
+    for q, idx in zip(cubes, balls):
+        w = m.weights[idx]
+        out.append((float(np.sum(w)) / q.double_ball_radius ** m.dim_param,
+                    weighted_sum(w, ctx._table[idx, q.level]) / q.mass))
+    return out
+
+
+def extension_loop(g: LipschitzGraph, z: np.ndarray) -> np.ndarray:
+    """Oracle: the McShane-Whitney extension at each query row of z from
+    every anchor, one query at a time, with |z - z_i| in the package's
+    arithmetic."""
+    out = np.empty((len(z), g.anchors_value.shape[1]))
+    for i, x in enumerate(z):
+        d = g.extension_constant * coordinate_order_lengths(g.anchors_base - x)[:, None]
+        out[i] = 0.5 * (np.min(g.anchors_value + d, axis=0) + np.max(g.anchors_value - d, axis=0))
+    return out
+
+
+def _segment_sum_clouds() -> list:
+    """Clouds for the per-cube sum oracles: Cantor generations 4 and 5
+    (exact distance ties), a jittered segment, a random cloud with a third
+    of its atoms duplicated, and a random cloud offset by 1e6."""
+    clouds = []
+    for gen in (4, 5):
+        m, _ = generate(GeneratorSpec("four_corner_cantor", {"generation": gen}))
+        clouds.append(pytest.param(m, id=f"cantor{gen}"))
+    m, _ = generate(GeneratorSpec("segment", {"count": 600, "jitter": 0.05}, 5))
+    clouds.append(pytest.param(m, id="segment"))
+    base = random_cloud(61, 300)
+    pts = base.points.copy()
+    pts[:100] = pts[100:200]
+    clouds.append(pytest.param(DiscreteMeasure(pts, base.weights, 1), id="duplicates"))
+    far = random_cloud(62, 300)
+    clouds.append(pytest.param(DiscreteMeasure(far.points + 1e6, far.weights, 1), id="offset-1e6"))
+    return clouds
+
+
+# across numpy's 8-term unrolled sum and its 128-term pairwise blocks
+SEGMENT_LENGTHS = [0, 1, 7, 8, 127, 128, 129, 255, 256, 257, 5000]
+
+
+def segment_family(seed: int, special: bool) -> tuple:
+    """Terms from 2^-500 to 2^500 of both signs with zeros of both signs,
+    and, if ``special``, inf, -inf and nan; and a family of index arrays into
+    them (repeats allowed) with every length of ``SEGMENT_LENGTHS`` three
+    times over, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    terms = rng.choice([-1.0, 1.0], 20_000) * np.exp2(rng.uniform(-500, 500, 20_000))
+    terms[rng.random(20_000) < 0.1] = 0.0
+    terms[rng.random(20_000) < 0.1] = -0.0
+    if special:
+        for value in (np.inf, -np.inf, np.nan):
+            terms[rng.choice(20_000, 3, replace=False)] = value
+    sizes = rng.permutation(SEGMENT_LENGTHS * 3)
+    return terms, [rng.integers(0, 20_000, size) for size in sizes]
+
+
 def weighted_sum_loop(weights, energies) -> float:
     """Oracle: sum_j w_j e_j in Python floats, from 0.0, left to right."""
     total = 0.0
@@ -598,6 +686,7 @@ def _sweep_cases():
 
 SWEEP_CASES = _sweep_cases()
 PROFILE_CLOUDS = _profile_clouds()
+SEGMENT_SUM_CLOUDS = _segment_sum_clouds()
 
 
 @pytest.fixture

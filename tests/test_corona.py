@@ -4,9 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (SWEEP_CASES, _cone_energy, ball_mass, cone_row, graph_through,
-                      separation_oracle, tree_oracle)
+from conftest import (SEGMENT_SUM_CLOUDS, SWEEP_CASES, _cone_energy, ball_mass, cone_row,
+                      cube_ask_loop, extension_loop, graph_through, separation_oracle,
+                      tree_oracle)
 
+from conical_gmt import graphs
 from conical_gmt.cli import run
 from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
                                 separated_families, stopping_decomposition,
@@ -14,8 +16,8 @@ from conical_gmt.corona import (CoronaParams, _Ctx, _set_distance, build_top,
 from conical_gmt.energy import pointwise_energies, weighted_sum, window_energies
 from conical_gmt.errors import InvalidParams, NotDoublingRoot
 from conical_gmt.generators import GeneratorSpec, generate
-from conical_gmt.geometry import lengths, make_plane
-from conical_gmt.graphs import cone_separation_violations
+from conical_gmt.geometry import Plane, SortedIndex, lengths, make_plane, sample_grassmannian
+from conical_gmt.graphs import LipschitzGraph, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
 from conical_gmt.measure import DiscreteMeasure
 
@@ -279,6 +281,150 @@ def test_cone_separation_violations_equal_row_loop(m, direction, aperture):
     assert got == separation_oracle(m.points, direction, aperture)
 
 
+def on_line(t, values, direction: Plane, offset=0.0) -> np.ndarray:
+    """Points with base coordinates t along V's complement (a line) and
+    normal coordinates ``values`` in V's basis, moved by ``offset``."""
+    base = direction.complement().basis[0]
+    values = np.asarray(values, dtype=float).reshape(len(t), -1)
+    return offset + np.asarray(t, dtype=float)[:, None] * base + values @ direction.basis
+
+
+def slope_cases():
+    """(anchors, direction, aperture, sorted verdict, sorted slope) for the
+    n = 1 sorted steps: whether the margin lets the sorted path answer the
+    separation check and ``lip_measured``, where the sweep must agree."""
+    alpha = 0.8
+    lip = np.sqrt(4.0 / alpha ** 2 - 1.0)
+    cases = []
+    # a neighbour slope exactly L and one rounding either side of it, and
+    # L (1 -+ 2^-52): the cone test decides, not the sort
+    for name, s in (("L", lip), ("L-ulp", np.nextafter(lip, 0)), ("L+ulp", np.nextafter(lip, 9)),
+                    ("L(1-2^-52)", lip * (1 - 2.0 ** -52)), ("L(1+2^-52)", lip * (1 + 2.0 ** -52))):
+        pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, s], [2.0, s]])
+        cases.append(pytest.param(pts, V_AXIS, alpha, False, True, id=f"slope-{name}"))
+    half = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.5 * lip], [2.0, 0.5 * lip]])
+    cases.append(pytest.param(half, V_AXIS, alpha, True, True, id="slope-L/2"))
+    # a tie in z with distinct v is a violation; duplicates are not, even
+    # with a point of the same z between them in the sort
+    cases.append(pytest.param(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]]), V_AXIS, alpha,
+                              False, False, id="tie-in-z"))
+    dup = np.array([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [1.0, 0.5], [2.0, 0.2]])
+    cases.append(pytest.param(dup, V_AXIS, alpha, True, True, id="duplicates"))
+    cases.append(pytest.param(np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.0]]), V_AXIS, alpha,
+                              False, False, id="duplicates-around-a-tie"))
+    # an oblique V at offset 1e6: each slope comes from the difference of two
+    # anchors, whose rounding is relative to |y - x|, not to |x| = 1e6
+    rng = np.random.default_rng(31)
+    oblique = make_plane([[0.3, 1.0]])
+    t = np.sort(rng.random(200))
+    cases.append(pytest.param(on_line(t, 0.3 * np.sin(3 * t), oblique, 1e6), oblique, alpha,
+                              True, True, id="oblique-offset-1e6"))
+    steep = on_line(t, 0.3 * np.sin(3 * t) + (t > 0.5) * 0.2, oblique, 1e6)
+    cases.append(pytest.param(steep, oblique, alpha, False, True, id="oblique-offset-1e6-step"))
+    # d = 3 with vector v, on a coordinate plane and an oblique one
+    for name, plane in (("axes", make_plane([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+                        ("oblique", sample_grassmannian(3, 2, 1, seed=4)[0])):
+        v = np.stack([0.2 * np.sin(2 * t), 0.3 * np.cos(3 * t)], axis=1)
+        cases.append(pytest.param(on_line(t, v, plane), plane, alpha, True, True, id=f"d3-{name}"))
+    # the largest slope flanked by a gap 2^-40 and 2^-52 times its own: the
+    # pair that spans both gaps has nearly its slope, so the sweep decides
+    for k in (40, 52):
+        g = 2.0 ** -k
+        left = np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + g, 1.0], [3.0, 1.5]])
+        right = np.array([[0.0, 0.0], [g, 0.0], [1.0 + g, 1.0], [3.0, 1.5]])
+        cases.append(pytest.param(left, V_AXIS, alpha, True, False, id=f"flank-2^-{k}-after"))
+        cases.append(pytest.param(right, V_AXIS, alpha, True, False, id=f"flank-2^-{k}-before"))
+    # two equal largest slopes: not unique, so the sweep decides
+    cases.append(pytest.param(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), V_AXIS, alpha,
+                              True, False, id="two-largest"))
+    # where the sweep's largest slope is a spanning pair's, above both
+    # neighbour slopes by rounding: two nearly equal neighbour slopes, and a
+    # unique largest one flanked by a gap of 1 ulp of z
+    near_tie = np.array([[2.1980371728910075, 0.6998102664181641],
+                         [3.1980371728910075, 1.7655044112892506],
+                         [3.198042382190139, 1.765509962808834]])
+    flank = np.array([[0.5076510791234781, 0.09654425304207848],
+                      [1.3799795425712418, 1.399050969677306],
+                      [1.379979542571242, 1.3990509696773061]])
+    for name, pts in (("near-tie", near_tie), ("flank-ulp", flank)):
+        z, v = pts.T
+        assert graphs._pair_lip(z[:, None], v[:, None]) > max(np.abs(np.diff(v)) / np.diff(z))
+        cases.append(pytest.param(pts, V_AXIS, alpha, True, False, id=f"spanning-{name}"))
+    # one anchor, and flat anchors
+    cases.append(pytest.param(np.array([[0.5, 0.25]]), V_AXIS, alpha, True, True, id="one"))
+    cases.append(pytest.param(on_line(t, np.zeros(200), V_AXIS), V_AXIS, alpha, True, True,
+                              id="flat"))
+    return cases
+
+
+@pytest.mark.parametrize("pts, direction, aperture, sorted_verdict, sorted_lip", slope_cases())
+def test_sorted_anchor_steps_equal_the_sweep(pts, direction, aperture, sorted_verdict,
+                                             sorted_lip):
+    want = separation_oracle(pts, direction, aperture)
+    assert cone_separation_violations(pts, direction, aperture) == want
+    assert graphs._line_separated(pts, direction, aperture) is sorted_verdict
+    distinct = np.unique(pts, axis=0)
+    z, vals = direction.complement().coords(distinct), direction.coords(distinct)
+    sweep = graphs._pair_lip(z, vals)
+    fast = graphs._line_lip(z[:, 0], vals, aperture)
+    assert (fast is not None) is sorted_lip
+    assert fast is None or fast == sweep
+    assert graphs._graph_through(distinct, direction, aperture).lip_measured == sweep
+
+
+def test_benchmark_segment_runs_no_pairwise_graph_step(monkeypatch):
+    """The corona on the benchmark's segment (1,000 atoms, jitter 0.05, depth
+    6) decides separation, the slope and the extension without a pairwise
+    sweep: no ``cone_pairs`` sweep, no all-pairs slope and no dense
+    extension tile."""
+    calls = Counter()
+    for name in ("cone_pairs", "_pair_lip", "square_lengths"):
+        def counted(*args, _name=name, _call=getattr(graphs, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    for seed in (1, 2, 3):
+        m, _ = generate(GeneratorSpec("segment", {"count": 1000, "jitter": 0.05}, seed))
+        res = build_top(build_lattice(m, 2.0, 8.0, 6), default_params())
+        assert verify_corona(res)["passed"] and all(t.graph is not None for t in res.trees)
+    assert calls == Counter()
+
+
+def extension_cases():
+    """(graph, queries, windowed) for the extension over a base line:
+    whether each query reads only the anchors near it."""
+    rng = np.random.default_rng(32)
+    t = np.sort(rng.random(300))
+    queries = np.concatenate([rng.uniform(-0.5, 1.5, 200), t, 0.5 * (t[1:] + t[:-1])])
+    cases = []
+    flat = graph_through(on_line(t, np.zeros(300), V_AXIS), V_AXIS, 0.8)
+    cases.append(pytest.param(flat, queries[:, None], True, id="flat"))
+    sine = graph_through(on_line(t, 0.4 * np.sin(4 * t), V_AXIS), V_AXIS, 0.8)
+    cases.append(pytest.param(sine, queries[:, None], True, id="sine"))
+    oblique = make_plane([[0.3, 1.0]])
+    far = graph_through(on_line(t, 0.3 * np.sin(3 * t), oblique, 1e6), oblique, 0.8)
+    far_z = far.base.coords(on_line(queries, np.zeros(len(queries)), oblique, 1e6))
+    cases.append(pytest.param(far, far_z, True, id="oblique-offset-1e6"))
+    plane = make_plane([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    v = np.stack([0.2 * np.sin(2 * t), 0.3 * np.cos(3 * t)], axis=1)
+    cases.append(pytest.param(graph_through(on_line(t, v, plane), plane, 0.8), queries[:, None],
+                              True, id="d3"))
+    # the window comes from the anchors' slopes, not from a document's L
+    base, normal = make_plane([[1.0, 0.0]]), V_AXIS
+    for name, s, windowed in (("slope-2-L-0", 2.0, True), ("slope-3-L-0", 3.0, False)):
+        g = LipschitzGraph(base, normal, t[:, None], s * np.abs(t[:, None] % 0.2 - 0.1), 0.0, 2.5)
+        cases.append(pytest.param(g, queries[:, None], windowed, id=name))
+    one = LipschitzGraph(base, normal, np.array([[0.5]]), np.array([[0.25]]), 0.0, 2.5)
+    cases.append(pytest.param(one, queries[:, None], True, id="one-anchor"))
+    return cases
+
+
+@pytest.mark.parametrize("g, z, windowed", extension_cases())
+def test_line_extension_equals_the_dense_loop(g, z, windowed):
+    assert (g._reach(z, SortedIndex(g.anchors_base)) is not None) is windowed
+    assert np.array_equal(g.evaluate(z), extension_loop(g, z))
+
+
 def test_graph_evaluate_blocks_match_unblocked():
     alpha = 0.5
     m, _ = generate(GeneratorSpec("lipschitz_graph", {"count": 300, "lipschitz": 1.0}))
@@ -433,6 +579,21 @@ def test_cube_energy_table_is_bit_identical(gen, plane):
     nm = lat.measure
     whole = window_energies(nm, params.spec, [(0.0, np.inf)])[0]
     assert res.ledger["total_energy"] == weighted_sum(nm.weights, whole[:, 0])
+
+
+@pytest.mark.parametrize("m", SEGMENT_SUM_CLOUDS)
+def test_cube_densities_and_energies_equal_the_per_cube_loop(m):
+    """Each level's family, and one family across every level, against the
+    per-cube loop, with an oblique V so that every cloud has energy."""
+    lat = build_lattice(m, 2.0, 8.0, 6)
+    params = CoronaParams(plane=make_plane([[1.0, 0.3]]), aperture=0.8)
+    ctx = _Ctx(lat, params)
+    for ids in lat.levels:
+        cubes = [lat.cubes[i] for i in ids]
+        assert ctx.ask(cubes) == cube_ask_loop(ctx, cubes)
+    mixed = _Ctx(lat, params)
+    assert mixed.ask(lat.cubes[::-1]) == cube_ask_loop(mixed, lat.cubes[::-1])
+    assert any(energy > 0 for _, energy in ctx.ask(lat.cubes))
 
 
 def test_corona_queries_each_cube_ball_once(asked_balls):

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ball_mass, greedy_centers_oracle, net_oracle, random_cloud
+from conftest import (SEGMENT_SUM_CLOUDS, ball_mass, doubling_flags_loop, greedy_centers_oracle,
+                      net_oracle, random_cloud)
 
 from conical_gmt import geometry, lattice
 from conical_gmt.errors import InvalidParams
@@ -263,6 +264,12 @@ def test_doubling_flags_definition():
         big = ball_mass(nm, q.center, 100 * q.radius)
         small = ball_mass(nm, q.center, q.radius)
         assert q.doubling == (big <= lat.c0 * small)
+
+
+@pytest.mark.parametrize("m", SEGMENT_SUM_CLOUDS)
+def test_doubling_flags_masses_and_containment_equal_the_per_cube_loop(m):
+    lat = build_lattice(m, 2.0, 8.0, 6)
+    assert [(q.doubling, q.mass, q.inner_contained) for q in lat.cubes] == doubling_flags_loop(lat)
 
 
 def test_root_is_doubling():

@@ -5,14 +5,15 @@ from scipy.spatial.distance import cdist, pdist
 
 from conftest import (PROFILE_CLOUDS, ball_mass, brute_ball_mass, brute_cone_mass, cone_row,
                       coordinate_order_lengths, maximal_function, maximal_function_candidates,
-                      mixture_cloud, profile, random_cloud)
+                      mixture_cloud, profile, random_cloud, segment_family)
 
 from conical_gmt import geometry
+from conical_gmt.energy import weighted_sum
 from conical_gmt.errors import DimensionMismatch, InputError, InvalidParams, InvalidRange
 from conical_gmt.generators import GeneratorSpec, generate
 from conical_gmt.geometry import make_plane
 from conical_gmt.measure import (DiscreteMeasure, growth_constant, load_csv, save_csv,
-                                 sorted_mass, sorted_profiles)
+                                 segment_sums, sorted_mass, sorted_profiles)
 from conical_gmt.sio import TruncationGrid
 
 
@@ -210,6 +211,28 @@ def test_sorted_profiles_keep_tied_distances_in_index_order():
         for i, d_row, cum_row in zip(range(rows.start, rows.stop), ds, cum):
             want_d, want_cum = profile(m.distances_from(m.points[i]), w)
             assert d_row.tolist() == want_d.tolist() and cum_row.tolist() == want_cum.tolist()
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan"])
+def test_segment_sums_equal_each_segments_own_sum(special):
+    """The length-grouped sums have the bits of numpy's sum and of
+    ``weighted_sum`` of each segment alone; a family can be any iterable."""
+    terms, family = segment_family(7, special)
+    family.append(np.flatnonzero((terms == 0) & np.signbit(terms))[:3])     # -0.0 alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([np.sum(terms[s]) for s in family])
+        ordered = np.array([weighted_sum(np.ones(len(s)), terms[s]) for s in family])
+    assert segment_sums(terms, family).tobytes() == want.tobytes()
+    assert segment_sums(terms, iter(family), ordered=True).tobytes() == ordered.tobytes()
+
+
+def test_segment_sums_of_empty_families_and_segments():
+    empty = np.empty(0, dtype=int)
+    for ordered in (False, True):
+        assert segment_sums(np.ones(3), [], ordered).shape == (0,)
+        assert segment_sums(np.ones(3), (s for s in ()), ordered).shape == (0,)
+        assert segment_sums(np.ones(3), [empty, empty], ordered).tolist() == [0.0, 0.0]
+        assert segment_sums(np.empty(0), [empty], ordered).tolist() == [0.0]
 
 
 def test_growth_constant_segment():

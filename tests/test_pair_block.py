@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import cdist  # loaded before any traced call
 
 from conftest import (coordinate_order_lengths, cone_row, mixture_cloud, panel_upper,
-                      random_cloud, traced_peak)
+                      random_cloud, segment_family, traced_peak)
 
 from conical_gmt import geometry
 from conical_gmt.corona import CoronaParams, _set_distance, build_top, verify_corona
@@ -21,7 +21,7 @@ from conical_gmt.geometry import (cone_pairs, cone_rows, lengths, make_plane,
                                   row_blocks, sample_grassmannian, square_lengths)
 from conical_gmt.graphs import LipschitzGraph, _graph_through, cone_separation_violations
 from conical_gmt.lattice import build_lattice, natural_depth
-from conical_gmt.measure import DiscreteMeasure, growth_constant
+from conical_gmt.measure import DiscreteMeasure, growth_constant, segment_sums
 from conical_gmt.sio import TruncationGrid, _components, _interaction_stack, builtin_kernels
 
 V_AXIS = make_plane([[0.0, 1.0]])
@@ -221,13 +221,22 @@ def sorted_profiles():
     return tuple(out)
 
 
+def segment_totals():
+    """Numpy's and the left-to-right sums of a family of segments of every
+    length from 0 to 5,000, with inf and nan among the terms, as their bits;
+    at the tiny block every chunk holds one or two segments."""
+    terms, family = segment_family(11, True)
+    return tuple(segment_sums(terms, family, ordered).view(np.int64) for ordered in (False, True))
+
+
 BLOCK_CASES = {"diameter": diameters, "evaluate": graph_values,
                "lip-measured": lipschitz_constants, "lattice": lattice_cubes,
                "corona": corona_ledgers, "window-energies": window_tables,
                "direction-energies": direction_energies,
                "interaction-stack": interaction_stacks, "set-distance": set_distances,
                "sweep-energies": sweep_energies, "separation": separation_pairs,
-               "shell-counts": shell_counts, "sorted-profiles": sorted_profiles}
+               "shell-counts": shell_counts, "sorted-profiles": sorted_profiles,
+               "segment-sums": segment_totals}
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
